@@ -19,8 +19,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
-import requests
-
 from condenser.changeset import (
     ChangeType,
     StructuralDiff,
@@ -370,6 +368,8 @@ def generate_remote(record: SftRecord, endpoint: EndpointConfig) -> GenerationRe
     headers = {"Content-Type": "application/json"}
     if endpoint.api_key:
         headers["Authorization"] = f"Bearer {endpoint.api_key}"
+
+    import requests  # imported here: nothing else needs it, and it dominates import time
 
     last_status: int | None = None
     timed_out = False

@@ -6,6 +6,14 @@ precisely, while method bodies are broken into flat statement records by
 a brace/semicolon scanner. That is all the downstream change summarizer
 needs; there is no symbol resolution and no full-grammar conformance.
 
+The lexer is a single compiled regex scanned with finditer: one match per
+token or comment, the whitespace before it included, so no Python code runs
+per character.  Line numbers come from bisecting the precomputed newline
+offsets.  One pass over the tokens checks that braces balance and records
+each '{'s matching '}', which the parser then jumps to when it skips a body.
+Comments attach to declarations by bisecting declaration offsets and by a
+sweep over the nested body spans.
+
 All returned facts are immutable and safe to share across threads.
 """
 
@@ -13,7 +21,10 @@ from __future__ import annotations
 
 import logging
 import re
-from dataclasses import dataclass, field
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass, replace
+from itertools import accumulate
+from typing import NamedTuple
 
 log = logging.getLogger(__name__)
 
@@ -185,8 +196,7 @@ class SourceFacts:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # ident|number|string|char|punct
     text: str
     line: int
@@ -205,114 +215,94 @@ class _RawComment:
     terminated: bool = True
 
 
+# Tried in this order at each position, so a longer operator wins over its
+# prefixes ('>>>=' before '>>>' before '>>').
 _MULTI_PUNCT = (
     ">>>=", "<<=", ">>=", ">>>", "...", "->", "::",
     "==", "!=", "<=", ">=", "&&", "||", "++", "--",
     "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<", ">>",
 )
 
-_IDENT_START = re.compile(r"[A-Za-z_$]")
-_IDENT_BODY = re.compile(r"[A-Za-z0-9_$]")
-_NUMBER = re.compile(r"\d(?:[\w.]|[eEpP][+-])*")
+# One match per token or comment, leading whitespace included.  Only ' \t\r\f\v'
+# and '\n' are whitespace; any other character that starts nothing else is a
+# one-character token.  A literal may not span a line unless the newline is
+# escaped: such 'wrapped' literals and unterminated ones ('open_literal', which
+# runs to the first unescaped newline or to the end) are rare and get their
+# own groups.  The empty tail alternative lets trailing whitespace match once.
+_TOKEN_RE = re.compile(
+    r"[ \t\r\f\v\n]*(?:"
+    r"(?P<ident>[A-Za-z_$][A-Za-z0-9_$]*)"
+    r"|(?P<line_comment>//[^\n]*)"
+    r"|(?P<block_comment>/\*[^*]*\*+(?:[^/*][^*]*\*+)*/)"
+    r"|(?P<open_comment>/\*[\s\S]*)"
+    r"|(?P<punct>" + "|".join(map(re.escape, _MULTI_PUNCT)) + r"|[!#%&()*+,\-./:;<=>?@\[\\\]^`{|}~])"
+    r"|(?P<number>\d(?:[\w.]|[eEpP][+-])*)"
+    r'|(?P<string>"[^"\\\n]*(?:\\.[^"\\\n]*)*")'
+    r"|(?P<char>'[^'\\\n]*(?:\\.[^'\\\n]*)*')"
+    r'|(?P<wrapped>"[^"\\\n]*(?:\\[\s\S][^"\\\n]*)*"'
+    r"|'[^'\\\n]*(?:\\[\s\S][^'\\\n]*)*')"
+    r'|(?P<open_literal>"[^"\\\n]*(?:\\[\s\S][^"\\\n]*)*(?:\n|\\?\Z)'
+    r"|'[^'\\\n]*(?:\\[\s\S][^'\\\n]*)*(?:\n|\\?\Z))"
+    r"|(?P<other>[^ \t\r\f\v\n])"
+    r"|\Z)"
+)
+_CODE_KINDS = frozenset(("ident", "punct", "number", "string", "char"))
 
 
 def _lex(source: str, lenient: bool = False) -> tuple[list[_Token], list[_RawComment]]:
     """Tokenize Java source, returning code tokens and comment records.
 
-    In lenient mode unterminated comments/strings run to end of input
-    instead of raising; that mode backs extract_comments on arbitrary text.
+    One compiled regex (_TOKEN_RE) is scanned with finditer; each match is a
+    token or a comment with the whitespace before it.  A token's line comes
+    from bisecting the precomputed offsets just past each newline.  A newline
+    inside a literal does not count as a line break, so a literal that
+    spans one removes it from those offsets for everything after it.
+
+    In lenient mode unterminated comments/strings run to end of input (a
+    literal to its line's end) instead of raising; that mode backs
+    extract_comments on arbitrary text.
     """
     tokens: list[_Token] = []
     comments: list[_RawComment] = []
-    i = 0
-    n = len(source)
-    line = 1
-
-    def fail(msg: str, at_line: int):
-        raise ParseError(at_line, msg)
-
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            line += 1
-            i += 1
+    # offset just past each newline; the last entry lies past the end
+    line_starts = list(accumulate(len(part) + 1 for part in source.split("\n")))
+    for m in _TOKEN_RE.finditer(source):
+        kind = m.lastgroup
+        if kind in _CODE_KINDS:
+            start, end = m.span(kind)
+            tokens.append(_Token(kind, m[kind], bisect_right(line_starts, start) + 1, start, end))
             continue
-        if ch in " \t\r\f\v":
-            i += 1
-            continue
-        if ch == "/" and i + 1 < n and source[i + 1] == "/":
-            j = source.find("\n", i)
-            end = n if j == -1 else j
-            comments.append(_RawComment("line", source[i + 2 : end], line, line, i, end))
-            i = end
-            continue
-        if ch == "/" and i + 1 < n and source[i + 1] == "*":
-            start_line = line
-            close = source.find("*/", i + 2)
-            if close == -1:
-                if not lenient:
-                    fail("unterminated block comment", start_line)
-                body = source[i + 2 :]
-                end_line = line + body.count("\n")
-                kind = "javadoc" if body.startswith("*") and len(body) > 0 else "block"
-                comments.append(
-                    _RawComment(kind, body, start_line, end_line, i, n, terminated=False)
-                )
-                log.warning("unterminated block comment at line %d runs to end of input", start_line)
-                line = end_line
-                i = n
-                continue
-            body = source[i + 2 : close]
-            end_line = line + body.count("\n")
-            kind = "javadoc" if source.startswith("/**", i) and close > i + 2 else "block"
-            if kind == "javadoc":
-                body = body[1:]  # drop the second '*' of the opener
-            comments.append(_RawComment(kind, body, start_line, end_line, i, close + 2))
-            line = end_line
-            i = close + 2
-            continue
-        if ch == '"' or ch == "'":
-            quote = ch
-            start_line = line
-            j = i + 1
-            while j < n:
-                c = source[j]
-                if c == "\\":
-                    j += 2
-                    continue
-                if c == "\n":
-                    break
-                if c == quote:
-                    break
-                j += 1
-            if j >= n or source[j] != quote:
-                if not lenient:
-                    fail("unterminated %s literal" % ("string" if quote == '"' else "char"), start_line)
-                j = min(j, n - 1)
-            tokens.append(_Token("string" if quote == '"' else "char", source[i : j + 1], line, i, j + 1))
-            i = j + 1
-            continue
-        if _IDENT_START.match(ch):
-            j = i + 1
-            while j < n and _IDENT_BODY.match(source[j]):
-                j += 1
-            tokens.append(_Token("ident", source[i:j], line, i, j))
-            i = j
-            continue
-        if ch.isdigit():
-            m = _NUMBER.match(source, i)
-            j = m.end() if m else i + 1
-            tokens.append(_Token("number", source[i:j], line, i, j))
-            i = j
-            continue
-        for op in _MULTI_PUNCT:
-            if source.startswith(op, i):
-                tokens.append(_Token("punct", op, line, i, i + len(op)))
-                i += len(op)
-                break
-        else:
-            tokens.append(_Token("punct", ch, line, i, i + 1))
-            i += 1
+        if kind is None:  # trailing whitespace
+            break
+        text = m[kind]
+        start, end = m.span(kind)
+        line = bisect_right(line_starts, start) + 1
+        if kind == "line_comment":
+            comments.append(_RawComment("line", text[2:], line, line, start, end))
+        elif kind == "block_comment":
+            if text.startswith("/**") and len(text) > 4:
+                kind, body = "javadoc", text[3:-2]  # drop the second '*' of the opener
+            else:
+                kind, body = "block", text[2:-2]
+            comments.append(_RawComment(kind, body, line, line + body.count("\n"), start, end))
+        elif kind == "open_comment":
+            if not lenient:
+                raise ParseError(line, "unterminated block comment")
+            body = text[2:]
+            kind = "javadoc" if body.startswith("*") else "block"
+            comments.append(
+                _RawComment(kind, body, line, line + body.count("\n"), start, end, terminated=False)
+            )
+            log.warning("unterminated block comment at line %d runs to end of input", line)
+        elif kind == "other":
+            # non-ASCII digits outside \d (e.g. '\u00b2') still lex as numbers
+            tokens.append(_Token("number" if text.isdigit() else "punct", text, line, start, end))
+        else:  # a wrapped or open literal
+            literal = "string" if text[0] == '"' else "char"
+            if kind == "open_literal" and not lenient:
+                raise ParseError(line, f"unterminated {literal} literal")
+            tokens.append(_Token(literal, text, line, start, end))
+            del line_starts[bisect_right(line_starts, start) : bisect_right(line_starts, end)]
     return tokens, comments
 
 
@@ -332,12 +322,14 @@ def _comment_facts(raw: _RawComment, attachment: str) -> CommentFacts:
 
 def _blank_comments(source: str, comments: list[_RawComment]) -> str:
     """Replace comment characters with spaces, preserving newlines/offsets."""
-    buf = list(source)
+    parts: list[str] = []
+    done = 0
     for c in comments:
-        for k in range(c.start, c.end):
-            if buf[k] != "\n":
-                buf[k] = " "
-    return "".join(buf)
+        parts.append(source[done : c.start])
+        parts.append("\n".join(" " * len(run) for run in source[c.start : c.end].split("\n")))
+        done = c.end
+    parts.append(source[done:])
+    return "".join(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -345,12 +337,18 @@ def _blank_comments(source: str, comments: list[_RawComment]) -> str:
 # ---------------------------------------------------------------------------
 
 
+# Deeper type nesting raises ParseError (the file is then summarised at file
+# level) instead of exhausting the interpreter's recursion limit.
+_MAX_TYPE_NESTING = 64
+
+
 class _Parser:
-    def __init__(self, tokens: list[_Token], source: str, blanked: str):
+    def __init__(self, tokens: list[_Token], blanked: str, brace_match: dict[int, int]):
         self.toks = tokens
         self.pos = 0
-        self.source = source
         self.blanked = blanked
+        self.brace_match = brace_match  # token index of each '{' -> its '}'
+        self.nesting = 0
         # (kind, qualified name, decl line, decl start offset, body span)
         self.decl_index: list[tuple[str, str, int, int, tuple[int, int]]] = []
 
@@ -388,6 +386,9 @@ class _Parser:
         Returns the (start, end) token index range, end exclusive."""
         start = self.pos
         opener = self.expect(open_text, "to open a balanced region")
+        if open_text == "{":
+            self.pos = self.brace_match[start] + 1
+            return start, self.pos
         depth = 1
         while depth > 0:
             t = self.peek()
@@ -527,7 +528,11 @@ class _Parser:
             self.take()
             implements_types = self.read_type_list(("{",))
         open_tok = self.expect("{", "to open type body")
+        if self.nesting == _MAX_TYPE_NESTING:
+            raise ParseError(name_tok.line, f"type {name_tok.text} nested deeper than {_MAX_TYPE_NESTING} levels")
+        self.nesting += 1
         fields, methods, inners = self.parse_class_body(name_tok.text, qname, kind)
+        self.nesting -= 1
         close = self.toks[self.pos - 1]
         self.decl_index.append(("class", qname, start_line or name_tok.line, start_off, (open_tok.start, close.end)))
         self.check_uniqueness(qname, name_tok.line, fields, methods)
@@ -670,17 +675,10 @@ class _Parser:
                 AnnotationFacts(a.name, a.argument_text, "class", a.line) for a in annos
             ]
             inner = self.parse_type_decl(prefix=qname)
-            inner = ClassFacts(
-                name=inner.name,
-                kind=inner.kind,
-                modifiers=frozenset(set(inner.modifiers) | mods),
+            inner = replace(
+                inner,
+                modifiers=inner.modifiers | mods,
                 annotations=tuple(retargeted) + inner.annotations,
-                extends_types=inner.extends_types,
-                implements_types=inner.implements_types,
-                fields=inner.fields,
-                methods=inner.methods,
-                inner_classes=inner.inner_classes,
-                doc_comment=inner.doc_comment,
                 byte_range=(start_off, inner.byte_range[1]) if start_off is not None else inner.byte_range,
             )
             inners.append(inner)
@@ -1119,38 +1117,40 @@ def _resolve_attachments(
     A comment that ends within two lines above a class/method declaration
     attaches to it (and becomes its doc comment candidate); otherwise the
     innermost enclosing method or class scope wins; otherwise 'file'.
+
+    raw_comments come in source order, as _lex returns them.  The nearest
+    declaration after a comment is found by bisecting the declaration start
+    offsets: a declaration's line is that of its first token, so lines grow
+    with offsets and the first declaration after the comment is the only
+    candidate.  Enclosing scopes come from a sweep that keeps a stack of the
+    body spans opened so far; spans nest, and method bodies hold no
+    declarations, so the top of the stack is the innermost scope.
     """
     decls = sorted(decl_index, key=lambda d: d[3])
+    starts = [d[3] for d in decls]
+    bodies = sorted((d for d in decls if d[4][0] < d[4][1]), key=lambda d: d[4][0])
+    open_bodies: list[tuple[str, str, int, int, tuple[int, int]]] = []
+    next_body = 0
     facts: list[CommentFacts] = []
     doc_candidates: dict[str, CommentFacts] = {}
     for raw in raw_comments:
-        attachment = None
+        while next_body < len(bodies) and bodies[next_body][4][0] < raw.start:
+            open_bodies.append(bodies[next_body])
+            next_body += 1
+        # spans that closed before this comment leave the top; what remains
+        # on top contains the comment, and any span opened inside it lies above
+        while open_bodies and open_bodies[-1][4][1] < raw.end:
+            open_bodies.pop()
         target_qname = None
-        best: tuple[int, int] | None = None
-        for kind, qname, line, start_off, _span in decls:
-            if start_off >= raw.end and 0 <= line - raw.end_line <= _ATTACH_WINDOW_LINES:
-                cand = (line, start_off)
-                if best is None or cand < best:
-                    best = cand
-                    target_qname = qname
-                    attachment = f"{'class' if kind == 'class' else 'method'}:{qname}"
-        if attachment is None:
-            enclosing_method = None
-            enclosing_class = None
-            for kind, qname, _line, _start_off, (b0, b1) in decls:
-                if b0 < raw.start and raw.end <= b1:
-                    if kind == "method":
-                        if enclosing_method is None or b0 > enclosing_method[1]:
-                            enclosing_method = (qname, b0)
-                    else:
-                        if enclosing_class is None or b0 > enclosing_class[1]:
-                            enclosing_class = (qname, b0)
-            if enclosing_method is not None:
-                attachment = f"inline:{enclosing_method[0]}"
-            elif enclosing_class is not None:
-                attachment = f"class:{enclosing_class[0]}"
-            else:
-                attachment = "file"
+        k = bisect_left(starts, raw.end)
+        if k < len(decls) and 0 <= decls[k][2] - raw.end_line <= _ATTACH_WINDOW_LINES:
+            kind, target_qname = decls[k][0], decls[k][1]
+            attachment = f"{kind}:{target_qname}"
+        elif open_bodies:
+            kind, qname = open_bodies[-1][0], open_bodies[-1][1]
+            attachment = f"inline:{qname}" if kind == "method" else f"class:{qname}"
+        else:
+            attachment = "file"
         fact = _comment_facts(raw, attachment)
         facts.append(fact)
         if target_qname is not None:
@@ -1166,32 +1166,15 @@ def _attach_doc_comments(classes: tuple[ClassFacts, ...], docs: dict[str, Commen
     for cls in classes:
         qname = f"{prefix}.{cls.name}" if prefix else cls.name
         methods = tuple(
-            MethodFacts(
-                name=m.name,
-                return_type=m.return_type,
-                parameters=m.parameters,
-                modifiers=m.modifiers,
-                annotations=m.annotations,
-                thrown_exceptions=m.thrown_exceptions,
-                body_statements=m.body_statements,
-                doc_comment=docs.get(f"{qname}.{m.name}"),
-                byte_range=m.byte_range,
-            )
+            m if (doc := docs.get(f"{qname}.{m.name}")) is None else replace(m, doc_comment=doc)
             for m in cls.methods
         )
         out.append(
-            ClassFacts(
-                name=cls.name,
-                kind=cls.kind,
-                modifiers=cls.modifiers,
-                annotations=cls.annotations,
-                extends_types=cls.extends_types,
-                implements_types=cls.implements_types,
-                fields=cls.fields,
+            replace(
+                cls,
                 methods=methods,
                 inner_classes=_attach_doc_comments(cls.inner_classes, docs, qname),
                 doc_comment=docs.get(qname),
-                byte_range=cls.byte_range,
             )
         )
     return tuple(out)
@@ -1200,6 +1183,23 @@ def _attach_doc_comments(classes: tuple[ClassFacts, ...], docs: dict[str, Commen
 # ---------------------------------------------------------------------------
 # Public operations
 # ---------------------------------------------------------------------------
+
+
+def _match_braces(tokens: list[_Token], path: str) -> dict[int, int]:
+    """Map the token index of each '{' to that of its matching '}'; raise
+    ParseError when the braces do not balance."""
+    match: dict[int, int] = {}
+    opened: list[int] = []
+    for k, t in enumerate(tokens):
+        if t.text == "{":
+            opened.append(k)
+        elif t.text == "}":
+            if not opened:
+                raise ParseError(t.line, f"unbalanced '}}' in {path}")
+            match[opened.pop()] = k
+    if opened:
+        raise ParseError(tokens[-1].line, f"unbalanced '{{' in {path}")
+    return match
 
 
 def parse_java(source: str, path: str = "<memory>") -> SourceFacts:
@@ -1211,19 +1211,7 @@ def parse_java(source: str, path: str = "<memory>") -> SourceFacts:
     a type declaration.
     """
     tokens, raw_comments = _lex(source, lenient=False)
-    depth = 0
-    for t in tokens:
-        if t.text == "{":
-            depth += 1
-        elif t.text == "}":
-            depth -= 1
-            if depth < 0:
-                raise ParseError(t.line, f"unbalanced '}}' in {path}")
-    if depth != 0:
-        last_line = tokens[-1].line if tokens else 1
-        raise ParseError(last_line, f"unbalanced '{{' in {path}")
-    blanked = _blank_comments(source, raw_comments)
-    parser = _Parser(tokens, source, blanked)
+    parser = _Parser(tokens, _blank_comments(source, raw_comments), _match_braces(tokens, path))
     package, imports, classes = parser.parse_unit()
     if not classes:
         raise ParseError(1, f"no type declaration in {path}")

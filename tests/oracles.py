@@ -2,14 +2,22 @@
 
 Everything here is written straight from first principles (exhaustive
 enumeration, literal formulas with exact fractions) and shares no code with
-the package. Only usable for short inputs.
+the package. Only usable for short inputs.  The exception is the last
+section: the package's previous Java lexer and comment-attachment resolver,
+kept as the reference their rewrites must reproduce exactly.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 import re
+from dataclasses import dataclass
 from fractions import Fraction
+
+from condenser.javafacts import CommentFacts, ParseError
+
+log = logging.getLogger(__name__)
 
 
 # --- BLEU: literal second implementation ------------------------------------
@@ -249,3 +257,210 @@ def comment_chars_oracle(source: str) -> str:
             state = "code"
         i += 1
     return "".join(out)
+
+
+# --- Java lexer and comment attachment: the per-character originals ----------
+#
+# The package's previous lexer and attachment resolver, kept verbatim (only
+# the two function names changed) as the reference the regex lexer and the
+# indexed resolver must reproduce token for token.  They share the fact and
+# error types with the package, nothing else.
+
+
+@dataclass(frozen=True)
+class _Token:
+    kind: str  # ident|number|string|char|punct
+    text: str
+    line: int
+    start: int
+    end: int
+
+
+@dataclass(frozen=True)
+class _RawComment:
+    kind: str
+    text: str
+    start_line: int
+    end_line: int
+    start: int
+    end: int
+    terminated: bool = True
+
+
+_MULTI_PUNCT = (
+    ">>>=", "<<=", ">>=", ">>>", "...", "->", "::",
+    "==", "!=", "<=", ">=", "&&", "||", "++", "--",
+    "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<", ">>",
+)
+
+_IDENT_START = re.compile(r"[A-Za-z_$]")
+_IDENT_BODY = re.compile(r"[A-Za-z0-9_$]")
+_NUMBER = re.compile(r"\d(?:[\w.]|[eEpP][+-])*")
+
+
+def lex_oracle(source: str, lenient: bool = False) -> tuple[list[_Token], list[_RawComment]]:
+    """Tokenize Java source, returning code tokens and comment records.
+
+    In lenient mode unterminated comments/strings run to end of input
+    instead of raising; that mode backs extract_comments on arbitrary text.
+    """
+    tokens: list[_Token] = []
+    comments: list[_RawComment] = []
+    i = 0
+    n = len(source)
+    line = 1
+
+    def fail(msg: str, at_line: int):
+        raise ParseError(at_line, msg)
+
+    while i < n:
+        ch = source[i]
+        if ch == "\n":
+            line += 1
+            i += 1
+            continue
+        if ch in " \t\r\f\v":
+            i += 1
+            continue
+        if ch == "/" and i + 1 < n and source[i + 1] == "/":
+            j = source.find("\n", i)
+            end = n if j == -1 else j
+            comments.append(_RawComment("line", source[i + 2 : end], line, line, i, end))
+            i = end
+            continue
+        if ch == "/" and i + 1 < n and source[i + 1] == "*":
+            start_line = line
+            close = source.find("*/", i + 2)
+            if close == -1:
+                if not lenient:
+                    fail("unterminated block comment", start_line)
+                body = source[i + 2 :]
+                end_line = line + body.count("\n")
+                kind = "javadoc" if body.startswith("*") and len(body) > 0 else "block"
+                comments.append(
+                    _RawComment(kind, body, start_line, end_line, i, n, terminated=False)
+                )
+                log.warning("unterminated block comment at line %d runs to end of input", start_line)
+                line = end_line
+                i = n
+                continue
+            body = source[i + 2 : close]
+            end_line = line + body.count("\n")
+            kind = "javadoc" if source.startswith("/**", i) and close > i + 2 else "block"
+            if kind == "javadoc":
+                body = body[1:]  # drop the second '*' of the opener
+            comments.append(_RawComment(kind, body, start_line, end_line, i, close + 2))
+            line = end_line
+            i = close + 2
+            continue
+        if ch == '"' or ch == "'":
+            quote = ch
+            start_line = line
+            j = i + 1
+            while j < n:
+                c = source[j]
+                if c == "\\":
+                    j += 2
+                    continue
+                if c == "\n":
+                    break
+                if c == quote:
+                    break
+                j += 1
+            if j >= n or source[j] != quote:
+                if not lenient:
+                    fail("unterminated %s literal" % ("string" if quote == '"' else "char"), start_line)
+                j = min(j, n - 1)
+            tokens.append(_Token("string" if quote == '"' else "char", source[i : j + 1], line, i, j + 1))
+            i = j + 1
+            continue
+        if _IDENT_START.match(ch):
+            j = i + 1
+            while j < n and _IDENT_BODY.match(source[j]):
+                j += 1
+            tokens.append(_Token("ident", source[i:j], line, i, j))
+            i = j
+            continue
+        if ch.isdigit():
+            m = _NUMBER.match(source, i)
+            j = m.end() if m else i + 1
+            tokens.append(_Token("number", source[i:j], line, i, j))
+            i = j
+            continue
+        for op in _MULTI_PUNCT:
+            if source.startswith(op, i):
+                tokens.append(_Token("punct", op, line, i, i + len(op)))
+                i += len(op)
+                break
+        else:
+            tokens.append(_Token("punct", ch, line, i, i + 1))
+            i += 1
+    return tokens, comments
+
+
+def _token_count(text: str) -> int:
+    return len(text.split())
+
+
+def _comment_facts(raw: _RawComment, attachment: str) -> CommentFacts:
+    return CommentFacts(
+        kind=raw.kind,
+        text=raw.text,
+        token_count=_token_count(raw.text),
+        line_range=(raw.start_line, raw.end_line),
+        attachment=attachment,
+    )
+
+
+_ATTACH_WINDOW_LINES = 2
+
+
+def resolve_attachments_oracle(
+    raw_comments: list[_RawComment],
+    decl_index: list[tuple[str, str, int, int, tuple[int, int]]],
+) -> tuple[list[CommentFacts], dict[str, CommentFacts]]:
+    """Attach each comment to a declaration or scope.
+
+    A comment that ends within two lines above a class/method declaration
+    attaches to it (and becomes its doc comment candidate); otherwise the
+    innermost enclosing method or class scope wins; otherwise 'file'.
+    """
+    decls = sorted(decl_index, key=lambda d: d[3])
+    facts: list[CommentFacts] = []
+    doc_candidates: dict[str, CommentFacts] = {}
+    for raw in raw_comments:
+        attachment = None
+        target_qname = None
+        best: tuple[int, int] | None = None
+        for kind, qname, line, start_off, _span in decls:
+            if start_off >= raw.end and 0 <= line - raw.end_line <= _ATTACH_WINDOW_LINES:
+                cand = (line, start_off)
+                if best is None or cand < best:
+                    best = cand
+                    target_qname = qname
+                    attachment = f"{'class' if kind == 'class' else 'method'}:{qname}"
+        if attachment is None:
+            enclosing_method = None
+            enclosing_class = None
+            for kind, qname, _line, _start_off, (b0, b1) in decls:
+                if b0 < raw.start and raw.end <= b1:
+                    if kind == "method":
+                        if enclosing_method is None or b0 > enclosing_method[1]:
+                            enclosing_method = (qname, b0)
+                    else:
+                        if enclosing_class is None or b0 > enclosing_class[1]:
+                            enclosing_class = (qname, b0)
+            if enclosing_method is not None:
+                attachment = f"inline:{enclosing_method[0]}"
+            elif enclosing_class is not None:
+                attachment = f"class:{enclosing_class[0]}"
+            else:
+                attachment = "file"
+        fact = _comment_facts(raw, attachment)
+        facts.append(fact)
+        if target_qname is not None:
+            # closest comment wins as the doc comment
+            prev = doc_candidates.get(target_qname)
+            if prev is None or fact.line_range > prev.line_range:
+                doc_candidates[target_qname] = fact
+    return facts, doc_candidates

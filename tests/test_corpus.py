@@ -4,12 +4,17 @@ from __future__ import annotations
 
 import http.server
 import json
+import os
+import subprocess
+import sys
 import threading
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import condenser
 from condenser.config import PipelineConfig
 from condenser.corpus import (
     CorpusFormatError,
@@ -24,6 +29,7 @@ from condenser.corpus import (
     load_sft,
     run_pipeline,
 )
+from condenser.diffing import CommitInput, FilePair
 from condenser.templater import count_tokens
 from corpusdata import COMMITS
 
@@ -125,6 +131,27 @@ def test_trackstream_survives_to_identifiers(corpus_path):
     sample = next(s for s in samples if s.hash == "a1b2c3d40004")
     result = condense_commit(sample.commit_input())
     assert "trackstream" in result.template.identifiers_section
+
+
+def _nested_classes_commit(depth: int) -> CommitInput:
+    def source(field: str) -> str:
+        opened = "".join(f"class C{i} {{\n" for i in range(depth))
+        return f"{opened}int {field};\n" + "}\n" * depth
+
+    pair = FilePair("src/Deep.java", "src/Deep.java", source("a"), source("b"), "modified")
+    return CommitInput("deep/nesting", "d00000000001", (pair,))
+
+
+def test_deep_type_nesting_is_summarised_at_file_level():
+    result = condense_commit(_nested_classes_commit(400))
+    assert result.parse_failures == ("src/Deep.java",)
+    assert "change in src/Deep.java (not summarized)" in result.template.full_text.split("\n")
+
+
+def test_moderate_type_nesting_still_parses():
+    result = condense_commit(_nested_classes_commit(40))
+    assert result.parse_failures == ()
+    assert "Change in C39" in result.template.summarized_changes
 
 
 def test_pipeline_is_deterministic(corpus_path):
@@ -349,3 +376,18 @@ def test_generate_custom_field_names(mock_endpoint):
     with pytest.raises(EndpointError):
         generate_remote(RECORD, config)
     assert "input_text" in handler.calls[0]["body"]
+
+
+def test_import_leaves_requests_unloaded():
+    # only generate_remote needs requests, and importing it costs more than
+    # the rest of the package together
+    src = str(Path(condenser.__file__).resolve().parents[1])
+    probe = "import sys, condenser; print('requests' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"

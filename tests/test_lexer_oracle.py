@@ -1,0 +1,183 @@
+"""The regex lexer and the indexed comment attachment against the
+per-character originals kept in oracles.py.
+
+Token streams (kind, text, line, start, end), comment streams, ParseError
+line and message, and attachments must be identical on every Java source in
+the test fixtures and on generated token soups and programs.  The soups
+include the originals' behaviour on invalid Java: a backslash-newline inside
+a literal (the escaped newline does not count as a line), digits that
+str.isdigit accepts but the regex \\d does not (lexed as numbers), and
+lenient-mode unterminated literals that run through the end of their line.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from condenser.javafacts import (
+    _MULTI_PUNCT,
+    ParseError,
+    _blank_comments,
+    _lex,
+    _match_braces,
+    _Parser,
+    _resolve_attachments,
+)
+from corpusdata import COMMITS
+from oracles import lex_oracle, resolve_attachments_oracle
+from typefixtures import ALL_TYPE_FIXTURES
+
+
+def _fixture_sources() -> list[str]:
+    sources = [
+        text
+        for commit in COMMITS
+        for pair in commit["files"]
+        for text in (pair["content_old"], pair["content_new"])
+        if text
+    ]
+    sources += [text for _kind, old, new in ALL_TYPE_FIXTURES for text in (old, new)]
+    # every string constant in the parser tests: inline sources and snippets
+    tree = ast.parse((Path(__file__).parent / "test_javafacts.py").read_text(encoding="utf-8"))
+    sources += [
+        node.value for node in ast.walk(tree) if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    ]
+    return list(dict.fromkeys(sources))
+
+
+FIXTURE_SOURCES = _fixture_sources()
+
+
+def _lexed(lex, source: str, lenient: bool):
+    try:
+        tokens, comments = lex(source, lenient)
+    except ParseError as exc:
+        return ("error", exc.line, exc.message)
+    return (
+        [(t.kind, t.text, t.line, t.start, t.end) for t in tokens],
+        [(c.kind, c.text, c.start_line, c.end_line, c.start, c.end, c.terminated) for c in comments],
+    )
+
+
+def _assert_lexes_like_oracle(source: str) -> None:
+    for lenient in (False, True):
+        assert _lexed(_lex, source, lenient) == _lexed(lex_oracle, source, lenient), (lenient, source)
+
+
+def _assert_attaches_like_oracle(source: str) -> bool:
+    """Compare attachments on a source that parses; False when it does not."""
+    try:
+        tokens, raw_comments = _lex(source)
+        parser = _Parser(tokens, _blank_comments(source, raw_comments), _match_braces(tokens, "<test>"))
+        parser.parse_unit()
+    except ParseError:
+        return False
+    expected = resolve_attachments_oracle(raw_comments, parser.decl_index)
+    assert _resolve_attachments(raw_comments, parser.decl_index) == expected, source
+    return True
+
+
+def test_fixture_token_streams_match_oracle():
+    assert len(FIXTURE_SOURCES) > 100
+    for source in FIXTURE_SOURCES:
+        _assert_lexes_like_oracle(source)
+
+
+def test_fixture_attachments_match_oracle():
+    attached = [source for source in FIXTURE_SOURCES if _assert_attaches_like_oracle(source)]
+    assert len(attached) > 50
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        'x = "ab\\\ncd" + y;\nz',  # backslash-newline inside a string
+        "c = '\\\n'; d\ne",  # ... and inside a char literal
+        "n = ² + 3³;",  # isdigit but not \d
+        'open "abc   \n\nnext',  # unterminated string: lenient swallows the newline
+        "'x",
+        '"',
+        '"\\',
+        '"abc\\"',
+        "/* unterminated\n comment ",
+        "/** unterminated javadoc",
+        "/**/ /***/ /*/ */ /** d */",
+        "a >>>= b >>= c >>> d ... -> :: \\ # ` é \x00 \x1c",
+        "1e+5 0x1FL 1.5f .5 3.e-2 1_000 ٣",
+        "x // tail\r\n y",
+        "",
+        "  \n\t\f\v\r\n ",
+    ],
+)
+def test_edge_cases_match_oracle(source):
+    _assert_lexes_like_oracle(source)
+
+
+# --- token soups --------------------------------------------------------------------
+
+_IDENT = st.from_regex(r"[A-Za-z_$][A-Za-z0-9_$]{0,6}", fullmatch=True)
+_NUMBER = st.from_regex(r"[0-9](?:[0-9a-fA-FxXlL_.]|[eEpP][+-]){0,6}", fullmatch=True)
+_OPERATOR = st.sampled_from(list(_MULTI_PUNCT) + list("!#%&()*+,-./:;<=>?@[\\]^`{|}~"))
+_LITERAL_CHAR = st.sampled_from(list("ab $'\"\t") + ["\\n", '\\"', "\\'", "\\\\", "\\u0041", "\\\n", "é"])
+_STRING = st.builds("".join, st.lists(_LITERAL_CHAR, max_size=6)).map(lambda s: f'"{s}"')
+_CHAR = st.builds("".join, st.lists(_LITERAL_CHAR, max_size=2)).map(lambda s: f"'{s}'")
+_COMMENT_TEXT = st.text(alphabet="ab */\n\t@", max_size=12)
+_COMMENT = st.one_of(
+    _COMMENT_TEXT.map(lambda s: "//" + s.replace("\n", " ")),
+    _COMMENT_TEXT.map(lambda s: "/*" + s + "*/"),
+    _COMMENT_TEXT.map(lambda s: "/**" + s + "*/"),
+)
+_WHITESPACE = st.text(alphabet=" \t\r\f\v\n", min_size=1, max_size=4)
+_ODD = st.sampled_from(["\"", "'", "\\", "/*", "²", "é", "٣", "\x00", " ", " "])
+_PIECE = st.one_of(_IDENT, _NUMBER, _OPERATOR, _STRING, _CHAR, _COMMENT, _WHITESPACE, _ODD)
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.lists(_PIECE, max_size=30).map("".join))
+def test_token_soups_match_oracle(source):
+    _assert_lexes_like_oracle(source)
+
+
+# --- generated programs: attachment -------------------------------------------------
+
+_GAP = st.sampled_from(["", "\n", "\n\n", "\n\n\n", " "])
+_DECL_COMMENT = st.sampled_from(["", "// note\n", "/* block */", "/** doc */", "/** two\n lines */", "/* a */ // b\n"])
+
+
+@st.composite
+def _class_source(draw, name: str, depth: int) -> str:
+    parts = [draw(_DECL_COMMENT), draw(_GAP), draw(st.sampled_from(["", "@Deprecated ", "public "]))]
+    parts.append(f"class {name} {{")
+    for k in range(draw(st.integers(0, 4))):
+        parts += [draw(_GAP), draw(_DECL_COMMENT), draw(_GAP)]
+        member = draw(st.sampled_from(["field", "method", "abstract", "inner"] if depth < 3 else ["field", "method"]))
+        if member == "field":
+            parts.append(f"int f{k} = 1; {draw(_DECL_COMMENT)}")
+        elif member == "abstract":
+            parts.append(f"abstract void a{k}();")
+        elif member == "inner":
+            parts.append(draw(_class_source(f"{name}I{k}", depth + 1)))
+        else:
+            body = draw(st.lists(st.sampled_from(["x();", "// in\n", "/* in */", "\n", "if (y) { z(); }", "/** d */"]), max_size=4))
+            parts.append(f"void m{k}() {{ {' '.join(body)} }}")
+    parts += [draw(_GAP), draw(_DECL_COMMENT), draw(_GAP), "}"]
+    return "".join(parts)  # an empty gap puts a comment right against a declaration
+
+
+@st.composite
+def _program_source(draw) -> str:
+    head = [draw(_DECL_COMMENT), draw(_GAP), "package p;", draw(_GAP), draw(_DECL_COMMENT), draw(_GAP)]
+    classes = [draw(_class_source(f"T{k}", 0)) for k in range(draw(st.integers(1, 2)))]
+    return "\n".join(head + classes + [draw(_DECL_COMMENT)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_program_source())
+def test_program_attachments_match_oracle(source):
+    _assert_lexes_like_oracle(source)
+    assert _assert_attaches_like_oracle(source)
