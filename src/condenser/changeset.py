@@ -9,6 +9,7 @@ PipelineConfig so experiments can move them without touching code.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field, replace
 
@@ -21,6 +22,7 @@ from condenser.javafacts import (
     SourceFacts,
     StatementFacts,
 )
+from condenser.sequences import TOKEN_RE, lcs_rows
 
 __all__ = [
     "AnnotationChange",
@@ -161,9 +163,6 @@ class StructuralDiff:
     def is_empty(self) -> bool:
         return all(f.is_empty() for f in self.files)
 
-    def merged_with(self, other: "StructuralDiff") -> "StructuralDiff":
-        return StructuralDiff(files=self.files + other.files)
-
 
 # ---------------------------------------------------------------------------
 # Structural diff
@@ -195,20 +194,19 @@ def _lcs_align(old: tuple[StatementFacts, ...], new: tuple[StatementFacts, ...])
 
     Statements matched in order by identical text survive unchanged even when
     their line numbers shifted; everything else is raw removed/added input
-    for move and modify pairing.
+    for move and modify pairing. Ties prefer removal first.
     """
     a = [s.text for s in old]
     b = [s.text for s in new]
     la, lb = len(a), len(b)
-    dp = [[0] * (lb + 1) for _ in range(la + 1)]
-    for i in range(la - 1, -1, -1):
-        row = dp[i]
-        nxt = dp[i + 1]
-        for j in range(lb - 1, -1, -1):
-            if a[i] == b[j]:
-                row[j] = nxt[j + 1] + 1
-            else:
-                row[j] = nxt[j] if nxt[j] >= row[j + 1] else row[j + 1]
+    # bit-parallel rows over the reversed sequences: dp(i, j), the LCS of
+    # a[i:] and b[j:], is read off row la - i over the first lb - j bits
+    rows = lcs_rows(a[::-1], b[::-1])
+
+    def dp(i: int, j: int) -> int:
+        n = lb - j
+        return n - (rows[la - i] & ((1 << n) - 1)).bit_count()
+
     removed: list[StatementFacts] = []
     added: list[StatementFacts] = []
     i = j = 0
@@ -216,7 +214,7 @@ def _lcs_align(old: tuple[StatementFacts, ...], new: tuple[StatementFacts, ...])
         if a[i] == b[j]:
             i += 1
             j += 1
-        elif dp[i + 1][j] >= dp[i][j + 1]:
+        elif dp(i + 1, j) >= dp(i, j + 1):
             removed.append(old[i])
             i += 1
         else:
@@ -238,11 +236,14 @@ def detect_statement_moves(
     by_text: dict[str, list[int]] = {}
     for idx, s in enumerate(added):
         by_text.setdefault(s.text, []).append(idx)
+    removed_by_text: dict[str, list[int]] = {}
+    for idx, s in enumerate(removed):
+        removed_by_text.setdefault(s.text, []).append(idx)
     matched_added: set[int] = set()
     match_of_removed: dict[int, int] = {}
 
     for text, add_indices in by_text.items():
-        rem_indices = [i for i, s in enumerate(removed) if s.text == text]
+        rem_indices = removed_by_text.get(text)
         if not rem_indices:
             continue
         # Kuhn's augmenting-path matching; groups are tiny in practice
@@ -275,11 +276,8 @@ def detect_statement_moves(
     return moves, residual_removed, residual_added
 
 
-_WORDISH = re.compile(r"\w+|[^\w\s]")
-
-
 def _stmt_tokens(text: str) -> frozenset[str]:
-    return frozenset(_WORDISH.findall(text))
+    return frozenset(TOKEN_RE.findall(text))
 
 
 def _jaccard(a: frozenset[str], b: frozenset[str]) -> float:
@@ -287,6 +285,74 @@ def _jaccard(a: frozenset[str], b: frozenset[str]) -> float:
         return 1.0
     union = len(a | b)
     return len(a & b) / union if union else 0.0
+
+
+def _min_overlap(size: int, threshold: float) -> int:
+    """Smallest overlap o for which o / size >= threshold, decided by the
+    same float comparison as _jaccard; size + 1 when none qualifies.
+
+    A statement with `size` tokens reaches the threshold only with a partner
+    it shares at least this many tokens with, since the union is never
+    smaller than `size` and the quotient only falls as the union grows.
+    """
+    o = math.ceil(min(threshold, 1.0) * size)
+    while o > 0 and (o - 1) / size >= threshold:
+        o -= 1
+    while o <= size and o / size < threshold:
+        o += 1
+    return o
+
+
+def _similar_pairs(
+    rem_tokens: list[frozenset[str]], add_tokens: list[frozenset[str]], threshold: float
+) -> list[tuple[float, int, int]]:
+    """Every (-similarity, i, j) whose Jaccard similarity reaches threshold.
+
+    Prefix filtering (Bayardo, Ma & Srikant 2007): with the tokens of each
+    set in one global order, two sets that share at least o tokens share a
+    token within the first size - o + 1 of each. Only pairs that share a
+    token of those prefixes are scored, which leaves the candidate set
+    exact. Disjoint pairs qualify when threshold <= 0, so that case scores
+    every pair.
+    """
+    if not threshold > 0:
+        return [
+            (-sim, i, j)
+            for i, rt in enumerate(rem_tokens)
+            for j, at in enumerate(add_tokens)
+            if (sim := _jaccard(rt, at)) >= threshold
+        ]
+    # rarest tokens first keeps the posting lists short
+    freq: dict[str, int] = {}
+    for tokens in rem_tokens + add_tokens:
+        for t in tokens:
+            freq[t] = freq.get(t, 0) + 1
+
+    def prefix(tokens: frozenset[str]) -> list[str]:
+        ordered = sorted(tokens, key=lambda t: (freq[t], t))
+        return ordered[: len(tokens) - _min_overlap(len(tokens), threshold) + 1]
+
+    index: dict[str, list[int]] = {}
+    empty_added: list[int] = []
+    for j, at in enumerate(add_tokens):
+        if not at:
+            empty_added.append(j)
+            continue
+        for t in prefix(at):
+            index.setdefault(t, []).append(j)
+    candidates = []
+    for i, rt in enumerate(rem_tokens):
+        if not rt:
+            # Jaccard of two empty sets is 1; an empty set scores 0 with any other
+            if 1.0 >= threshold:
+                candidates.extend((-1.0, i, j) for j in empty_added)
+            continue
+        partners = {j for t in prefix(rt) for j in index.get(t, ())}
+        for j in partners:
+            sim = _jaccard(rt, add_tokens[j])
+            if sim >= threshold:
+                candidates.append((-sim, i, j))
+    return candidates
 
 
 # beyond this many candidate pairs, modify-pairing degrades to positional
@@ -303,18 +369,14 @@ def _pair_modifications(
     """Greedy best-similarity pairing of residual removed/added statements."""
     rem_tokens = [_stmt_tokens(s.text) for s in removed]
     add_tokens = [_stmt_tokens(s.text) for s in added]
-    candidates = []
     if len(removed) * len(added) > _MODIFY_PAIR_CAP:
+        candidates = []
         for i, (rt, at) in enumerate(zip(rem_tokens, add_tokens)):
             sim = _jaccard(rt, at)
             if sim >= threshold:
                 candidates.append((-sim, i, i))
     else:
-        for i, rt in enumerate(rem_tokens):
-            for j, at in enumerate(add_tokens):
-                sim = _jaccard(rt, at)
-                if sim >= threshold:
-                    candidates.append((-sim, i, j))
+        candidates = _similar_pairs(rem_tokens, add_tokens, threshold)
     candidates.sort()
     used_r: set[int] = set()
     used_a: set[int] = set()
@@ -338,32 +400,43 @@ def _match_methods(
     """Match methods across versions by exact signature first, then by
     (name, arity) with maximal parameter-type overlap. Leftovers are
     add/remove."""
-    old_left = list(old_methods)
-    new_left = list(new_methods)
+    old_used = [False] * len(old_methods)
+    new_used = [False] * len(new_methods)
     matched: list[tuple[MethodFacts, MethodFacts]] = []
 
-    new_by_sig = {m.signature(): m for m in new_left}
-    for m in list(old_left):
-        twin = new_by_sig.get(m.signature())
-        if twin is not None and twin in new_left:
+    # the twin of a signature is its last new method; the first unused
+    # method equal to it is the one consumed
+    by_sig: dict[tuple, list[int]] = {}
+    for k, c in enumerate(new_methods):
+        by_sig.setdefault(c.signature(), []).append(k)
+    for i, m in enumerate(old_methods):
+        same = by_sig.get(m.signature())
+        if not same:
+            continue
+        twin = new_methods[same[-1]]
+        k = next((k for k in same if not new_used[k] and new_methods[k] == twin), None)
+        if k is not None:
             matched.append((m, twin))
-            old_left.remove(m)
-            new_left.remove(twin)
+            old_used[i] = new_used[k] = True
     # same name + arity, best type-text overlap
-    for m in list(old_left):
-        candidates = [
-            c for c in new_left if c.name == m.name and len(c.parameters) == len(m.parameters)
-        ]
+    by_shape: dict[tuple[str, int], list[int]] = {}
+    for k, c in enumerate(new_methods):
+        by_shape.setdefault((c.name, len(c.parameters)), []).append(k)
+    for i, m in enumerate(old_methods):
+        if old_used[i]:
+            continue
+        candidates = [k for k in by_shape.get((m.name, len(m.parameters)), ()) if not new_used[k]]
         if not candidates:
             continue
-        def overlap(c: MethodFacts) -> int:
+        def overlap(k: int) -> int:
             return sum(
-                1 for (t1, _), (t2, _) in zip(m.parameters, c.parameters) if t1 == t2
+                1 for (t1, _), (t2, _) in zip(m.parameters, new_methods[k].parameters) if t1 == t2
             )
         best = max(candidates, key=overlap)
-        matched.append((m, best))
-        old_left.remove(m)
-        new_left.remove(best)
+        matched.append((m, new_methods[best]))
+        old_used[i] = new_used[best] = True
+    old_left = [m for i, m in enumerate(old_methods) if not old_used[i]]
+    new_left = [c for k, c in enumerate(new_methods) if not new_used[k]]
     return matched, old_left, new_left
 
 
@@ -387,15 +460,9 @@ def _inline_change(
     modified, rest_removed, rest_added = _pair_modifications(
         res_removed, res_added, config.modify_similarity
     )
-    annotation_added = []
-    annotation_removed = []
-    old_counts = _annotation_multiset(old.annotations)
-    new_counts = _annotation_multiset(new.annotations)
-    for key in sorted(set(old_counts) | set(new_counts), key=lambda k: (k[0], k[1] or "")):
-        delta = new_counts.get(key, 0) - old_counts.get(key, 0)
-        bucket = annotation_added if delta > 0 else annotation_removed
-        for _ in range(abs(delta)):
-            bucket.append(key)
+    annotations = _diff_annotations(old.annotations, new.annotations, f"method {class_name}.{new.name}")
+    annotation_added = [(a.name, a.argument_text) for a in annotations if a.origin == "added"]
+    annotation_removed = [(a.name, a.argument_text) for a in annotations if a.origin == "removed"]
     change = MethodInlineChange(
         class_name=class_name,
         method_name=new.name,
@@ -440,12 +507,11 @@ def diff_facts(
     never more than one).
     """
     config = config or PipelineConfig()
-    import_added = tuple(
-        _import_text(i) for i in new.imports if _import_text(i) not in {_import_text(x) for x in old.imports}
-    )
-    import_removed = tuple(
-        _import_text(i) for i in old.imports if _import_text(i) not in {_import_text(x) for x in new.imports}
-    )
+    old_imports = [_import_text(i) for i in old.imports]
+    new_imports = [_import_text(i) for i in new.imports]
+    old_import_set, new_import_set = set(old_imports), set(new_imports)
+    import_added = tuple(i for i in new_imports if i not in old_import_set)
+    import_removed = tuple(i for i in old_imports if i not in new_import_set)
 
     old_classes = dict(old.all_classes())
     new_classes = dict(new.all_classes())
@@ -732,12 +798,15 @@ def _fields_of(fd: FileDiff, cname: str, new_side: bool) -> frozenset[str]:
     return frozenset(names)
 
 
-def _owner_field_names(class_name: str, all_new_facts: list[SourceFacts]) -> frozenset[str]:
+def _field_names_by_class(all_new_facts: list[SourceFacts]) -> dict[str, frozenset[str]]:
+    """Field names of every class in the new facts; the first class of a
+    qualified name wins."""
+    names: dict[str, frozenset[str]] = {}
     for facts in all_new_facts:
         for qname, cls in facts.all_classes():
-            if qname == class_name:
-                return frozenset(f.name for f in cls.fields)
-    return frozenset()
+            if qname not in names:
+                names[qname] = frozenset(f.name for f in cls.fields)
+    return names
 
 
 def classify_change_explained(
@@ -758,11 +827,10 @@ def classify_change_explained(
 
     touched = _collect_touched(diff)
     # resolve owner field sets from full facts where available
-    resolved: list[_TouchedMethod] = []
-    for t in touched:
-        names = _owner_field_names(t.class_name, all_new_facts) or t.owner_fields
-        resolved.append(replace(t, owner_fields=names))
-    touched = resolved
+    field_names = _field_names_by_class(all_new_facts)
+    touched = [
+        replace(t, owner_fields=field_names.get(t.class_name) or t.owner_fields) for t in touched
+    ]
 
     total_stmt_changes = sum(ic.statement_change_count() for fd in diff.files for ic in fd.inline_changes)
     signature_changes = any(

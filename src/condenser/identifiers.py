@@ -59,19 +59,9 @@ def split_camel(raw: str) -> list[str]:
     return _SPLIT_RE.findall(raw)
 
 
-_GENERIC_PART = re.compile(r"[A-Za-z_$][\w$]*")
-
-
 def simple_type_names(type_text: str) -> list[str]:
     """Reduce a type text to its simple names: List<Map<String,Foo>> gives
     List, Map, String, Foo. Qualified names keep only the last segment."""
-    names: list[str] = []
-    for chunk in _GENERIC_PART.findall(type_text):
-        if chunk in ("extends", "super"):
-            continue
-        names.append(chunk)
-    # drop leading package segments of dotted names: a.b.C appears as a, b, C
-    # in the regex stream only when dots split chunks; rebuild via split
     out: list[str] = []
     for part in re.split(r"[<>,\[\]\s]+", type_text):
         part = part.strip(".?")

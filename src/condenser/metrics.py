@@ -9,9 +9,10 @@ corpus scores are arithmetic means of sentence scores.
 from __future__ import annotations
 
 import math
-import re
 from collections import Counter
 from dataclasses import dataclass
+
+from condenser.sequences import TOKEN_RE, lcs_length
 
 __all__ = [
     "EmptyCorpus",
@@ -84,12 +85,9 @@ class MetricReport:
         }
 
 
-_TOKEN_RE = re.compile(r"\w+|[^\w\s]")
-
-
 def tokenize_message(text: str) -> TokenSeq:
     """Lowercase and split into word tokens and standalone punctuation."""
-    return TokenSeq(tokens=tuple(t.lower() for t in _TOKEN_RE.findall(text)))
+    return TokenSeq(tokens=tuple(t.lower() for t in TOKEN_RE.findall(text)))
 
 
 def _ngrams(tokens: tuple[str, ...], n: int) -> Counter:
@@ -126,27 +124,11 @@ def bleu_norm(candidate: TokenSeq, reference: TokenSeq) -> float:
     return 100.0 * bp * math.exp(log_sum)
 
 
-def _lcs_length(a: tuple[str, ...], b: tuple[str, ...]) -> int:
-    if not a or not b:
-        return 0
-    prev = [0] * (len(b) + 1)
-    for i in range(1, len(a) + 1):
-        cur = [0] * (len(b) + 1)
-        ai = a[i - 1]
-        for j in range(1, len(b) + 1):
-            if ai == b[j - 1]:
-                cur[j] = prev[j - 1] + 1
-            else:
-                cur[j] = cur[j - 1] if cur[j - 1] >= prev[j] else prev[j]
-        prev = cur
-    return prev[len(b)]
-
-
 def rouge_l(candidate: TokenSeq, reference: TokenSeq) -> float:
     """F-score over the longest common subsequence, beta = 1.2."""
     if len(candidate) == 0 or len(reference) == 0:
         raise EmptyInput("both sequences must be non-empty")
-    lcs = _lcs_length(candidate.tokens, reference.tokens)
+    lcs = lcs_length(candidate.tokens, reference.tokens)
     if lcs == 0:
         return 0.0
     precision = lcs / len(candidate)

@@ -1,0 +1,46 @@
+"""Sequence helpers shared by the diff, the renderer and the metrics.
+
+One word-or-punctuation tokenizer, and one longest-common-subsequence
+kernel: the bit-parallel LCS of Allison & Dix (1986) in the form of Hyyrö
+(2004). Each step of the kernel is a few operations on one Python int whose
+bits stand for the positions of the second sequence, so a row of the LCS
+table costs O(len(b) / word size) instead of O(len(b)) interpreted steps.
+"""
+
+from __future__ import annotations
+
+import re
+from collections.abc import Hashable, Sequence
+
+__all__ = ["TOKEN_RE", "lcs_length", "lcs_rows"]
+
+# word runs plus standalone punctuation marks
+TOKEN_RE = re.compile(r"\w+|[^\w\s]")
+
+
+def lcs_rows(a: Sequence[Hashable], b: Sequence[Hashable]) -> list[int]:
+    """Bit vectors of the LCS table of a against every prefix of b.
+
+    rows[k] describes a[:k]: for every n <= len(b),
+    LCS(a[:k], b[:n]) == n - (rows[k] & ((1 << n) - 1)).bit_count().
+    A zero bit at position p means the LCS grows by one when b[p] joins the
+    prefix of b.
+    """
+    match: dict[Hashable, int] = {}
+    for p, x in enumerate(b):
+        match[x] = match.get(x, 0) | (1 << p)
+    full = (1 << len(b)) - 1
+    v = full
+    rows = [v]
+    for x in a:
+        u = v & match.get(x, 0)
+        v = ((v + u) | (v - u)) & full
+        rows.append(v)
+    return rows
+
+
+def lcs_length(a: Sequence[Hashable], b: Sequence[Hashable]) -> int:
+    """Length of a longest common subsequence of a and b."""
+    if not a or not b:
+        return 0
+    return len(b) - lcs_rows(a, b)[-1].bit_count()

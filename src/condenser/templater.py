@@ -14,7 +14,6 @@ left to cut.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from importlib import resources
 
@@ -23,6 +22,7 @@ from condenser.comments import ElicitedAnnotation, ElicitedComment
 from condenser.diffing import CommitInput
 from condenser.identifiers import CATEGORY_ORDER, EmphasizedIdentifier
 from condenser.javafacts import sort_modifiers
+from condenser.sequences import TOKEN_RE
 
 __all__ = [
     "BudgetError",
@@ -54,12 +54,10 @@ TEMPLATES = _load_templates()
 
 END_MARKER = TEMPLATES["end_marker"]
 
-_TOKEN_RE = re.compile(r"\w+|[^\w\s]")
-
 
 def count_tokens(text: str) -> int:
     """Budget tokens: word runs plus standalone punctuation marks."""
-    return len(_TOKEN_RE.findall(text))
+    return len(TOKEN_RE.findall(text))
 
 
 @dataclass(frozen=True)
@@ -303,9 +301,14 @@ def _build_lines(
     inline_methods = {
         f"method {ic.class_name}.{ic.method_name}" for fd in diff.files for ic in fd.inline_changes
     }
+    summarized = {
+        (ac.target, ac.name, ac.argument_text, ac.origin) for fd in diff.files for ac in fd.annotation_changes
+    }
     for a in annotations:
         if a.target in inline_methods:
             continue  # already summarized as a method inline change
+        if (a.target, a.name, a.argument_text, a.origin) in summarized:
+            continue  # already summarized as a class or field annotation change
         key = "annotation_added" if a.origin == "added" else "annotation_removed"
         comment_lines.append(_Line(_fmt(key, name=a.name, target=a.target), "comments", _DROP_OTHER_COMMENT))
     if comment_lines:

@@ -2,9 +2,10 @@
 
 Everything here is written straight from first principles (exhaustive
 enumeration, literal formulas with exact fractions) and shares no code with
-the package. Only usable for short inputs.  The exception is the last
-section: the package's previous Java lexer and comment-attachment resolver,
-kept as the reference their rewrites must reproduce exactly.
+the package. Only usable for short inputs.  The exception is the last two
+sections: the package's previous Java lexer and comment-attachment resolver,
+and its previous statement diff and ROUGE-L LCS, kept as the reference their
+rewrites must reproduce exactly.
 """
 
 from __future__ import annotations
@@ -464,3 +465,146 @@ def resolve_attachments_oracle(
             if prev is None or fact.line_range > prev.line_range:
                 doc_candidates[target_qname] = fact
     return facts, doc_candidates
+
+
+# --- statement diff and ROUGE-L LCS: the full-table originals ----------------
+#
+# The previous list-of-lists statement LCS, all-pairs modify pairing, method
+# matching and ROUGE-L LCS, kept verbatim as the reference their rewrites
+# (bit-parallel LCS, prefix-filtered pairing, index-based matching) must
+# reproduce exactly.
+
+_WORDISH = re.compile(r"\w+|[^\w\s]")
+
+
+def lcs_align_oracle(old, new):
+    """Residual removed/added statements after an order-preserving alignment.
+
+    Statements matched in order by identical text survive unchanged even when
+    their line numbers shifted; everything else is raw removed/added input
+    for move and modify pairing.
+    """
+    a = [s.text for s in old]
+    b = [s.text for s in new]
+    la, lb = len(a), len(b)
+    dp = [[0] * (lb + 1) for _ in range(la + 1)]
+    for i in range(la - 1, -1, -1):
+        row = dp[i]
+        nxt = dp[i + 1]
+        for j in range(lb - 1, -1, -1):
+            if a[i] == b[j]:
+                row[j] = nxt[j + 1] + 1
+            else:
+                row[j] = nxt[j] if nxt[j] >= row[j + 1] else row[j + 1]
+    removed = []
+    added = []
+    i = j = 0
+    while i < la and j < lb:
+        if a[i] == b[j]:
+            i += 1
+            j += 1
+        elif dp[i + 1][j] >= dp[i][j + 1]:
+            removed.append(old[i])
+            i += 1
+        else:
+            added.append(new[j])
+            j += 1
+    removed.extend(old[i:])
+    added.extend(new[j:])
+    return removed, added
+
+
+def _stmt_tokens(text: str) -> frozenset[str]:
+    return frozenset(_WORDISH.findall(text))
+
+
+def _jaccard(a: frozenset[str], b: frozenset[str]) -> float:
+    if not a and not b:
+        return 1.0
+    union = len(a | b)
+    return len(a & b) / union if union else 0.0
+
+
+_MODIFY_PAIR_CAP = 250_000
+
+
+def pair_modifications_oracle(removed, added, threshold: float):
+    """Greedy best-similarity pairing of residual removed/added statements."""
+    rem_tokens = [_stmt_tokens(s.text) for s in removed]
+    add_tokens = [_stmt_tokens(s.text) for s in added]
+    candidates = []
+    if len(removed) * len(added) > _MODIFY_PAIR_CAP:
+        for i, (rt, at) in enumerate(zip(rem_tokens, add_tokens)):
+            sim = _jaccard(rt, at)
+            if sim >= threshold:
+                candidates.append((-sim, i, i))
+    else:
+        for i, rt in enumerate(rem_tokens):
+            for j, at in enumerate(add_tokens):
+                sim = _jaccard(rt, at)
+                if sim >= threshold:
+                    candidates.append((-sim, i, j))
+    candidates.sort()
+    used_r: set[int] = set()
+    used_a: set[int] = set()
+    pairs: list[tuple[int, int]] = []
+    for _negsim, i, j in candidates:
+        if i in used_r or j in used_a:
+            continue
+        used_r.add(i)
+        used_a.add(j)
+        pairs.append((i, j))
+    pairs.sort()
+    modified = [(removed[i], added[j]) for i, j in pairs]
+    rest_removed = [s for i, s in enumerate(removed) if i not in used_r]
+    rest_added = [s for j, s in enumerate(added) if j not in used_a]
+    return modified, rest_removed, rest_added
+
+
+def match_methods_oracle(old_methods, new_methods):
+    """Match methods across versions by exact signature first, then by
+    (name, arity) with maximal parameter-type overlap. Leftovers are
+    add/remove."""
+    old_left = list(old_methods)
+    new_left = list(new_methods)
+    matched = []
+
+    new_by_sig = {m.signature(): m for m in new_left}
+    for m in list(old_left):
+        twin = new_by_sig.get(m.signature())
+        if twin is not None and twin in new_left:
+            matched.append((m, twin))
+            old_left.remove(m)
+            new_left.remove(twin)
+    # same name + arity, best type-text overlap
+    for m in list(old_left):
+        candidates = [
+            c for c in new_left if c.name == m.name and len(c.parameters) == len(m.parameters)
+        ]
+        if not candidates:
+            continue
+        def overlap(c) -> int:
+            return sum(
+                1 for (t1, _), (t2, _) in zip(m.parameters, c.parameters) if t1 == t2
+            )
+        best = max(candidates, key=overlap)
+        matched.append((m, best))
+        old_left.remove(m)
+        new_left.remove(best)
+    return matched, old_left, new_left
+
+
+def lcs_length_oracle(a: tuple[str, ...], b: tuple[str, ...]) -> int:
+    if not a or not b:
+        return 0
+    prev = [0] * (len(b) + 1)
+    for i in range(1, len(a) + 1):
+        cur = [0] * (len(b) + 1)
+        ai = a[i - 1]
+        for j in range(1, len(b) + 1):
+            if ai == b[j - 1]:
+                cur[j] = prev[j - 1] + 1
+            else:
+                cur[j] = cur[j - 1] if cur[j - 1] >= prev[j] else prev[j]
+        prev = cur
+    return prev[len(b)]

@@ -228,6 +228,24 @@ def test_visibility_change_uses_make_phrasing():
     assert "Make method drain not public" in lines
 
 
+def test_class_annotation_change_renders_once():
+    template = render_single_file(
+        "class A { int x; void f() { x = 1; } }",
+        "@Deprecated class A { int x; void f() { x = 1; } }",
+    )
+    assert "Add annotation @Deprecated to class A" in template.summarized_changes.split("\n")
+    assert "Deprecated" not in template.comments_section
+
+
+def test_field_annotation_change_renders_once():
+    template = render_single_file(
+        "class A { @Deprecated @Nullable int x; void f() { x = 1; } }",
+        "class A { @Nullable int x; void f() { x = 1; } }",
+    )
+    assert "Remove annotation @Deprecated from field A.x" in template.summarized_changes.split("\n")
+    assert "Deprecated" not in template.comments_section
+
+
 def test_renamed_file_line():
     import dataclasses
 
