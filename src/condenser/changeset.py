@@ -83,8 +83,6 @@ class MethodInlineChange:
     method_name: str
     old: MethodFacts
     new: MethodFacts
-    param_added: tuple[tuple[str, str], ...] = ()
-    param_removed: tuple[tuple[str, str], ...] = ()
     param_retyped: tuple[tuple[str, str, str], ...] = ()  # (name, old type, new type)
     return_type_changed: tuple[str, str] | None = None  # (old, new)
     modifier_added: tuple[str, ...] = ()
@@ -107,8 +105,7 @@ class MethodInlineChange:
 
     def has_signature_change(self) -> bool:
         return bool(
-            self.param_added or self.param_removed or self.param_retyped
-            or self.return_type_changed
+            self.param_retyped or self.return_type_changed
             or self.modifier_added or self.modifier_removed
             or self.exception_added or self.exception_removed
         )

@@ -13,11 +13,11 @@ import json
 import logging
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from condenser import corpus as corpus_mod
-from condenser.config import ConfigError, PipelineConfig, load_config, load_stoplist
+from condenser.config import ConfigError, PipelineConfig, load_config, parse_settings
 from condenser.corpus import (
     CommitSample,
     CorpusFormatError,
@@ -56,16 +56,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_config_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", help="key=value config file; flags override file values")
-        p.add_argument("--budget", type=int, help="template token budget (default 1024)")
-        p.add_argument("--stoplist", help="identifier stoplist file, one word per line")
-        p.add_argument("--min-identifier-length", type=int, dest="min_identifier_length")
-        p.add_argument("--modify-similarity", type=float, dest="modify_similarity")
-        p.add_argument("--small-change-max-statements", type=int, dest="small_change_max_statements")
-        p.add_argument("--large-change-min-methods", type=int, dest="large_change_min_methods")
-        p.add_argument("--large-change-min-classes", type=int, dest="large_change_min_classes")
-        p.add_argument("--accessor-ratio", type=float, dest="accessor_ratio")
-        p.add_argument("--external-call-ratio", type=float, dest="external_call_ratio")
-        p.add_argument("--jobs", type=int, help="worker pool size")
+        for f in fields(PipelineConfig):
+            p.add_argument(_flag(f.name), dest=f.name, help=f.metadata.get("help"))
 
     p_condense = sub.add_parser("condense", help="condense a single commit to a template")
     p_condense.add_argument("--repo", required=True)
@@ -101,13 +93,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_generate.add_argument("--sft", required=True, help="JSONL file from export-sft")
     p_generate.add_argument("--endpoint", required=True, help="endpoint URL")
     p_generate.add_argument("--out", help="output file (default stdout)")
-    p_generate.add_argument("--max-new-tokens", type=int, dest="max_new_tokens")
-    p_generate.add_argument("--temperature", type=float)
-    p_generate.add_argument("--attempts", type=int)
-    p_generate.add_argument("--timeout", type=float)
-    p_generate.add_argument("--backoff-base", type=float, dest="backoff_base")
-    p_generate.add_argument("--prompt-field", dest="prompt_field")
-    p_generate.add_argument("--completion-field", dest="completion_field")
     add_config_flags(p_generate)
 
     p_eval = sub.add_parser("eval", help="score candidates against references")
@@ -117,30 +102,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_CONFIG_FLAG_KEYS = (
-    "budget", "min_identifier_length", "modify_similarity",
-    "small_change_max_statements", "large_change_min_methods",
-    "large_change_min_classes", "accessor_ratio", "external_call_ratio",
-    "jobs", "max_new_tokens", "temperature", "attempts", "timeout",
-    "backoff_base", "prompt_field", "completion_field",
-)
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
 
 
 def _resolve_config(args: argparse.Namespace) -> PipelineConfig:
-    cfg = PipelineConfig()
-    if getattr(args, "config", None):
-        cfg = load_config(args.config, base=cfg)
-    overrides = {}
-    for key in _CONFIG_FLAG_KEYS:
-        value = getattr(args, key, None)
-        if value is not None:
-            overrides[key] = value
-    if getattr(args, "stoplist", None):
-        overrides["stoplist"] = load_stoplist(args.stoplist)
-    if getattr(args, "endpoint", None):
-        overrides["endpoint"] = args.endpoint
-    if overrides:
-        cfg = replace(cfg, **overrides)
+    cfg = load_config(args.config) if args.config else PipelineConfig()
+    given = ((f.name, getattr(args, f.name)) for f in fields(PipelineConfig))
+    cfg = replace(cfg, **parse_settings((_flag(key), key, text) for key, text in given if text is not None))
     cfg.validate()
     return cfg
 
@@ -266,16 +235,11 @@ def _cmd_export_sft(args: argparse.Namespace) -> int:
 def _cmd_generate(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     records = load_sft(args.sft)
+    knobs = {f.name for f in fields(PipelineConfig)}
     endpoint = EndpointConfig(
         url=args.endpoint,
-        max_new_tokens=cfg.max_new_tokens,
-        temperature=cfg.temperature,
-        attempts=cfg.attempts,
-        backoff_base=cfg.backoff_base,
-        timeout=cfg.timeout,
-        prompt_field=cfg.prompt_field,
-        completion_field=cfg.completion_field,
         api_key=os.environ.get(ENV_API_KEY),
+        **{f.name: getattr(cfg, f.name) for f in fields(EndpointConfig) if f.name in knobs},
     )
     def work(record):
         try:

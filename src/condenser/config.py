@@ -1,12 +1,16 @@
-"""Pipeline configuration: token budget, classifier thresholds, stoplist.
+"""Pipeline configuration: token budget, classifier thresholds, stoplist and
+generation settings.
 
-Every key in a key=value config file has a matching CLI flag; the CLI layer
-merges file values first, then flag overrides.
+The fields of PipelineConfig are the only list of knobs. A key=value config
+file (load_config) and the CLI flags both take their keys from those fields
+and convert each value by its field's declared type (parse_settings); the CLI
+applies file values first, then flag overrides.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from collections.abc import Iterable
+from dataclasses import dataclass, field, fields, replace
 from importlib import resources
 from pathlib import Path
 
@@ -18,10 +22,10 @@ class ConfigError(Exception):
     pass
 
 
-def load_stoplist(path: str | Path) -> frozenset[str]:
+def _parse_stoplist(text: str) -> frozenset[str]:
     """One lowercase word per line; '#' starts a comment."""
     words: set[str] = set()
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
+    for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -31,19 +35,17 @@ def load_stoplist(path: str | Path) -> frozenset[str]:
     return frozenset(words)
 
 
+def load_stoplist(path: str | Path) -> frozenset[str]:
+    return _parse_stoplist(Path(path).read_text(encoding="utf-8"))
+
+
 def default_stoplist() -> frozenset[str]:
-    ref = resources.files("condenser").joinpath("data/stoplist.txt")
-    words: set[str] = set()
-    for raw in ref.read_text(encoding="utf-8").splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            words.add(line.lower())
-    return frozenset(words)
+    return _parse_stoplist(resources.files("condenser").joinpath("data/stoplist.txt").read_text(encoding="utf-8"))
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    budget: int = DEFAULT_BUDGET
+    budget: int = field(default=DEFAULT_BUDGET, metadata={"help": "template token budget (default 1024)"})
     target_tokens: int = DEFAULT_TARGET_TOKENS
     # change-type classifier thresholds
     small_change_max_statements: int = 2
@@ -55,11 +57,11 @@ class PipelineConfig:
     modify_similarity: float = 0.6
     # identifier filtering
     min_identifier_length: int = 2
-    stoplist: frozenset[str] = field(default_factory=default_stoplist)
-    # pipeline execution
-    jobs: int = 1
+    stoplist: frozenset[str] = field(
+        default_factory=default_stoplist, metadata={"help": "identifier stoplist file, one word per line"}
+    )
     # generation endpoint
-    endpoint: str | None = None
+    jobs: int = field(default=1, metadata={"help": "in-flight request cap for generate"})
     max_new_tokens: int = 128
     temperature: float = 0.0
     attempts: int = 3
@@ -71,28 +73,35 @@ class PipelineConfig:
     def validate(self) -> None:
         if self.budget < 64:
             raise ConfigError(f"budget must be >= 64, got {self.budget}")
+        if self.target_tokens < 1:
+            raise ConfigError(f"target_tokens must be >= 1, got {self.target_tokens}")
         if self.attempts < 1:
             raise ConfigError("attempts must be >= 1")
         if not (0.0 <= self.modify_similarity <= 1.0):
             raise ConfigError("modify_similarity must be in [0, 1]")
+        if not self.timeout > 0:
+            raise ConfigError(f"timeout must be > 0, got {self.timeout}")
+        if not self.backoff_base >= 0:
+            raise ConfigError(f"backoff_base must be >= 0, got {self.backoff_base}")
 
 
-_INT_KEYS = {
-    "budget", "target_tokens", "small_change_max_statements",
-    "large_change_min_methods", "large_change_min_classes",
-    "min_identifier_length", "jobs", "max_new_tokens", "attempts",
-}
-_FLOAT_KEYS = {
-    "accessor_ratio", "external_call_ratio", "modify_similarity",
-    "temperature", "backoff_base", "timeout",
-}
-_STR_KEYS = {"endpoint", "prompt_field", "completion_field"}
+def parse_settings(settings: Iterable[tuple[str, str, str]]) -> dict[str, object]:
+    """Convert (where, key, text) triples into PipelineConfig field values,
+    each by its field's declared type; `where` locates an error."""
+    by_type = {"int": int, "float": float, "str": str, "frozenset[str]": load_stoplist}
+    parsers = {f.name: by_type[f.type] for f in fields(PipelineConfig)}
+    values: dict[str, object] = {}
+    for where, key, text in settings:
+        if key not in parsers:
+            raise ConfigError(f"{where}: unknown config key {key!r}")
+        try:
+            values[key] = parsers[key](text)
+        except (ValueError, OSError, ConfigError) as exc:
+            raise ConfigError(f"{where}: invalid {key} value {text!r}: {exc}") from None
+    return values
 
 
-def load_config(path: str | Path, base: PipelineConfig | None = None) -> PipelineConfig:
-    """Parse a key=value config file on top of a base configuration."""
-    cfg = base or PipelineConfig()
-    overrides: dict[str, object] = {}
+def _file_settings(path: str | Path) -> Iterable[tuple[str, str, str]]:
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -100,16 +109,11 @@ def load_config(path: str | Path, base: PipelineConfig | None = None) -> Pipelin
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key == "stoplist":
-            overrides["stoplist"] = load_stoplist(value)
-        elif key in _INT_KEYS:
-            overrides[key] = int(value)
-        elif key in _FLOAT_KEYS:
-            overrides[key] = float(value)
-        elif key in _STR_KEYS:
-            overrides[key] = value
-        else:
-            raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-    cfg = replace(cfg, **overrides)
+        yield f"{path}:{lineno}", key, value
+
+
+def load_config(path: str | Path, base: PipelineConfig | None = None) -> PipelineConfig:
+    """Parse a key=value config file on top of a base configuration."""
+    cfg = replace(base or PipelineConfig(), **parse_settings(_file_settings(path)))
     cfg.validate()
     return cfg

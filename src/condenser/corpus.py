@@ -15,7 +15,6 @@ from __future__ import annotations
 import json
 import logging
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -260,21 +259,17 @@ def condense_commit(commit: CommitInput, config: PipelineConfig | None = None) -
 def run_pipeline(
     samples: list[CommitSample], config: PipelineConfig | None = None
 ) -> list[tuple[CommitSample, CondensedTemplate]]:
-    """Condense every sample; outputs keep input order regardless of the
-    worker pool size. Samples whose every file fails to parse still yield a
-    header-plus-file-list template, and the failure is logged, not dropped."""
+    """Condense every sample, in input order. Samples whose every file fails
+    to parse still yield a header-plus-file-list template, and the failure is
+    logged, not dropped."""
     config = config or PipelineConfig()
-
-    def work(sample: CommitSample) -> tuple[CommitSample, CondensedTemplate]:
+    pairs = []
+    for sample in samples:
         result = condense_commit(sample.commit_input(), config)
         for path in result.parse_failures:
             log.warning("%s@%s: could not parse %s; summarized as file-level change", sample.repo, sample.hash, path)
-        return sample, result.template
-
-    if config.jobs > 1:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            return list(pool.map(work, samples))
-    return [work(s) for s in samples]
+        pairs.append((sample, result.template))
+    return pairs
 
 
 def corpus_identifier_stats(

@@ -123,10 +123,6 @@ def _inline_lines(ic: MethodInlineChange, lines: list[_Line]) -> None:
     if ic.return_type_changed is not None:
         old_t, new_t = ic.return_type_changed
         lines.append(_Line(_fmt("return_retyped", method=m, old_type=old_t, new_type=new_t), "summary", _DROP_INLINE_DETAIL))
-    for ptype, pname in ic.param_added:
-        lines.append(_Line(_fmt("param_added", method=m, name=pname, type=ptype), "summary", _DROP_INLINE_DETAIL))
-    for ptype, pname in ic.param_removed:
-        lines.append(_Line(_fmt("param_removed", method=m, name=pname, type=ptype), "summary", _DROP_INLINE_DETAIL))
     for mod in sort_modifiers(ic.modifier_added):
         lines.append(_Line(_fmt("modifier_added", method=m, modifier=mod), "summary", _DROP_INLINE_DETAIL))
     for mod in sort_modifiers(ic.modifier_removed):

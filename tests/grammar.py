@@ -33,7 +33,7 @@ _SUMMARY_KEYS = [
     "class_annotation_added", "class_annotation_removed",
     "method_added", "method_added_params", "constructor_added", "constructor_added_params",
     "method_removed", "method_removed_params", "constructor_removed", "constructor_removed_params",
-    "param_added", "param_removed", "param_retyped", "return_retyped",
+    "param_retyped", "return_retyped",
     "modifier_added", "modifier_removed",
     "stmt_added", "stmt_removed", "stmt_modified", "stmt_moved",
     "exception_added", "exception_removed",

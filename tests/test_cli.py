@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-from condenser.cli import main
+from condenser.cli import _build_parser, _resolve_config, main
+from condenser.config import PipelineConfig
+from condenser.corpus import EndpointConfig
 from grammar import check_template
 
 
@@ -137,6 +140,106 @@ def test_config_file_and_flag_override(capsys, tmp_path, tree_pair):
     assert json.loads(out)["token_count"] <= 96  # flag wins over file
 
 
+# every command that takes --config, with its required arguments; the files
+# need not exist, because only the configuration is resolved
+_CONFIG_COMMANDS = {
+    "condense": ["condense", "--repo", "r", "--hash", "h"],
+    "corpus run": ["corpus", "run", "--corpus", "c.jsonl"],
+    "corpus stats": ["corpus", "stats", "--corpus", "c.jsonl"],
+    "export-sft": ["export-sft", "--corpus", "c.jsonl", "--out", "sft.jsonl"],
+    "generate": ["generate", "--sft", "sft.jsonl", "--endpoint", "http://127.0.0.1:9/"],
+}
+
+
+def _resolved(argv: list[str]) -> PipelineConfig:
+    return _resolve_config(_build_parser().parse_args(argv))
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
+def _knob_text(f, step: int) -> str:
+    """A valid value other than the default for a scalar knob, as text."""
+    if f.type == "str":
+        return f"{f.default}_{step}"
+    return str(f.default + (step if f.type == "int" else 0.125 * step))
+
+
+@pytest.mark.parametrize("command", list(_CONFIG_COMMANDS))
+def test_every_knob_is_a_config_key_and_a_flag(command, tmp_path):
+    base = _CONFIG_COMMANDS[command]
+    conf = tmp_path / "knobs.conf"
+    knobs = [f for f in fields(PipelineConfig) if f.name != "stoplist"]
+    assert len(knobs) == 17
+    for f in knobs:
+        conf.write_text(f"{f.name} = {_knob_text(f, 1)}\n", encoding="utf-8")
+        from_file = getattr(_resolved(base + ["--config", str(conf)]), f.name)
+        from_flag = getattr(_resolved(base + [_flag(f.name), _knob_text(f, 1)]), f.name)
+        assert from_file == from_flag != f.default, f.name
+        flag_only = getattr(_resolved(base + [_flag(f.name), _knob_text(f, 2)]), f.name)
+        both = getattr(_resolved(base + ["--config", str(conf), _flag(f.name), _knob_text(f, 2)]), f.name)
+        assert both == flag_only != from_file, f"{f.name}: the flag must override the file"
+
+
+@pytest.mark.parametrize("command", list(_CONFIG_COMMANDS))
+def test_stoplist_is_a_config_key_and_a_flag(command, tmp_path):
+    base = _CONFIG_COMMANDS[command]
+    words = tmp_path / "words.txt"
+    words.write_text("# project words\nFoo\nbar\n", encoding="utf-8")
+    other = tmp_path / "other.txt"
+    other.write_text("baz\n", encoding="utf-8")
+    conf = tmp_path / "knobs.conf"
+    conf.write_text(f"stoplist = {words}\n", encoding="utf-8")
+    assert _resolved(base + ["--config", str(conf)]).stoplist == frozenset({"foo", "bar"})
+    assert _resolved(base + ["--stoplist", str(words)]).stoplist == frozenset({"foo", "bar"})
+    assert _resolved(base + ["--config", str(conf), "--stoplist", str(other)]).stoplist == frozenset({"baz"})
+
+
+def test_endpoint_config_defaults_match_pipeline_config():
+    knobs = {f.name: f.default for f in fields(PipelineConfig)}
+    shared = [f for f in fields(EndpointConfig) if f.name in knobs]
+    assert [f.name for f in shared] == [
+        "max_new_tokens", "temperature", "attempts", "backoff_base", "timeout",
+        "prompt_field", "completion_field",
+    ]
+    for f in shared:
+        assert f.default == knobs[f.name], f.name
+
+
+@pytest.mark.parametrize("line", ["budget = abc", "temperature = hot", "stoplist ="])
+def test_bad_config_value_exits_2(capsys, tmp_path, tree_pair, line):
+    old_dir, new_dir = tree_pair
+    conf = tmp_path / "bad.conf"
+    conf.write_text(f"# knobs\n{line}\n", encoding="utf-8")
+    code, out, err = run_cli(
+        capsys, "condense", "--old-dir", str(old_dir), "--new-dir", str(new_dir),
+        "--repo", "r", "--hash", "h", "--config", str(conf),
+    )
+    assert code == 2
+    assert out == ""
+    assert f"{conf}:2:" in err and line.split()[0] in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--timeout", "0"],
+    ["generate", "--backoff-base", "-1"],
+    ["export-sft", "--target-tokens", "0"],
+    ["export-sft", "--target-tokens", "-1"],
+])
+def test_out_of_range_knob_exits_2(capsys, tmp_path, corpus_path, argv):
+    sft_path = tmp_path / "sft.jsonl"
+    sft_path.write_text('{"repo": "r", "hash": "h", "prompt": "p", "target": "t"}\n', encoding="utf-8")
+    inputs = {
+        "generate": ["--sft", str(sft_path), "--endpoint", "http://127.0.0.1:9/", "--attempts", "2"],
+        "export-sft": ["--corpus", str(corpus_path), "--out", str(tmp_path / "again.jsonl")],
+    }
+    code, out, err = run_cli(capsys, *argv[:1], *inputs[argv[0]], *argv[1:])
+    assert code == 2
+    assert out == ""
+    assert argv[1].lstrip("-").replace("-", "_") in err
+
+
 def test_corpus_run_jsonl(capsys, corpus_path):
     code, out, _ = run_cli(capsys, "corpus", "run", "--corpus", str(corpus_path))
     assert code == 0
@@ -207,8 +310,12 @@ def test_generate_cli_against_mock_endpoint(capsys, tmp_path, corpus_path):
         code, out, _ = run_cli(
             capsys, "generate", "--sft", str(sft_path), "--endpoint", url,
             "--out", str(out_path), "--jobs", "4", "--backoff-base", "0.01",
+            "--prompt-field", "input_text", "--max-new-tokens", "7",
         )
         assert code == 0
+        # the endpoint settings come from the resolved PipelineConfig
+        assert all(set(c["body"]) == {"input_text", "max_new_tokens", "temperature"} for c in _ScriptedHandler.calls)
+        assert {c["body"]["max_new_tokens"] for c in _ScriptedHandler.calls} == {7}
         rows = [json.loads(l) for l in out_path.read_text().splitlines()]
         assert len(rows) == 20
         # output order matches the sft input order by (repo, hash)

@@ -162,14 +162,6 @@ def test_pipeline_is_deterministic(corpus_path):
     assert first == second
 
 
-def test_pipeline_parallel_keeps_input_order(corpus_path):
-    samples = load_corpus(corpus_path)
-    serial = run_pipeline(samples, PipelineConfig(jobs=1))
-    parallel = run_pipeline(samples, PipelineConfig(jobs=4))
-    assert [s.hash for s, _t in parallel] == [s.hash for s, _t in serial]
-    assert [t.full_text for _s, t in parallel] == [t.full_text for _s, t in serial]
-
-
 def test_unparseable_java_reported_not_dropped():
     sample_dict = {
         "repo": "r",

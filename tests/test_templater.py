@@ -105,8 +105,6 @@ GOLDEN_TEMPLATES = {
     "method_removed_params": "Remove a method {method} with return type {type} taking {params}",
     "constructor_removed": "Remove a constructor {method}",
     "constructor_removed_params": "Remove a constructor {method} taking {params}",
-    "param_added": "In method {method}, add parameter {name} of type {type}",
-    "param_removed": "In method {method}, remove parameter {name} of type {type}",
     "param_retyped": "In method {method}, change parameter {name} from type {old_type} to {new_type}",
     "return_retyped": "In method {method}, change return type from {old_type} to {new_type}",
     "modifier_added": "Make method {method} {modifier}",
