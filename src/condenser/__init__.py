@@ -15,7 +15,7 @@ from condenser.changeset import (
     detect_statement_moves,
     diff_facts,
 )
-from condenser.comments import ElicitedAnnotation, ElicitedComment, elicit_annotations, elicit_comments
+from condenser.comments import ElicitedComment, elicit_annotations, elicit_comments
 from condenser.config import PipelineConfig, load_config, load_stoplist
 from condenser.corpus import (
     CommitSample,

@@ -76,6 +76,12 @@ class AnnotationChange:
     argument_text: str | None
     origin: str  # added | removed
 
+    @property
+    def owner(self) -> str:
+        """Qualified name of the class the target is or belongs to."""
+        kind, name = self.target.split(" ", 1)
+        return name if kind == "class" else name.rsplit(".", 1)[0]
+
 
 @dataclass(frozen=True)
 class MethodInlineChange:

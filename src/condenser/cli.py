@@ -181,14 +181,10 @@ def _cmd_condense(args: argparse.Namespace) -> int:
     return 1 if result.parse_failures else 0
 
 
-def _count_records(path: str) -> int:
-    return sum(1 for line in Path(path).read_text(encoding="utf-8").splitlines() if line.strip())
-
-
 def _cmd_corpus_run(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
-    samples = load_corpus(args.corpus)
-    failures = _count_records(args.corpus) - len(samples)
+    skipped: list[tuple[int, str]] = []
+    samples = load_corpus(args.corpus, skipped)
     pairs = run_pipeline(samples, cfg)
     chunks: list[str] = []
     for sample, template in pairs:
@@ -209,27 +205,29 @@ def _cmd_corpus_run(args: argparse.Namespace) -> int:
         else:
             chunks.append(template.full_text + "\n\n")
     _emit("".join(chunks), args.out)
-    return 1 if failures else 0
+    return 1 if skipped else 0
 
 
 def _cmd_corpus_stats(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
-    samples = load_corpus(args.corpus)
+    skipped: list[tuple[int, str]] = []
+    samples = load_corpus(args.corpus, skipped)
     rows = corpus_mod.corpus_identifier_stats(samples, cfg)
     lines = ["category\toccurrences\toccurrences_after_splitting"]
     for category, verbatim, split_hits in rows:
         lines.append(f"{category}\t{verbatim}\t{split_hits}")
     _emit("\n".join(lines) + "\n", args.out)
-    return 0
+    return 1 if skipped else 0
 
 
 def _cmd_export_sft(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
-    samples = load_corpus(args.corpus)
+    skipped: list[tuple[int, str]] = []
+    samples = load_corpus(args.corpus, skipped)
     pairs = run_pipeline(samples, cfg)
     count = export_sft(pairs, args.out, cfg)
     sys.stdout.write(f"{count}\n")
-    return 0
+    return 1 if skipped else 0
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:

@@ -1,4 +1,5 @@
-"""Elicit change-relevant comments and annotation changes.
+"""Elicit change-relevant comments and the annotations of added or removed
+methods.
 
 Comments are surfaced when they were added or removed between versions, or
 when they document an entity the structural diff touches (origin=context).
@@ -11,11 +12,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from condenser.changeset import StructuralDiff
+from condenser.changeset import AnnotationChange, FileDiff, StructuralDiff
 from condenser.javafacts import CommentFacts, SourceFacts
 
 __all__ = [
-    "ElicitedAnnotation",
     "ElicitedComment",
     "categorize_comment",
     "elicit_annotations",
@@ -32,14 +32,6 @@ class ElicitedComment:
     text: str
     origin: str  # added | removed | context
     attachment: str
-
-
-@dataclass(frozen=True)
-class ElicitedAnnotation:
-    name: str
-    argument_text: str | None
-    target: str
-    origin: str  # added | removed
 
 
 _GUTTER = re.compile(r"^\s*\*+ ?", re.MULTILINE)
@@ -133,36 +125,19 @@ def elicit_comments(
     return out
 
 
-def _annotation_occurrences(facts: SourceFacts) -> dict[tuple[str, str | None, str], int]:
-    """Multiset of annotations keyed by (name, argument text, target)."""
-    counts: dict[tuple[str, str | None, str], int] = {}
+def elicit_annotations(file_diff: FileDiff) -> list[AnnotationChange]:
+    """One record per annotation on a method the file's diff adds or removes,
+    sorted by (target, name, argument text), removed before added.
 
-    def bump(name: str, args: str | None, target: str) -> None:
-        key = (name, args, target)
-        counts[key] = counts.get(key, 0) + 1
-
-    for qname, cls in facts.all_classes():
-        for a in cls.annotations:
-            bump(a.name, a.argument_text, f"class {qname}")
-        for f in cls.fields:
-            for a in f.annotations:
-                bump(a.name, a.argument_text, f"field {qname}.{f.name}")
-        for m in cls.methods:
-            for a in m.annotations:
-                bump(a.name, a.argument_text, f"method {qname}.{m.name}")
-    return counts
-
-
-def elicit_annotations(old: SourceFacts, new: SourceFacts) -> list[ElicitedAnnotation]:
-    """One record per annotation occurrence present in exactly one version
-    at a given target."""
-    old_counts = _annotation_occurrences(old)
-    new_counts = _annotation_occurrences(new)
-    out: list[ElicitedAnnotation] = []
-    for key in sorted(set(old_counts) | set(new_counts), key=lambda k: (k[2], k[0], k[1] or "")):
-        name, args, target = key
-        delta = new_counts.get(key, 0) - old_counts.get(key, 0)
-        origin = "added" if delta > 0 else "removed"
-        for _ in range(abs(delta)):
-            out.append(ElicitedAnnotation(name=name, argument_text=args, target=target, origin=origin))
-    return out
+    Every other annotation change is a summary line: class and field changes
+    are `file_diff.annotation_changes`, and those of matched methods are in
+    their inline changes.
+    """
+    out = [
+        AnnotationChange(target=f"method {cname}.{m.name}", name=a.name, argument_text=a.argument_text, origin=origin)
+        for origin, methods in (("removed", file_diff.method_removed), ("added", file_diff.method_added))
+        for cname, m in methods
+        for a in m.annotations
+    ]
+    # stable: removed stays ahead of added within one key
+    return sorted(out, key=lambda r: (r.target, r.name, r.argument_text or ""))

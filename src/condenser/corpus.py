@@ -19,12 +19,13 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from condenser.changeset import (
+    AnnotationChange,
     ChangeType,
     StructuralDiff,
     classify_change_explained,
     diff_commit_facts,
 )
-from condenser.comments import ElicitedAnnotation, ElicitedComment, elicit_annotations, elicit_comments
+from condenser.comments import ElicitedComment, elicit_annotations, elicit_comments
 from condenser.config import PipelineConfig
 from condenser.diffing import CommitInput, FilePair
 from condenser.identifiers import (
@@ -36,7 +37,7 @@ from condenser.identifiers import (
 )
 from condenser.javafacts import ParseError, SourceFacts, parse_java
 from condenser.metrics import tokenize_message
-from condenser.templater import END_MARKER, CondensedTemplate, count_tokens, render
+from condenser.templater import BudgetError, CondensedTemplate, render
 
 log = logging.getLogger(__name__)
 
@@ -136,13 +137,14 @@ def _file_pair(entry) -> FilePair:
     )
 
 
-def load_corpus(path: str | Path) -> list[CommitSample]:
+def load_corpus(path: str | Path, skipped: list[tuple[int, str]] | None = None) -> list[CommitSample]:
     """Load a JSONL corpus; invalid records are skipped with a logged
     diagnostic, duplicates of a (repo, hash) pair keep the first occurrence.
-    Raises CorpusFormatError when no record survives."""
+    Each skipped record's (line number, reason) is appended to `skipped`
+    when given. Raises CorpusFormatError when no record survives."""
     samples: list[CommitSample] = []
     seen: set[tuple[str, str]] = set()
-    skipped = 0
+    skipped = [] if skipped is None else skipped
     total = 0
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
         if not raw.strip():
@@ -164,17 +166,17 @@ def load_corpus(path: str | Path) -> list[CommitSample]:
                 raise ValueError("files must be a non-empty list")
             pairs = tuple(_file_pair(entry) for entry in files)
         except (KeyError, ValueError, TypeError, json.JSONDecodeError) as exc:
-            skipped += 1
+            skipped.append((lineno, str(exc)))
             log.warning("%s:%d: skipping record: %s", path, lineno, exc)
             continue
         key = (repo, commit_hash)
         if key in seen:
-            skipped += 1
+            skipped.append((lineno, "duplicate (repo, hash)"))
             log.warning("%s:%d: skipping duplicate (repo, hash) %s", path, lineno, key)
             continue
         seen.add(key)
         samples.append(CommitSample(repo=repo, hash=commit_hash, file_pairs=pairs, message=message))
-    log.info("loaded %d sample(s) from %s, skipped %d of %d line(s)", len(samples), path, skipped, total)
+    log.info("loaded %d sample(s) from %s, skipped %d of %d line(s)", len(samples), path, len(skipped), total)
     if not samples:
         raise CorpusFormatError(f"no valid records in {path}")
     return samples
@@ -187,7 +189,7 @@ class CondenseResult:
     rule: str
     diff: StructuralDiff
     comments: tuple[ElicitedComment, ...]
-    annotations: tuple[ElicitedAnnotation, ...]
+    annotations: tuple[AnnotationChange, ...]
     identifiers: tuple[EmphasizedIdentifier, ...]
     parse_failures: tuple[str, ...]  # paths whose Java failed to parse
 
@@ -223,12 +225,12 @@ def condense_commit(commit: CommitInput, config: PipelineConfig | None = None) -
     change_type, rule = classify_change_explained(diff, new_facts_all, config)
 
     comments: list[ElicitedComment] = []
-    annotations: list[ElicitedAnnotation] = []
+    annotations: list[AnnotationChange] = []
     for (path, status, _old_path, old_facts, new_facts), file_diff in zip(
         per_file, (fd for fd in diff.files if fd.is_java)
     ):
         comments.extend(elicit_comments(old_facts, new_facts, StructuralDiff(files=(file_diff,))))
-        annotations.extend(elicit_annotations(old_facts, new_facts))
+        annotations.extend(elicit_annotations(file_diff))
 
     identifiers = extract_identifiers(diff, old_facts_all, new_facts_all)
     identifiers = apply_filter(
@@ -285,31 +287,15 @@ def corpus_identifier_stats(
     return identifier_corpus_stats(rows)
 
 
-def _truncate_prompt(text: str, budget: int) -> str:
-    """Drop trailing non-structural lines until the prompt fits the budget.
-
-    Normal pipelines never hit this (render already enforces the budget);
-    it guards exports fed templates rendered with a larger budget. The
-    header and the summary end marker always survive.
-    """
-    lines = text.split("\n")
-    while count_tokens("\n".join(lines)) > budget and len(lines) > 2:
-        for idx in range(len(lines) - 1, 0, -1):
-            if lines[idx] != END_MARKER:
-                del lines[idx]
-                break
-        else:
-            break
-    return "\n".join(lines)
-
-
 def make_sft_record(sample: CommitSample, template: CondensedTemplate, config: PipelineConfig) -> SftRecord:
-    prompt = template.full_text
-    if count_tokens(prompt) > config.budget:
-        prompt = _truncate_prompt(prompt, config.budget)
+    if template.token_count > config.budget:
+        raise BudgetError(
+            f"{sample.repo}@{sample.hash}: template has {template.token_count} tokens, "
+            f"export budget is {config.budget}"
+        )
     target_tokens = tokenize_message(sample.message).tokens[: config.target_tokens]
     return SftRecord(
-        prompt=prompt,
+        prompt=template.full_text,
         target=" ".join(target_tokens),
         repo=sample.repo,
         hash=sample.hash,
@@ -321,7 +307,11 @@ def export_sft(
     path: str | Path,
     config: PipelineConfig | None = None,
 ) -> int:
-    """Write prompt/target records as JSONL; returns the count written."""
+    """Write prompt/target records as JSONL; returns the count written.
+
+    Templates must be rendered with `config.budget`: a template over it
+    raises BudgetError and no file is written.
+    """
     config = config or PipelineConfig()
     out_lines = []
     for sample, template in pairs:

@@ -17,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from importlib import resources
 
-from condenser.changeset import ChangeType, FileDiff, MethodInlineChange, StructuralDiff
-from condenser.comments import ElicitedAnnotation, ElicitedComment
+from condenser.changeset import AnnotationChange, ChangeType, FileDiff, MethodInlineChange, StructuralDiff
+from condenser.comments import ElicitedComment
 from condenser.diffing import CommitInput
 from condenser.identifiers import CATEGORY_ORDER, EmphasizedIdentifier
 from condenser.javafacts import sort_modifiers
@@ -177,7 +177,7 @@ def _class_order(fd: FileDiff) -> list[str]:
     for cname, _k, _t in fd.supertype_removed + fd.supertype_added:
         note(cname)
     for ac in fd.annotation_changes:
-        note(ac.target.split(" ", 1)[1].rsplit(".", 1)[0] if ac.target.startswith("field ") else ac.target.split(" ", 1)[1])
+        note(ac.owner)
     for ic in fd.inline_changes:
         note(ic.class_name)
     # source order wins where known; anything else keeps record order
@@ -247,10 +247,7 @@ def _file_lines(fd: FileDiff, prev_package: str | None, lines: list[_Line]) -> s
             if owner == cname:
                 lines.append(_Line(_fmt(f"supertype_added_{kind}", cls=simple, type=t), "summary", _DROP_IN_CLASS))
         for ac in fd.annotation_changes:
-            target_class = ac.target.split(" ", 1)[1]
-            if ac.target.startswith("field "):
-                target_class = target_class.rsplit(".", 1)[0]
-            if target_class == cname:
+            if ac.owner == cname:
                 key = "class_annotation_added" if ac.origin == "added" else "class_annotation_removed"
                 lines.append(_Line(_fmt(key, name=ac.name, target=ac.target), "summary", _DROP_IN_CLASS))
         for ic in fd.inline_changes:
@@ -270,7 +267,7 @@ def _build_lines(
     diff: StructuralDiff,
     change_type: ChangeType,
     comments: list[ElicitedComment],
-    annotations: list[ElicitedAnnotation],
+    annotations: list[AnnotationChange],
     identifiers: list[EmphasizedIdentifier],
 ) -> tuple[str, list[_Line]]:
     if change_type.value == "Ty11":
@@ -294,17 +291,7 @@ def _build_lines(
             )
             comment_lines.append(_Line(_fmt(key, category=c.category, text=c.text), "comments", drop))
 
-    inline_methods = {
-        f"method {ic.class_name}.{ic.method_name}" for fd in diff.files for ic in fd.inline_changes
-    }
-    summarized = {
-        (ac.target, ac.name, ac.argument_text, ac.origin) for fd in diff.files for ac in fd.annotation_changes
-    }
     for a in annotations:
-        if a.target in inline_methods:
-            continue  # already summarized as a method inline change
-        if (a.target, a.name, a.argument_text, a.origin) in summarized:
-            continue  # already summarized as a class or field annotation change
         key = "annotation_added" if a.origin == "added" else "annotation_removed"
         comment_lines.append(_Line(_fmt(key, name=a.name, target=a.target), "comments", _DROP_OTHER_COMMENT))
     if comment_lines:
@@ -344,7 +331,7 @@ def render(
     diff: StructuralDiff,
     change_type: ChangeType,
     comments: list[ElicitedComment],
-    annotations: list[ElicitedAnnotation],
+    annotations: list[AnnotationChange],
     identifiers: list[EmphasizedIdentifier],
     budget: int = 1024,
 ) -> CondensedTemplate:

@@ -257,10 +257,18 @@ def test_corpus_run_text_format(capsys, corpus_path):
     assert out.count("End change part") == 20
 
 
-def test_corpus_run_with_bad_record_exits_1(capsys, bad_corpus_path):
-    code, out, err = run_cli(capsys, "corpus", "run", "--corpus", str(bad_corpus_path))
+@pytest.mark.parametrize(
+    "command, out_lines",
+    [(("corpus", "run"), 5), (("corpus", "stats"), 6), (("export-sft",), 5)],
+    ids=["corpus-run", "corpus-stats", "export-sft"],
+)
+def test_bad_record_exits_1(capsys, tmp_path, bad_corpus_path, command, out_lines):
+    out_path = tmp_path / "out"
+    code, _, err = run_cli(capsys, *command, "--corpus", str(bad_corpus_path), "--out", str(out_path))
     assert code == 1
-    assert len([l for l in out.splitlines() if l]) == 5  # the good records still render
+    assert "skipping record" in err
+    # the good records still produce output
+    assert len(out_path.read_text(encoding="utf-8").splitlines()) == out_lines
 
 
 def test_corpus_run_to_file_deterministic(tmp_path, capsys, corpus_path):

@@ -183,7 +183,7 @@ def test_category_partition_is_reproducible():
 def test_added_class_annotation_elicited():
     old = parse_java("class T { void t() { } }")
     new = parse_java('@SqlConfig(commentPrefix = "--")\nclass T { void t() { } }')
-    records = elicit_annotations(old, new)
+    records = diff_facts(old, new).files[0].annotation_changes
     assert len(records) == 1
     rec = records[0]
     assert rec.name == "SqlConfig" and rec.origin == "added" and rec.target == "class T"
@@ -192,22 +192,43 @@ def test_added_class_annotation_elicited():
 def test_identical_annotations_give_empty_list():
     src = "@Deprecated class T { @Override public String toString() { return \"t\"; } }"
     facts = parse_java(src)
-    assert elicit_annotations(facts, facts) == []
+    fd = diff_facts(facts, facts).files[0]
+    assert fd.annotation_changes == () and fd.inline_changes == ()
+    assert elicit_annotations(fd) == []
 
 
 def test_override_moved_between_methods_gives_two_records():
     old = parse_java("class C { @Override void a() { } void b() { } }")
     new = parse_java("class C { void a() { } @Override void b() { } }")
-    records = elicit_annotations(old, new)
-    assert len(records) == 2
-    by_target = {r.target: r.origin for r in records}
-    assert by_target == {"method C.a": "removed", "method C.b": "added"}
+    fd = diff_facts(old, new).files[0]
+    by_method = {ic.method_name: (ic.annotation_removed, ic.annotation_added) for ic in fd.inline_changes}
+    assert by_method == {"a": ((("Override", None),), ()), "b": ((), (("Override", None),))}
+    assert elicit_annotations(fd) == []
 
 
 def test_annotation_argument_change_is_remove_plus_add():
     old = parse_java('@Config(size = 1)\nclass C { }')
     new = parse_java('@Config(size = 2)\nclass C { }')
-    records = elicit_annotations(old, new)
-    origins = sorted(r.origin for r in records)
-    assert origins == ["added", "removed"]
-    assert all(r.name == "Config" for r in records)
+    records = diff_facts(old, new).files[0].annotation_changes
+    assert sorted((r.origin, r.argument_text) for r in records) == [("added", "size = 2"), ("removed", "size = 1")]
+    assert all(r.name == "Config" and r.target == "class C" for r in records)
+
+
+def test_elicit_annotations_reads_added_and_removed_methods():
+    old = parse_java("class A { @Deprecated void r() { } @Inject void m(int a) { } void k() { } }")
+    new = parse_java(
+        "class A { @Inject void m(String s, int b) { } void k() { }"
+        " @Override public String toString() { return \"a\"; } }\n"
+        "@Deprecated class N { @Test void t() { } }"
+    )
+    fd = diff_facts(old, new).files[0]
+    records = [(r.target, r.name, r.origin) for r in elicit_annotations(fd)]
+    assert records == [
+        ("method A.m", "Inject", "removed"),
+        ("method A.m", "Inject", "added"),
+        ("method A.r", "Deprecated", "removed"),
+        ("method A.toString", "Override", "added"),
+        ("method N.t", "Test", "added"),
+    ]
+    # the added class's own annotation is a summary record, not an elicited one
+    assert [(ac.target, ac.name) for ac in fd.annotation_changes] == [("class N", "Deprecated")]

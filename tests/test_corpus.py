@@ -30,7 +30,7 @@ from condenser.corpus import (
     run_pipeline,
 )
 from condenser.diffing import CommitInput, FilePair
-from condenser.templater import count_tokens
+from condenser.templater import BudgetError, count_tokens
 from corpusdata import COMMITS
 
 
@@ -91,10 +91,12 @@ def test_loaded_plus_skipped_equals_total(tmp_path):
     path = tmp_path / "mixed.jsonl"
     lines = [json.dumps(c) for c in COMMITS[:4]] + ["{oops", json.dumps(COMMITS[0])]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    samples = load_corpus(path)
+    skipped: list[tuple[int, str]] = []
+    samples = load_corpus(path, skipped)
     total = sum(1 for l in path.read_text().splitlines() if l.strip())
-    skipped = total - len(samples)
-    assert (len(samples), skipped) == (4, 2)  # one malformed, one duplicate
+    assert len(samples) + len(skipped) == total
+    assert (len(samples), [lineno for lineno, _ in skipped]) == (4, [5, 6])  # one malformed, one duplicate
+    assert skipped[1][1] == "duplicate (repo, hash)"
 
 
 def test_added_and_deleted_statuses_derived(corpus_path):
@@ -223,20 +225,14 @@ def test_export_round_trip_byte_identical(tmp_path, corpus_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_export_truncates_oversized_prompts(tmp_path, corpus_path):
-    # templates rendered with a looser budget still export within the
-    # configured one, keeping the header and end marker intact
+def test_export_rejects_templates_over_its_budget(tmp_path, corpus_path):
+    # templates must be rendered with the budget they are exported with
     samples = load_corpus(corpus_path)
-    loose = PipelineConfig(budget=4096)
-    pairs = run_pipeline(samples, loose)
+    pairs = run_pipeline(samples, PipelineConfig(budget=4096))
     out = tmp_path / "sft.jsonl"
-    tight = PipelineConfig(budget=64)
-    export_sft(pairs, out, tight)
-    for record in load_sft(out):
-        assert count_tokens(record.prompt) <= 64
-        lines = record.prompt.split("\n")
-        assert lines[0].endswith("ChangeScribeStart")
-        assert "End change part" in lines
+    with pytest.raises(BudgetError):
+        export_sft(pairs, out, PipelineConfig(budget=64))
+    assert not out.exists()
 
 
 def test_export_enforces_token_limits(tmp_path, corpus_path):

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from condenser.changeset import ChangeType, diff_facts
 from condenser.comments import elicit_annotations, elicit_comments
@@ -35,7 +37,7 @@ def render_single_file(old_src: str, new_src: str, repo="r", commit_hash="h", bu
 
     change_type, _rule = classify_change_explained(diff, [new_f])
     comments = elicit_comments(old_f, new_f, diff)
-    annotations = elicit_annotations(old_f, new_f)
+    annotations = elicit_annotations(diff.files[0])
     identifiers = apply_filter(
         extract_identifiers(diff, [old_f], [new_f]),
         IdentifierFilter(stoplist=PipelineConfig().stoplist),
@@ -244,6 +246,33 @@ def test_field_annotation_change_renders_once():
     assert "Deprecated" not in template.comments_section
 
 
+def test_renamed_annotated_class_renders_only_the_rename():
+    template = render_single_file(
+        "@Deprecated class A { int x; void m() { } }",
+        "@Deprecated class B { int x; void m() { } }",
+    )
+    assert "Rename class A to B" in template.summarized_changes.split("\n")
+    assert template.comments_section == ""
+
+
+def test_renamed_class_keeps_method_annotations_silent():
+    body = 'int x; void m() { } @Override public String toString() { return "a"; }'
+    template = render_single_file(
+        f"@Deprecated class A {{ {body} }}",
+        f"@Deprecated class B {{ {body} }}",
+    )
+    assert "Rename class A to B" in template.summarized_changes.split("\n")
+    assert template.comments_section == ""
+
+
+def test_added_overload_annotation_survives_inline_change_of_its_namesake():
+    template = render_single_file(
+        "class A { void m(int a) { a(); } }",
+        "class A { void m(int a) { b(); } @Deprecated void m(String s) { } }",
+    )
+    assert "Added annotation @Deprecated on method A.m" in template.comments_section.split("\n")
+
+
 def test_renamed_file_line():
     import dataclasses
 
@@ -345,6 +374,26 @@ def test_header_alone_over_budget_raises():
 def test_token_count_within_budget_for_all_budgets():
     for budget in (64, 80, 100, 150, 300, 1024):
         template = _render_big(budget)
+        assert template.token_count <= budget
+        assert count_tokens(template.full_text) == template.token_count
+
+
+@pytest.fixture(scope="module")
+def fixture_results(corpus_path):
+    return [(s.commit_input(), condense_commit(s.commit_input())) for s in load_corpus(corpus_path)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(budget=st.integers(64, 2048))
+def test_render_fits_any_budget_or_raises(fixture_results, budget):
+    for commit, r in fixture_results:
+        try:
+            template = render(
+                commit, r.diff, r.change_type, list(r.comments), list(r.annotations), list(r.identifiers),
+                budget=budget,
+            )
+        except BudgetError:
+            continue
         assert template.token_count <= budget
         assert count_tokens(template.full_text) == template.token_count
 
