@@ -288,6 +288,12 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         )
     pairs = [(tokenize_message(c), tokenize_message(r)) for c, r in zip(candidates, references)]
     report = score_corpus(pairs)
+    if report.meteor_capped:
+        print(
+            f"warning: METEOR search cap hit on {report.meteor_capped} pair(s); "
+            "their chunk counts are upper bounds",
+            file=sys.stderr,
+        )
     _emit(json.dumps(report.as_dict(), sort_keys=True) + "\n", args.out)
     return 0
 

@@ -4,6 +4,11 @@ Sentence-level case-insensitive BLEU-4 with +1 smoothing on n >= 2 n-grams,
 ROUGE-L with beta = 1.2, and exact-match METEOR (alpha 0.9, beta 3,
 gamma 0.5, no stemming or synonymy). Scores are percentages in [0, 100];
 corpus scores are arithmetic means of sentence scores.
+
+BLEU and ROUGE-L are always exact.  METEOR is exact (maximum matches, then
+minimum chunks) unless its chunk search hits _METEOR_SEARCH_CAP; such pairs
+score with an upper bound on chunks, and MetricReport.meteor_capped counts
+them (`eval` prints a warning on stderr when it is non-zero).
 """
 
 from __future__ import annotations
@@ -32,8 +37,9 @@ METEOR_ALPHA = 0.9
 METEOR_BETA = 3.0
 METEOR_GAMMA = 0.5
 
-# exact chunk minimization explores at most this many search nodes before
-# settling for the best alignment found; short inputs never hit the cap
+# the chunk search explores at most this many nodes before settling for the
+# best alignment found; short inputs can hit it too (24 tokens over a
+# 3-word vocabulary do), and score_corpus counts the pairs that did
 _METEOR_SEARCH_CAP = 200_000
 
 
@@ -68,6 +74,9 @@ class MetricReport:
     meteor: float
     rouge_l: float
     n: int
+    # pairs whose METEOR chunk count is an upper bound (search cap hit);
+    # diagnostics only, not part of as_dict
+    meteor_capped: int = 0
 
     def __post_init__(self):
         for score in (self.bleu_norm, self.meteor, self.rouge_l):
@@ -75,6 +84,8 @@ class MetricReport:
                 raise ValueError(f"score out of range: {score}")
         if self.n < 1:
             raise ValueError("a report covers at least one pair")
+        if not (0 <= self.meteor_capped <= self.n):
+            raise ValueError(f"meteor_capped out of range: {self.meteor_capped}")
 
     def as_dict(self) -> dict:
         return {
@@ -138,94 +149,114 @@ def rouge_l(candidate: TokenSeq, reference: TokenSeq) -> float:
     return 100.0 * f
 
 
-def _max_matches(candidate: tuple[str, ...], reference: tuple[str, ...]) -> int:
-    cc = Counter(candidate)
-    rc = Counter(reference)
-    return sum(min(count, rc[token]) for token, count in cc.items())
-
-
 def meteor_alignment(candidate: tuple[str, ...], reference: tuple[str, ...]) -> tuple[int, int]:
     """Exact-match unigram alignment: maximum matches, then minimum chunks.
 
     A chunk is a maximal run of candidate positions i, i+1, ... aligned to
-    consecutive reference positions j, j+1, ... Branch and bound with the
-    greedy common-substring alignment as the initial bound; deterministic.
-    Returns (matches, chunks); chunks is 0 when there are no matches.
+    consecutive reference positions j, j+1, ... Returns (matches, chunks);
+    chunks is 0 when there are no matches.  The chunk count is the minimum
+    unless the search hits _METEOR_SEARCH_CAP, in which case it is the best
+    found, an upper bound (see _meteor_search).
     """
-    target = _max_matches(candidate, reference)
-    if target == 0:
-        return 0, 0
+    matches, chunks, _ = _meteor_search(candidate, reference)
+    return matches, chunks
 
-    greedy_chunks = _greedy_chunks(candidate, reference, target)
-    best = [greedy_chunks]
-    nodes = [0]
+
+def _meteor_search(candidate: tuple[str, ...], reference: tuple[str, ...]) -> tuple[int, int, bool]:
+    """(matches, chunks, capped) by depth-first branch and bound.
+
+    The greedy common-substring alignment is the initial bound.  The lower
+    bound on chunks still to come counts forced positions k, those whose
+    token the candidate holds at most as often as the reference, so that
+    every maximum alignment matches them: such a k starts a chunk when k is
+    0 or the bigram (candidate[k-1], candidate[k]) never occurs adjacent in
+    the reference.  Deterministic; `capped` is True when the search stopped
+    after _METEOR_SEARCH_CAP nodes with part of the tree unexplored.
+    """
     nc, nr = len(candidate), len(reference)
+    cand_counts = Counter(candidate)
+    ref_counts = Counter(reference)
+    ref_bigrams = set(zip(reference, reference[1:]))
+    # remaining_possible[i]: max matches candidate[i:] can make;
+    # starts[i]: forced positions k >= i that must start a chunk
+    remaining_possible = [0] * (nc + 1)
+    starts = [0] * (nc + 1)
+    suffix_counts: Counter = Counter()
+    for k in range(nc - 1, -1, -1):
+        token = candidate[k]
+        suffix_counts[token] += 1
+        remaining_possible[k] = remaining_possible[k + 1] + (suffix_counts[token] <= ref_counts[token])
+        must_start = cand_counts[token] <= ref_counts[token] and (
+            k == 0 or (candidate[k - 1], token) not in ref_bigrams
+        )
+        starts[k] = starts[k + 1] + must_start
+    target = remaining_possible[0]
+    if target == 0:
+        return 0, 0, False
+
+    best = _greedy_chunks(candidate, reference, target)
     ref_positions: dict[str, list[int]] = {}
     for j, token in enumerate(reference):
         ref_positions.setdefault(token, []).append(j)
 
-    # remaining_possible[i] = max matches achievable from candidate[i:]
-    remaining_possible = [0] * (nc + 1)
-    for i in range(nc - 1, -1, -1):
-        remaining_possible[i] = _max_matches(candidate[i:], reference)
-
-    def search(i: int, used_ref: int, matches: int, chunks: int, prev_ref: int) -> None:
-        # prev_ref: reference index matched at candidate position i-1, else -1
-        if nodes[0] >= _METEOR_SEARCH_CAP:
-            return
-        nodes[0] += 1
-        if chunks >= best[0]:  # chunk count only grows along a branch
-            return
-        if matches + remaining_possible[i] < target:
-            return
-        if i == nc:
-            if matches == target and chunks < best[0]:
-                best[0] = chunks
-            return
+    # (i, used reference bits, matches, chunks, reference index matched at i-1 or -1)
+    stack = [(0, 0, 0, 0, -1)]
+    nodes = 0
+    while stack:
+        if nodes >= _METEOR_SEARCH_CAP:
+            return target, best, True
+        nodes += 1
+        i, used, matches, chunks, prev_ref = stack.pop()
+        if chunks + starts[i] >= best or matches + remaining_possible[i] < target:
+            continue
+        if i == nc:  # matches == target and chunks < best here
+            best = chunks
+            continue
         token = candidate[i]
-        # continuing the current run first steers the search to low-chunk
-        # solutions early
-        order: list[int] = []
         continuation = prev_ref + 1 if prev_ref >= 0 else -1
-        if (
-            continuation >= 0
-            and continuation < nr
-            and reference[continuation] == token
-            and not (used_ref >> continuation) & 1
-        ):
-            order.append(continuation)
-        for j in ref_positions.get(token, ()):  # then any free occurrence
-            if j != continuation and not (used_ref >> j) & 1:
-                order.append(j)
-        for j in order:
-            new_chunks = chunks if j == continuation else chunks + 1
-            search(i + 1, used_ref | (1 << j), matches + 1, new_chunks, j)
-        # leaving candidate[i] unmatched
-        search(i + 1, used_ref, matches, chunks, -1)
-
-    search(0, 0, 0, 0, -1)
-    return target, best[0]
+        # pushed in reverse so that continuing the current run is visited
+        # first (it steers to low-chunk solutions early), then any free
+        # occurrence, then leaving candidate[i] unmatched
+        stack.append((i + 1, used, matches, chunks, -1))
+        for j in reversed(ref_positions.get(token, ())):
+            if j != continuation and not (used >> j) & 1:
+                stack.append((i + 1, used | (1 << j), matches + 1, chunks + 1, j))
+        if 0 <= continuation < nr and reference[continuation] == token and not (used >> continuation) & 1:
+            stack.append((i + 1, used | (1 << continuation), matches + 1, chunks, continuation))
+    return target, best, False
 
 
 def _greedy_chunks(candidate: tuple[str, ...], reference: tuple[str, ...], target: int) -> int:
-    """Chunk count of a greedy longest-common-substring-first alignment."""
-    cand_free = [True] * len(candidate)
-    ref_free = [True] * len(reference)
+    """Chunk count of a greedy longest-common-substring-first alignment.
+
+    Each round aligns the longest run of free equal pairs, the first in scan
+    order on ties.  Only run starts are extended: a pair (i, j) whose
+    predecessor (i-1, j-1) is free and equal lies inside a longer run that
+    comes first in scan order, so it can never be chosen.
+    """
+    nc, nr = len(candidate), len(reference)
+    ref_positions: dict[str, list[int]] = {}
+    for j, token in enumerate(reference):
+        ref_positions.setdefault(token, []).append(j)
+    cand_free = [True] * nc
+    ref_free = [True] * nr
     matched = 0
     chunks = 0
     while matched < target:
         best_len = 0
         best_pos: tuple[int, int] | None = None
-        for i in range(len(candidate)):
+        for i, token in enumerate(candidate):
             if not cand_free[i]:
                 continue
-            for j in range(len(reference)):
-                if not ref_free[j] or reference[j] != candidate[i]:
+            for j in ref_positions.get(token, ()):
+                if not ref_free[j]:
                     continue
-                length = 0
+                if i and j and cand_free[i - 1] and ref_free[j - 1] and candidate[i - 1] == reference[j - 1]:
+                    continue
+                length = 1
                 while (
-                    i + length < len(candidate)
-                    and j + length < len(reference)
+                    i + length < nc
+                    and j + length < nr
                     and cand_free[i + length]
                     and ref_free[j + length]
                     and candidate[i + length] == reference[j + length]
@@ -245,12 +276,22 @@ def _greedy_chunks(candidate: tuple[str, ...], reference: tuple[str, ...], targe
     return chunks if matched >= target else chunks + (target - matched)
 
 
-def meteor(candidate: TokenSeq, reference: TokenSeq) -> float:
+def meteor(
+    candidate: TokenSeq,
+    reference: TokenSeq,
+    capped: list[tuple[TokenSeq, TokenSeq]] | None = None,
+) -> float:
     """Exact-match METEOR: harmonic mean weighted toward recall with a
-    fragmentation penalty gamma * (chunks/matches)^beta."""
+    fragmentation penalty gamma * (chunks/matches)^beta.
+
+    When the chunk search hits its cap, (candidate, reference) is appended
+    to `capped`, if given: the score then rests on an upper bound of chunks.
+    """
     if len(candidate) == 0 or len(reference) == 0:
         raise EmptyInput("both sequences must be non-empty")
-    matches, chunks = meteor_alignment(candidate.tokens, reference.tokens)
+    matches, chunks, hit_cap = _meteor_search(candidate.tokens, reference.tokens)
+    if hit_cap and capped is not None:
+        capped.append((candidate, reference))
     if matches == 0:
         return 0.0
     precision = matches / len(candidate)
@@ -266,13 +307,16 @@ def score_corpus(pairs: list[tuple[TokenSeq, TokenSeq]]) -> MetricReport:
     if not pairs:
         raise EmptyCorpus("no candidate/reference pairs to score")
     total_b = total_m = total_r = 0.0
+    capped: list[tuple[TokenSeq, TokenSeq]] = []
     for candidate, reference in pairs:
         if len(reference) == 0:
             raise EmptyReference("reference must be non-empty")
         if len(candidate) == 0:
             continue  # zero contribution
         total_b += bleu_norm(candidate, reference)
-        total_m += meteor(candidate, reference)
+        total_m += meteor(candidate, reference, capped)
         total_r += rouge_l(candidate, reference)
     n = len(pairs)
-    return MetricReport(bleu_norm=total_b / n, meteor=total_m / n, rouge_l=total_r / n, n=n)
+    return MetricReport(
+        bleu_norm=total_b / n, meteor=total_m / n, rouge_l=total_r / n, n=n, meteor_capped=len(capped)
+    )

@@ -2,10 +2,10 @@
 
 Everything here is written straight from first principles (exhaustive
 enumeration, literal formulas with exact fractions) and shares no code with
-the package. Only usable for short inputs.  The exception is the last two
+the package. Only usable for short inputs.  The exception is the last three
 sections: the package's previous Java lexer and comment-attachment resolver,
-and its previous statement diff and ROUGE-L LCS, kept as the reference their
-rewrites must reproduce exactly.
+its previous statement diff and ROUGE-L LCS, and its previous METEOR chunk
+search, kept as the reference their rewrites must reproduce.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import logging
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -608,3 +609,116 @@ def lcs_length_oracle(a: tuple[str, ...], b: tuple[str, ...]) -> int:
                 cur[j] = cur[j - 1] if cur[j - 1] >= prev[j] else prev[j]
         prev = cur
     return prev[len(b)]
+
+
+# --- METEOR chunk search: the recursive original -----------------------------
+#
+# The previous recursive branch and bound (bounded only by its greedy initial
+# alignment) and its greedy alignment, which extended a run from every free
+# equal pair, kept as the reference their rewrites must reproduce.  The one
+# change: the search also returns whether it hit its node cap.
+
+_METEOR_SEARCH_CAP = 200_000
+
+
+def _max_matches(candidate: tuple[str, ...], reference: tuple[str, ...]) -> int:
+    cc = Counter(candidate)
+    rc = Counter(reference)
+    return sum(min(count, rc[token]) for token, count in cc.items())
+
+
+def meteor_search_oracle(candidate: tuple[str, ...], reference: tuple[str, ...]) -> tuple[int, int, bool]:
+    """(matches, chunks, capped); recursion depth grows with the candidate."""
+    target = _max_matches(candidate, reference)
+    if target == 0:
+        return 0, 0, False
+
+    greedy_chunks = greedy_chunks_oracle(candidate, reference, target)
+    best = [greedy_chunks]
+    nodes = [0]
+    capped = [False]
+    nc, nr = len(candidate), len(reference)
+    ref_positions: dict[str, list[int]] = {}
+    for j, token in enumerate(reference):
+        ref_positions.setdefault(token, []).append(j)
+
+    # remaining_possible[i] = max matches achievable from candidate[i:]
+    remaining_possible = [0] * (nc + 1)
+    for i in range(nc - 1, -1, -1):
+        remaining_possible[i] = _max_matches(candidate[i:], reference)
+
+    def search(i: int, used_ref: int, matches: int, chunks: int, prev_ref: int) -> None:
+        # prev_ref: reference index matched at candidate position i-1, else -1
+        if nodes[0] >= _METEOR_SEARCH_CAP:
+            capped[0] = True
+            return
+        nodes[0] += 1
+        if chunks >= best[0]:  # chunk count only grows along a branch
+            return
+        if matches + remaining_possible[i] < target:
+            return
+        if i == nc:
+            if matches == target and chunks < best[0]:
+                best[0] = chunks
+            return
+        token = candidate[i]
+        # continuing the current run first steers the search to low-chunk
+        # solutions early
+        order: list[int] = []
+        continuation = prev_ref + 1 if prev_ref >= 0 else -1
+        if (
+            continuation >= 0
+            and continuation < nr
+            and reference[continuation] == token
+            and not (used_ref >> continuation) & 1
+        ):
+            order.append(continuation)
+        for j in ref_positions.get(token, ()):  # then any free occurrence
+            if j != continuation and not (used_ref >> j) & 1:
+                order.append(j)
+        for j in order:
+            new_chunks = chunks if j == continuation else chunks + 1
+            search(i + 1, used_ref | (1 << j), matches + 1, new_chunks, j)
+        # leaving candidate[i] unmatched
+        search(i + 1, used_ref, matches, chunks, -1)
+
+    search(0, 0, 0, 0, -1)
+    return target, best[0], capped[0]
+
+
+def greedy_chunks_oracle(candidate: tuple[str, ...], reference: tuple[str, ...], target: int) -> int:
+    """Chunk count of a greedy longest-common-substring-first alignment."""
+    cand_free = [True] * len(candidate)
+    ref_free = [True] * len(reference)
+    matched = 0
+    chunks = 0
+    while matched < target:
+        best_len = 0
+        best_pos: tuple[int, int] | None = None
+        for i in range(len(candidate)):
+            if not cand_free[i]:
+                continue
+            for j in range(len(reference)):
+                if not ref_free[j] or reference[j] != candidate[i]:
+                    continue
+                length = 0
+                while (
+                    i + length < len(candidate)
+                    and j + length < len(reference)
+                    and cand_free[i + length]
+                    and ref_free[j + length]
+                    and candidate[i + length] == reference[j + length]
+                ):
+                    length += 1
+                if length > best_len:
+                    best_len = length
+                    best_pos = (i, j)
+        if best_pos is None:
+            break
+        i, j = best_pos
+        for k in range(best_len):
+            cand_free[i + k] = False
+            ref_free[j + k] = False
+        matched += best_len
+        chunks += 1
+    return chunks if matched >= target else chunks + (target - matched)

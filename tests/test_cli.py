@@ -379,6 +379,22 @@ def test_eval_reports_json(capsys, tmp_path):
     assert 0 <= report["bleu_norm"] <= 100
 
 
+def test_eval_warns_when_the_meteor_search_hits_its_cap(capsys, tmp_path, monkeypatch):
+    cand = tmp_path / "cand.txt"
+    ref = tmp_path / "ref.txt"
+    # the second pair's greedy alignment (2 chunks) is above the lower bound
+    # (1 chunk), so proving it takes more than one search node
+    cand.write_text("add a new test\nadd a a test\n", encoding="utf-8")
+    ref.write_text("add a new test\nadd a test\n", encoding="utf-8")
+    argv = ("eval", "--candidates", str(cand), "--references", str(ref))
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    monkeypatch.setattr("condenser.metrics._METEOR_SEARCH_CAP", 1)
+    capped_code, capped_out, capped_err = run_cli(capsys, *argv)
+    assert (capped_code, capped_out) == (code, out)
+    assert capped_err == "warning: METEOR search cap hit on 1 pair(s); their chunk counts are upper bounds\n"
+
+
 def test_eval_misaligned_files_exit_2(capsys, tmp_path):
     cand = tmp_path / "cand.txt"
     ref = tmp_path / "ref.txt"

@@ -158,6 +158,15 @@ def test_meteor_crossing_alignment_counts_two_chunks():
     assert (matches, chunks) == (2, 2)
 
 
+@pytest.mark.parametrize("length,position", [(5000, 4950), (1100, 1050)])
+def test_meteor_alignment_of_long_near_copy(length, position):
+    # one substituted token splits the copy into two chunks; a search that
+    # recursed once per candidate position overflowed the stack here
+    reference = tuple(f"w{k % 300}" for k in range(length))
+    candidate = reference[:position] + ("x",) + reference[position + 1 :]
+    assert meteor_alignment(candidate, reference) == (length - 1, 2)
+
+
 # --- frozen golden suite ---------------------------------------------------------
 
 # Expected scores computed by the brute-force oracles in tests/oracles.py
