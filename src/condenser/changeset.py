@@ -458,11 +458,16 @@ def _inline_change(
     modifier_removed = tuple(sorted(old.modifiers - new.modifiers))
     exception_added = tuple(sorted(set(new.thrown_exceptions) - set(old.thrown_exceptions)))
     exception_removed = tuple(sorted(set(old.thrown_exceptions) - set(new.thrown_exceptions)))
-    raw_removed, raw_added = _lcs_align(old.body_statements, new.body_statements)
-    moves, res_removed, res_added = detect_statement_moves(raw_removed, raw_added)
-    modified, rest_removed, rest_added = _pair_modifications(
-        res_removed, res_added, config.modify_similarity
-    )
+    if old.body_text == new.body_text:
+        # equal bodies have equal statement texts, which is all the
+        # alignment compares, so nothing is added, removed, moved or modified
+        moves, modified, rest_removed, rest_added = [], [], [], []
+    else:
+        raw_removed, raw_added = _lcs_align(old.body_statements, new.body_statements)
+        moves, res_removed, res_added = detect_statement_moves(raw_removed, raw_added)
+        modified, rest_removed, rest_added = _pair_modifications(
+            res_removed, res_added, config.modify_similarity
+        )
     annotations = _diff_annotations(old.annotations, new.annotations, f"method {class_name}.{new.name}")
     annotation_added = [(a.name, a.argument_text) for a in annotations if a.origin == "added"]
     annotation_removed = [(a.name, a.argument_text) for a in annotations if a.origin == "removed"]
@@ -693,7 +698,7 @@ class _TouchedMethod:
 
 
 def _is_getter(m: MethodFacts, field_names: frozenset[str]) -> bool:
-    if m.is_constructor or len(m.body_statements) != 1 or m.parameters:
+    if m.is_constructor or m.parameters or len(m.body_statements) != 1:
         return False
     stmt = m.body_statements[0]
     if stmt.kind != "return":

@@ -35,11 +35,12 @@ class ElicitedComment:
 
 
 _GUTTER = re.compile(r"^\s*\*+ ?", re.MULTILINE)
+_WHITESPACE = re.compile(r"\s+")
 
 
 def normalize_comment_text(text: str) -> str:
     """Strip javadoc '*' gutters and collapse whitespace to single spaces."""
-    return re.sub(r"\s+", " ", _GUTTER.sub("", text)).strip()
+    return _WHITESPACE.sub(" ", _GUTTER.sub("", text)).strip()
 
 
 def categorize_comment(comment: CommentFacts) -> str:
@@ -85,43 +86,46 @@ def elicit_comments(
     Unchanged license boilerplate is suppressed: a license header that did
     not change is noise for every commit that touches the file.
     """
-    old_keys = {_comment_key(c) for c in old.comments}
-    new_keys = {_comment_key(c) for c in new.comments}
+    # each comment's key, computed once: normalizing is the costly part
+    old_keyed = [(c, _comment_key(c)) for c in old.comments]
+    new_keyed = [(c, _comment_key(c)) for c in new.comments]
+    old_keys = {key for _c, key in old_keyed}
+    new_keys = {key for _c, key in new_keyed}
 
     out: list[ElicitedComment] = []
     seen: set[tuple[str, str, str]] = set()
 
-    def emit(comment: CommentFacts, origin: str) -> None:
-        text, attachment = _comment_key(comment)
+    def emit(comment: CommentFacts, key: tuple[str, str], origin: str) -> None:
+        text, attachment = key
         if not text:
             return
         category = categorize_comment(comment)
         if origin == "context" and category == "license":
             return
-        key = (text, attachment, origin)
-        if key in seen:
+        emitted = (text, attachment, origin)
+        if emitted in seen:
             return
-        seen.add(key)
+        seen.add(emitted)
         out.append(ElicitedComment(category=category, text=text, origin=origin, attachment=attachment))
 
-    for comment in new.comments:
-        if _comment_key(comment) not in old_keys:
-            emit(comment, "added")
-    for comment in old.comments:
-        if _comment_key(comment) not in new_keys:
-            emit(comment, "removed")
+    for comment, key in new_keyed:
+        if key not in old_keys:
+            emit(comment, key, "added")
+    for comment, key in old_keyed:
+        if key not in new_keys:
+            emit(comment, key, "removed")
 
     changed_keys = {(t, a) for t, a, _o in seen}
     touched = _touched_attachments(diff)
-    for facts in (new, old):
-        for comment in facts.comments:
+    for keyed in (new_keyed, old_keyed):
+        for comment, key in keyed:
             if comment.attachment not in touched:
                 continue
             if comment.attachment.startswith("inline:"):
                 continue
-            if _comment_key(comment) in changed_keys:
+            if key in changed_keys:
                 continue
-            emit(comment, "context")
+            emit(comment, key, "context")
     return out
 
 

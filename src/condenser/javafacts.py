@@ -6,15 +6,24 @@ precisely, while method bodies are broken into flat statement records by
 a brace/semicolon scanner. That is all the downstream change summarizer
 needs; there is no symbol resolution and no full-grammar conformance.
 
-The lexer is a single compiled regex scanned with finditer: one match per
-token or comment, the whitespace before it included, so no Python code runs
-per character.  Line numbers come from bisecting the precomputed newline
-offsets.  One pass over the tokens checks that braces balance and records
-each '{'s matching '}', which the parser then jumps to when it skips a body.
-Comments attach to declarations by bisecting declaration offsets and by a
-sweep over the nested body spans.
+A file is read in two passes.  A coarse regex pass over the whole file finds
+its comments, string and char literals and braces: it yields every comment,
+the matching '}' of each code '{', and the errors for unterminated comments
+and literals and unbalanced braces.  The declaration parser then lexes
+tokens as it reads them, with a single compiled regex scanned by finditer
+(one match per token or comment, the whitespace before it included, so no
+Python code runs per character).  It lexes only the text outside the '{...}'
+regions it steps over (method bodies, initializer blocks and enum-constant
+bodies): at such a '{' it jumps to the matching '}' and resumes lexing just
+past it.  A method keeps its body's source text, and its statements are
+built from that text the first time body_statements is read, so the bodies
+a diff never looks at are never lexed.  Line numbers come from bisecting
+the precomputed newline offsets; every newline counts.  Comments attach to
+declarations by bisecting declaration offsets and by a sweep over the nested
+body spans.
 
-All returned facts are immutable and safe to share across threads.
+All returned facts are immutable in value and safe to share across threads
+(building a method's statements twice gives the same tuple).
 """
 
 from __future__ import annotations
@@ -22,9 +31,10 @@ from __future__ import annotations
 import logging
 import re
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from itertools import accumulate
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 log = logging.getLogger(__name__)
 
@@ -125,9 +135,15 @@ class MethodFacts:
     modifiers: frozenset[str]
     annotations: tuple[AnnotationFacts, ...]
     thrown_exceptions: tuple[str, ...]
-    body_statements: tuple[StatementFacts, ...]
     doc_comment: CommentFacts | None
     byte_range: tuple[int, int]
+    body_text: str = field(default="", repr=False)  # the body's '{...}' source; '' without a body
+    body_line: int = 0  # line of the body's '{'
+
+    @cached_property
+    def body_statements(self) -> tuple[StatementFacts, ...]:
+        """The body's statements, built from body_text on first read."""
+        return _body_statements(self.body_text, self.body_line) if self.body_text else ()
 
     @property
     def is_constructor(self) -> bool:
@@ -249,61 +265,151 @@ _TOKEN_RE = re.compile(
 _CODE_KINDS = frozenset(("ident", "punct", "number", "string", "char"))
 
 
-def _lex(source: str, lenient: bool = False) -> tuple[list[_Token], list[_RawComment]]:
-    """Tokenize Java source, returning code tokens and comment records.
+def _line_starts(source: str) -> list[int]:
+    """Offset just past each newline; the last entry lies past the end."""
+    return list(accumulate(len(part) + 1 for part in source.split("\n")))
+
+
+def _tokens(
+    source: str,
+    pos: int,
+    line_starts: list[int],
+    comments: list[_RawComment] | None,
+    lenient: bool = False,
+    first_line: int = 1,
+) -> Iterator[_Token]:
+    """Yield the code tokens of source from offset pos on.
 
     One compiled regex (_TOKEN_RE) is scanned with finditer; each match is a
     token or a comment with the whitespace before it.  A token's line comes
-    from bisecting the precomputed offsets just past each newline.  A newline
-    inside a literal does not count as a line break, so a literal that
-    spans one removes it from those offsets for everything after it.
+    from bisecting line_starts (numbered from first_line); every newline
+    counts, those inside a literal included.  Comments are appended to
+    comments unless it is None.  In lenient mode unterminated comments and
+    literals run to end of input (a literal to its line's end) instead of
+    raising.
+    """
+    for m in _TOKEN_RE.finditer(source, pos):
+        kind = m.lastgroup
+        if kind in _CODE_KINDS:
+            start, end = m.span(kind)
+            yield _Token(kind, m[kind], bisect_right(line_starts, start) + first_line, start, end)
+            continue
+        if kind is None:  # trailing whitespace
+            return
+        text = m[kind]
+        start, end = m.span(kind)
+        line = bisect_right(line_starts, start) + first_line
+        if kind == "line_comment":
+            if comments is not None:
+                comments.append(_RawComment("line", text[2:], line, line, start, end))
+        elif kind == "block_comment":
+            if comments is not None:
+                comments.append(_block_comment(text, line, start, end))
+        elif kind == "open_comment":
+            if not lenient:
+                raise ParseError(line, "unterminated block comment")
+            if comments is not None:
+                comments.append(_block_comment(text, line, start, end, terminated=False))
+            log.warning("unterminated block comment at line %d runs to end of input", line)
+        elif kind == "other":
+            # non-ASCII digits outside \d (e.g. '\u00b2') still lex as numbers
+            yield _Token("number" if text.isdigit() else "punct", text, line, start, end)
+        else:  # a wrapped or open literal
+            literal = "string" if text[0] == '"' else "char"
+            if kind == "open_literal" and not lenient:
+                raise ParseError(line, f"unterminated {literal} literal")
+            yield _Token(literal, text, line, start, end)
+
+
+def _block_comment(text: str, line: int, start: int, end: int, terminated: bool = True) -> _RawComment:
+    """A block or javadoc comment from its source text, '/*' included; an
+    unterminated one runs to end of input."""
+    if not terminated:
+        body = text[2:]
+        kind = "javadoc" if body.startswith("*") else "block"
+    elif text.startswith("/**") and len(text) > 4:
+        kind, body = "javadoc", text[3:-2]  # drop the second '*' of the opener
+    else:
+        kind, body = "block", text[2:-2]
+    return _RawComment(kind, body, line, line + body.count("\n"), start, end, terminated)
+
+
+def _lex(source: str, lenient: bool = False, first_line: int = 1) -> tuple[list[_Token], list[_RawComment]]:
+    """Tokenize Java source, returning code tokens and comment records.
 
     In lenient mode unterminated comments/strings run to end of input (a
     literal to its line's end) instead of raising; that mode backs
     extract_comments on arbitrary text.
     """
-    tokens: list[_Token] = []
     comments: list[_RawComment] = []
-    # offset just past each newline; the last entry lies past the end
-    line_starts = list(accumulate(len(part) + 1 for part in source.split("\n")))
-    for m in _TOKEN_RE.finditer(source):
-        kind = m.lastgroup
-        if kind in _CODE_KINDS:
-            start, end = m.span(kind)
-            tokens.append(_Token(kind, m[kind], bisect_right(line_starts, start) + 1, start, end))
-            continue
-        if kind is None:  # trailing whitespace
-            break
-        text = m[kind]
-        start, end = m.span(kind)
-        line = bisect_right(line_starts, start) + 1
-        if kind == "line_comment":
-            comments.append(_RawComment("line", text[2:], line, line, start, end))
-        elif kind == "block_comment":
-            if text.startswith("/**") and len(text) > 4:
-                kind, body = "javadoc", text[3:-2]  # drop the second '*' of the opener
-            else:
-                kind, body = "block", text[2:-2]
-            comments.append(_RawComment(kind, body, line, line + body.count("\n"), start, end))
-        elif kind == "open_comment":
-            if not lenient:
-                raise ParseError(line, "unterminated block comment")
-            body = text[2:]
-            kind = "javadoc" if body.startswith("*") else "block"
-            comments.append(
-                _RawComment(kind, body, line, line + body.count("\n"), start, end, terminated=False)
-            )
-            log.warning("unterminated block comment at line %d runs to end of input", line)
-        elif kind == "other":
-            # non-ASCII digits outside \d (e.g. '\u00b2') still lex as numbers
-            tokens.append(_Token("number" if text.isdigit() else "punct", text, line, start, end))
-        else:  # a wrapped or open literal
-            literal = "string" if text[0] == '"' else "char"
-            if kind == "open_literal" and not lenient:
-                raise ParseError(line, f"unterminated {literal} literal")
-            tokens.append(_Token(literal, text, line, start, end))
-            del line_starts[bisect_right(line_starts, start) : bisect_right(line_starts, end)]
+    tokens = list(_tokens(source, 0, _line_starts(source), comments, lenient, first_line))
     return tokens, comments
+
+
+# The coarse scan: comments, string and char literals, and braces, with
+# everything between them skipped.  Its literal and comment patterns are
+# _TOKEN_RE's, so both agree on where each one starts and ends: no
+# identifier, number or operator token holds a quote or a brace, and a '/'
+# starts a comment here exactly when it starts one as a fine token.
+_LAYOUT_RE = re.compile(
+    r"[^{}\"'/]*(?:"
+    r"(?P<open>\{)"
+    r"|(?P<close>\})"
+    r'|(?P<literal>"[^"\\\n]*(?:\\[\s\S][^"\\\n]*)*"'
+    r"|'[^'\\\n]*(?:\\[\s\S][^'\\\n]*)*')"
+    r"|(?P<line_comment>//[^\n]*)"
+    r"|(?P<block_comment>/\*[^*]*\*+(?:[^/*][^*]*\*+)*/)"
+    r'|(?P<open_literal>"[^"\\\n]*(?:\\[\s\S][^"\\\n]*)*(?:\n|\\?\Z)'
+    r"|'[^'\\\n]*(?:\\[\s\S][^'\\\n]*)*(?:\n|\\?\Z))"
+    r"|(?P<open_comment>/\*[\s\S]*)"
+    r"|(?P<slash>/)"
+    r"|\Z)"
+)
+
+
+def _scan_layout(source: str, line_starts: list[int], path: str) -> tuple[list[_RawComment], dict[int, int]]:
+    """One coarse pass over the whole file: its comments, and the offset of
+    each code '{' mapped to that of its matching '}'.
+
+    Raises ParseError for an unterminated comment or literal (the first in
+    the file) and then for braces that do not balance, with the lines and
+    messages the fine lexer and a brace match over all its tokens give.
+    """
+    comments: list[_RawComment] = []
+    closers: dict[int, int] = {}
+    opened: list[int] = []
+    stray: int | None = None
+    for m in _LAYOUT_RE.finditer(source):
+        kind = m.lastgroup
+        if kind == "open":
+            opened.append(m.end() - 1)
+        elif kind == "close":
+            if opened:
+                closers[opened.pop()] = m.end() - 1
+            elif stray is None:
+                stray = m.end() - 1
+        elif kind == "literal" or kind == "slash":
+            continue
+        elif kind is None:
+            break
+        else:
+            start, end = m.span(kind)
+            line = bisect_right(line_starts, start) + 1
+            if kind == "line_comment":
+                comments.append(_RawComment("line", m[kind][2:], line, line, start, end))
+            elif kind == "block_comment":
+                comments.append(_block_comment(m[kind], line, start, end))
+            elif kind == "open_comment":
+                raise ParseError(line, "unterminated block comment")
+            else:
+                literal = "string" if m[kind][0] == '"' else "char"
+                raise ParseError(line, f"unterminated {literal} literal")
+    if stray is not None:
+        raise ParseError(bisect_right(line_starts, stray) + 1, f"unbalanced '}}' in {path}")
+    if opened:
+        last_line = _lex(source)[0][-1].line  # the line of the file's last token
+        raise ParseError(last_line, f"unbalanced '{{' in {path}")
+    return comments, closers
 
 
 def _token_count(text: str) -> int:
@@ -343,11 +449,15 @@ _MAX_TYPE_NESTING = 64
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token], blanked: str, brace_match: dict[int, int]):
-        self.toks = tokens
+    """Declaration parser over a token list that is lexed as it is read."""
+
+    def __init__(self, source: str, line_starts: list[int], closers: dict[int, int]):
+        self.source = source
+        self.line_starts = line_starts
+        self.closers = closers  # offset of each code '{' -> its '}'
+        self.toks: list[_Token] = []
+        self.stream = _tokens(source, 0, line_starts, None)
         self.pos = 0
-        self.blanked = blanked
-        self.brace_match = brace_match  # token index of each '{' -> its '}'
         self.nesting = 0
         # (kind, qualified name, decl line, decl start offset, body span)
         self.decl_index: list[tuple[str, str, int, int, tuple[int, int]]] = []
@@ -356,7 +466,13 @@ class _Parser:
 
     def peek(self, offset: int = 0) -> _Token | None:
         k = self.pos + offset
-        return self.toks[k] if k < len(self.toks) else None
+        toks = self.toks
+        while k >= len(toks):
+            t = next(self.stream, None)
+            if t is None:
+                return None
+            toks.append(t)
+        return toks[k]
 
     def at(self, text: str, offset: int = 0) -> bool:
         t = self.peek(offset)
@@ -383,11 +499,17 @@ class _Parser:
 
     def skip_balanced(self, open_text: str, close_text: str) -> tuple[int, int]:
         """Consume from the current opening token through its matching close.
-        Returns the (start, end) token index range, end exclusive."""
+        Returns the (start, end) token index range, end exclusive.  A '{'
+        region is not lexed: its range holds only the two braces, and
+        lexing resumes just past the '}'."""
         start = self.pos
         opener = self.expect(open_text, "to open a balanced region")
         if open_text == "{":
-            self.pos = self.brace_match[start] + 1
+            close = self.closers[opener.start]
+            del self.toks[self.pos :]  # lookahead read past the '{' lies inside the region
+            self.toks.append(_Token("punct", "}", bisect_right(self.line_starts, close) + 1, close, close + 1))
+            self.pos += 1
+            self.stream = _tokens(self.source, close + 1, self.line_starts, None)
             return start, self.pos
         depth = 1
         while depth > 0:
@@ -523,10 +645,10 @@ class _Parser:
         implements_types: list[str] = []
         if self.at("extends"):
             self.take()
-            extends_types = self.read_type_list(("implements", "{"))
+            extends_types = self.read_type_list()
         if self.at("implements"):
             self.take()
-            implements_types = self.read_type_list(("{",))
+            implements_types = self.read_type_list()
         open_tok = self.expect("{", "to open type body")
         if self.nesting == _MAX_TYPE_NESTING:
             raise ParseError(name_tok.line, f"type {name_tok.text} nested deeper than {_MAX_TYPE_NESTING} levels")
@@ -563,17 +685,11 @@ class _Parser:
                 raise ParseError(f.line, f"duplicate field {qname}.{f.name}")
             seen_fields.add(f.name)
 
-    def read_type_list(self, stop_words: tuple[str, ...]) -> list[str]:
-        names: list[str] = []
-        while True:
+    def read_type_list(self) -> list[str]:
+        names = [self.read_type_text("in type list")]
+        while self.at(","):
+            self.take()
             names.append(self.read_type_text("in type list"))
-            if self.at(","):
-                self.take()
-                continue
-            t = self.peek()
-            if t is None or t.text in stop_words:
-                break
-            break
         return names
 
     def read_type_text(self, what: str) -> str:
@@ -780,16 +896,14 @@ class _Parser:
         thrown: list[str] = []
         if self.at("throws"):
             self.take()
-            thrown = self.read_type_list(("{", ";"))
-        statements: tuple[StatementFacts, ...] = ()
+            thrown = self.read_type_list()
+        body_text, body_line = "", 0
         if self.at("{"):
             open_tok = self.peek()
-            body_start, body_end = self.skip_balanced("{", "}")
-            statements = tuple(
-                _scan_statements(self.toks[body_start + 1 : body_end - 1], self.blanked)
-            )
-            end_off = self.toks[body_end - 1].end
+            self.skip_balanced("{", "}")
+            end_off = self.toks[self.pos - 1].end
             body_span = (open_tok.start, end_off)
+            body_text, body_line = self.source[open_tok.start : end_off], open_tok.line
         elif self.at("="):
             # annotation-decl member with default value: drop the default
             self.take()
@@ -811,9 +925,10 @@ class _Parser:
             modifiers=frozenset(mods),
             annotations=tuple(annos),
             thrown_exceptions=tuple(thrown),
-            body_statements=statements,
             doc_comment=None,
             byte_range=(start_off, end_off),
+            body_text=body_text,
+            body_line=body_line,
         )
 
 
@@ -857,6 +972,13 @@ _STMT_SIMPLE_KEYWORDS = {
 }
 
 _ASSIGN_OPS = {"=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>=", ">>>="}
+
+
+def _body_statements(body_text: str, line: int) -> tuple[StatementFacts, ...]:
+    """The statements of a method body, from its '{...}' source text and the
+    line its '{' is on."""
+    tokens, comments = _lex(body_text, first_line=line)
+    return tuple(_scan_statements(tokens[1:-1], _blank_comments(body_text, comments)))
 
 
 def _scan_statements(tokens: list[_Token], blanked: str) -> list[StatementFacts]:
@@ -1185,23 +1307,6 @@ def _attach_doc_comments(classes: tuple[ClassFacts, ...], docs: dict[str, Commen
 # ---------------------------------------------------------------------------
 
 
-def _match_braces(tokens: list[_Token], path: str) -> dict[int, int]:
-    """Map the token index of each '{' to that of its matching '}'; raise
-    ParseError when the braces do not balance."""
-    match: dict[int, int] = {}
-    opened: list[int] = []
-    for k, t in enumerate(tokens):
-        if t.text == "{":
-            opened.append(k)
-        elif t.text == "}":
-            if not opened:
-                raise ParseError(t.line, f"unbalanced '}}' in {path}")
-            match[opened.pop()] = k
-    if opened:
-        raise ParseError(tokens[-1].line, f"unbalanced '{{' in {path}")
-    return match
-
-
 def parse_java(source: str, path: str = "<memory>") -> SourceFacts:
     """Parse Java source text into declaration-level facts.
 
@@ -1210,8 +1315,9 @@ def parse_java(source: str, path: str = "<memory>") -> SourceFacts:
     unterminated comments/strings, duplicate declarations, or inputs without
     a type declaration.
     """
-    tokens, raw_comments = _lex(source, lenient=False)
-    parser = _Parser(tokens, _blank_comments(source, raw_comments), _match_braces(tokens, path))
+    line_starts = _line_starts(source)
+    raw_comments, closers = _scan_layout(source, line_starts, path)
+    parser = _Parser(source, line_starts, closers)
     package, imports, classes = parser.parse_unit()
     if not classes:
         raise ParseError(1, f"no type declaration in {path}")

@@ -6,6 +6,8 @@ from pathlib import Path
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
+# the benchmark's Java generator and workloads, as test inputs
+sys.path.insert(0, str(Path(__file__).parent.parent / "perfbench"))
 
 from corpusdata import write_corpus, write_corpus_with_bad_record
 

@@ -248,6 +248,20 @@ def test_statement_lines_are_1_based():
     assert lines == [2, 3]
 
 
+def test_lines_count_the_newline_inside_a_wrapped_literal():
+    # a backslash-newline inside a string is not Java, but it is accepted;
+    # the newline it hides is still a line
+    facts = parse_java('class A {\n  String s = "ab\\\ncd";\n  void m() {\n    x();\n  }\n}')
+    method = facts.classes[0].methods[0]
+    assert [(s.text, s.line) for s in method.body_statements] == [("x();", 5)]
+
+
+def test_lenient_comment_lines_count_the_newline_an_open_literal_ends_at():
+    comments = extract_comments("it's fine // a comment\nint x; /* b */\n")
+    # the apostrophe opens a char literal that swallows the line comment
+    assert [(c.text, c.line_range) for c in comments] == [(" b ", (2, 2))]
+
+
 def test_anonymous_class_stays_one_statement():
     src = (
         "class C { void f() {\n"

@@ -1,0 +1,207 @@
+"""The declaration parser, which steps over method bodies and builds their
+statements on first read, against the eager original kept in oracles.py.
+
+With every body_statements read, SourceFacts must equal the original's, and
+a ParseError must carry the same line and message, on every Java source in
+the test fixtures, on generated programs whose bodies hold braces, quotes
+and comment openers inside literals, on the benchmark's generated files and
+on both sides of its Java 16+ commits.  As in test_lexer_oracle, line
+numbers are left out where a literal holds a newline, since the original
+does not count that newline.
+
+The rest checks the laziness itself: parsing builds no statements, a
+one-statement edit builds those of the edited method's two versions only,
+and the statements the benchmark reads from each inline change are the
+original's.
+"""
+
+from __future__ import annotations
+
+import copy
+import dataclasses
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import javagen
+import workloads
+from condenser import javafacts
+from condenser.changeset import diff_facts
+from condenser.corpus import condense_commit
+from condenser.diffing import CommitInput, FilePair
+from condenser.javafacts import ParseError, parse_java
+from corpusdata import COMMITS
+from oracles import parse_java_oracle
+from test_lexer_oracle import _PIECE, FIXTURE_SOURCES, _program_source, has_multiline_literal
+
+_METHOD_FIELDS = (
+    "name", "return_type", "parameters", "modifiers", "annotations",
+    "thrown_exceptions", "body_statements", "doc_comment", "byte_range",
+)
+_LINE_FIELDS = {"line", "line_range"}
+
+
+def _plain(value, lines: bool):
+    """Facts as nested tuples with every body_statements read; line numbers
+    are None unless lines."""
+    if isinstance(value, (tuple, list)):
+        return tuple(_plain(v, lines) for v in value)
+    if not dataclasses.is_dataclass(value):
+        return value
+    if hasattr(value, "body_statements"):
+        kind, names = "method", _METHOD_FIELDS
+    else:
+        kind, names = type(value).__name__, [f.name for f in dataclasses.fields(value)]
+    return kind, tuple(
+        (name, None if name in _LINE_FIELDS and not lines else _plain(getattr(value, name), lines))
+        for name in names
+    )
+
+
+def _parsed(parse, source: str, lines: bool, path: str):
+    try:
+        return _plain(parse(source, path), lines)
+    except ParseError as exc:
+        return ("error", exc.line if lines else None, exc.message)
+
+
+def _assert_parses_like_oracle(source: str, path: str = "<memory>") -> bool:
+    """True when the source parses."""
+    lines = not has_multiline_literal(source)
+    got = _parsed(parse_java, source, lines, path)
+    assert got == _parsed(parse_java_oracle, source, lines, path), source
+    return got[0] != "error"
+
+
+def test_fixture_sources_parse_like_oracle():
+    parsed = [source for source in FIXTURE_SOURCES if _assert_parses_like_oracle(source)]
+    assert len(parsed) > 50
+
+
+@settings(max_examples=300, deadline=None)
+@given(_program_source())
+def test_program_sources_parse_like_oracle(source):
+    assert _assert_parses_like_oracle(source)
+
+
+_SOUP = st.lists(_PIECE, max_size=30).map("".join)
+
+
+@settings(max_examples=600, deadline=None)
+@given(_SOUP)
+def test_token_soups_fail_like_oracle(source):
+    _assert_parses_like_oracle(source)
+
+
+@settings(max_examples=600, deadline=None)
+@given(_SOUP)
+def test_token_soups_in_a_body_parse_like_oracle(source):
+    # whatever the body holds, the coarse scan must find the '}' the fine
+    # lexer finds, and the statements built from the body text must match
+    _assert_parses_like_oracle("class A {\n  void m() {\n" + source + "\n  }\n  int f;\n}\n")
+
+
+def _generated_files(seed: int) -> list[javagen.JFile]:
+    gen = javagen.JavaGen(random.Random(seed))
+    files = [javagen.sized_file(gen, lines) for lines in (20, 150, 600)]
+    files.append(javagen.edit_file(gen, files[1], 4)[0])
+    rewrite = javagen.rewrite_file(gen, 300)
+    return files + [rewrite.old, rewrite.new]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_generated_files_parse_like_oracle(seed):
+    for jfile in _generated_files(seed):
+        assert _assert_parses_like_oracle(javagen.render(jfile))
+
+
+def _roadmap_source() -> str:
+    return javagen.render(javagen.roadmap_file(javagen.JavaGen(random.Random(1))))
+
+
+def test_roadmap_file_parses_like_oracle():
+    assert _assert_parses_like_oracle(_roadmap_source())
+
+
+@pytest.mark.parametrize(
+    "commit, message",
+    [
+        (workloads.JAVA16_COMMITS[0], "line 4: expected type declaration, found 'sealed'"),
+        (workloads.JAVA16_COMMITS[1], "line 5: unterminated string literal"),
+    ],
+)
+def test_java16_commits_fail_like_oracle(commit, message):
+    for source in (commit["old"], commit["new"]):
+        assert not _assert_parses_like_oracle(source, commit["path"])
+        with pytest.raises(ParseError) as exc:
+            parse_java(source, commit["path"])
+        assert str(exc.value) == message
+
+
+# --- laziness ------------------------------------------------------------------
+
+
+@pytest.fixture
+def built(monkeypatch) -> list[str]:
+    """Body texts the statement builder is called with, in order."""
+    calls: list[str] = []
+    build = javafacts._body_statements
+
+    def spy(body_text, line):
+        calls.append(body_text)
+        return build(body_text, line)
+
+    monkeypatch.setattr(javafacts, "_body_statements", spy)
+    return calls
+
+
+def test_parsing_builds_no_statements(built):
+    facts = parse_java(_roadmap_source())
+    assert len(facts.classes[0].methods) > 200 and built == []
+    method = facts.classes[0].methods[7]
+    assert method.body_statements and method.body_statements is method.body_statements
+    assert built == [method.body_text]
+
+
+def test_one_statement_edit_builds_only_the_edited_method(built, monkeypatch):
+    gen = javagen.JavaGen(random.Random(1))
+    old = javagen.roadmap_file(gen)
+    new = copy.deepcopy(old)
+    new.classes[0].methods[10].body[3] = gen.simple_stmt()
+    old_src, new_src = javagen.render(old), javagen.render(new)
+    path = "src/main/java/LargeGeneratedService.java"
+    commit = CommitInput("acme/large", "0123456789ab", (FilePair(path, path, old_src, new_src, "modified"),))
+
+    result = condense_commit(commit)
+    name = old.classes[0].methods[10].name
+    edited = [m.body_text for src in (old_src, new_src) for m in parse_java(src).classes[0].methods if m.name == name]
+    assert sorted(built) == sorted(edited) and len(built) == 2
+    assert result.rule == "small_change"
+
+    monkeypatch.setattr("condenser.corpus.parse_java", parse_java_oracle)
+    expected = condense_commit(commit)
+    assert (result.template, result.change_type, result.rule) == (expected.template, expected.change_type, expected.rule)
+
+
+def test_fixture_inline_change_statements_match_oracle():
+    checked = 0
+    for commit in COMMITS:
+        for pair in commit["files"]:
+            old_src, new_src = pair["content_old"], pair["content_new"]
+            if not (old_src and new_src and (pair["path_new"] or "").endswith(".java")):
+                continue
+            try:
+                old, new = parse_java(old_src), parse_java(new_src)
+            except ParseError:
+                continue
+            sides = {
+                side: {m.byte_range: m for _q, c in parse_java_oracle(src).all_classes() for m in c.methods}
+                for side, src in (("old", old_src), ("new", new_src))
+            }
+            for ic in diff_facts(old, new).files[0].inline_changes:
+                assert ic.old.body_statements == sides["old"][ic.old.byte_range].body_statements
+                assert ic.new.body_statements == sides["new"][ic.new.byte_range].body_statements
+                checked += 1
+    assert checked >= 10
