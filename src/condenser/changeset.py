@@ -286,8 +286,8 @@ def _stmt_tokens(text: str) -> frozenset[str]:
 def _jaccard(a: frozenset[str], b: frozenset[str]) -> float:
     if not a and not b:
         return 1.0
-    union = len(a | b)
-    return len(a & b) / union if union else 0.0
+    inter = len(a & b)
+    return inter / (len(a) + len(b) - inter)
 
 
 def _min_overlap(size: int, threshold: float) -> int:

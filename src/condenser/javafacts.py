@@ -17,10 +17,13 @@ regions it steps over (method bodies, initializer blocks and enum-constant
 bodies): at such a '{' it jumps to the matching '}' and resumes lexing just
 past it.  A method keeps its body's source text, and its statements are
 built from that text the first time body_statements is read, so the bodies
-a diff never looks at are never lexed.  Line numbers come from bisecting
-the precomputed newline offsets; every newline counts.  Comments attach to
-declarations by bisecting declaration offsets and by a sweep over the nested
-body spans.
+a diff never looks at are never lexed.  A body is lexed into a columnar
+token stream (parallel lists of kinds, texts and offsets, no token objects)
+that the statement scanner indexes in place, and a statement's line is
+counted only at its head, by a running newline count from the previous
+head.  Elsewhere line numbers come from bisecting the precomputed newline
+offsets; every newline counts.  Comments attach to declarations by bisecting
+declaration offsets and by a sweep over the nested body spans.
 
 All returned facts are immutable in value and safe to share across threads
 (building a method's statements twice gives the same tuple).
@@ -276,29 +279,27 @@ def _tokens(
     line_starts: list[int],
     comments: list[_RawComment] | None,
     lenient: bool = False,
-    first_line: int = 1,
 ) -> Iterator[_Token]:
     """Yield the code tokens of source from offset pos on.
 
     One compiled regex (_TOKEN_RE) is scanned with finditer; each match is a
     token or a comment with the whitespace before it.  A token's line comes
-    from bisecting line_starts (numbered from first_line); every newline
-    counts, those inside a literal included.  Comments are appended to
-    comments unless it is None.  In lenient mode unterminated comments and
-    literals run to end of input (a literal to its line's end) instead of
-    raising.
+    from bisecting line_starts; every newline counts, those inside a literal
+    included.  Comments are appended to comments unless it is None.  In
+    lenient mode unterminated comments and literals run to end of input (a
+    literal to its line's end) instead of raising.
     """
     for m in _TOKEN_RE.finditer(source, pos):
         kind = m.lastgroup
         if kind in _CODE_KINDS:
             start, end = m.span(kind)
-            yield _Token(kind, m[kind], bisect_right(line_starts, start) + first_line, start, end)
+            yield _Token(kind, m[kind], bisect_right(line_starts, start) + 1, start, end)
             continue
         if kind is None:  # trailing whitespace
             return
         text = m[kind]
         start, end = m.span(kind)
-        line = bisect_right(line_starts, start) + first_line
+        line = bisect_right(line_starts, start) + 1
         if kind == "line_comment":
             if comments is not None:
                 comments.append(_RawComment("line", text[2:], line, line, start, end))
@@ -334,7 +335,7 @@ def _block_comment(text: str, line: int, start: int, end: int, terminated: bool 
     return _RawComment(kind, body, line, line + body.count("\n"), start, end, terminated)
 
 
-def _lex(source: str, lenient: bool = False, first_line: int = 1) -> tuple[list[_Token], list[_RawComment]]:
+def _lex(source: str, lenient: bool = False) -> tuple[list[_Token], list[_RawComment]]:
     """Tokenize Java source, returning code tokens and comment records.
 
     In lenient mode unterminated comments/strings run to end of input (a
@@ -342,7 +343,7 @@ def _lex(source: str, lenient: bool = False, first_line: int = 1) -> tuple[list[
     extract_comments on arbitrary text.
     """
     comments: list[_RawComment] = []
-    tokens = list(_tokens(source, 0, _line_starts(source), comments, lenient, first_line))
+    tokens = list(_tokens(source, 0, _line_starts(source), comments, lenient))
     return tokens, comments
 
 
@@ -426,14 +427,15 @@ def _comment_facts(raw: _RawComment, attachment: str) -> CommentFacts:
     )
 
 
-def _blank_comments(source: str, comments: list[_RawComment]) -> str:
-    """Replace comment characters with spaces, preserving newlines/offsets."""
+def _blank_comments(source: str, comments: list[tuple[int, int]]) -> str:
+    """Replace the characters of each comment (start, end) span with spaces,
+    preserving newlines/offsets."""
     parts: list[str] = []
     done = 0
-    for c in comments:
-        parts.append(source[done : c.start])
-        parts.append("\n".join(" " * len(run) for run in source[c.start : c.end].split("\n")))
-        done = c.end
+    for start, end in comments:
+        parts.append(source[done:start])
+        parts.append("\n".join(" " * len(run) for run in source[start:end].split("\n")))
+        done = end
     parts.append(source[done:])
     return "".join(parts)
 
@@ -962,6 +964,17 @@ def _join_tokens(tokens: list[_Token]) -> str:
     return "".join(out)
 
 
+# The statement kind of each control keyword.  Its record holds the
+# parenthesized header after it, if any, except after the _BARE_HEADERS;
+# 'else if' counts as one keyword.
+_HEADER_KINDS = {
+    "if": "branch", "switch": "branch", "else": "branch",
+    "while": "loop", "for": "loop", "do": "loop",
+    "try": "try", "catch": "try", "finally": "try",
+    "synchronized": "other",
+}
+_BARE_HEADERS = frozenset(("do", "else", "finally"))
+
 _STMT_SIMPLE_KEYWORDS = {
     "throw": "throw",
     "return": "return",
@@ -976,35 +989,88 @@ _ASSIGN_OPS = {"=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>="
 
 def _body_statements(body_text: str, line: int) -> tuple[StatementFacts, ...]:
     """The statements of a method body, from its '{...}' source text and the
-    line its '{' is on."""
-    tokens, comments = _lex(body_text, first_line=line)
-    return tuple(_scan_statements(tokens[1:-1], _blank_comments(body_text, comments)))
+    line its '{' is on.
+
+    The text between the braces is lexed into parallel columns (each code
+    token's kind, text, start and end offset) by one finditer loop over
+    _TOKEN_RE, with the token kinds _tokens gives; comments only leave their
+    spans, to be blanked.  No line is computed here: _scan_statements counts
+    newlines up to each statement head.  The matching '}' ends the last
+    token.  A comment or literal left open raises ParseError as in _tokens,
+    although a body from a file that passed _scan_layout holds none.
+    """
+    kinds: list[str] = []
+    texts: list[str] = []
+    starts: list[int] = []
+    ends: list[int] = []
+    comments: list[tuple[int, int]] = []
+    for m in _TOKEN_RE.finditer(body_text, 1, len(body_text) - 1):
+        kind = m.lastgroup
+        if kind in _CODE_KINDS:
+            start, end = m.span(kind)
+            text = m[kind]
+        elif kind is None:  # trailing whitespace
+            break
+        elif kind == "line_comment" or kind == "block_comment":
+            comments.append(m.span(kind))
+            continue
+        else:
+            start, end = m.span(kind)
+            text = m[kind]
+            if kind == "other":
+                # non-ASCII digits outside \d (e.g. '\u00b2') still lex as numbers
+                kind = "number" if text.isdigit() else "punct"
+            elif kind == "open_comment":
+                raise ParseError(line + body_text.count("\n", 0, start), "unterminated block comment")
+            else:  # a wrapped or open literal
+                literal = "string" if text[0] == '"' else "char"
+                if kind == "open_literal":
+                    raise ParseError(line + body_text.count("\n", 0, start), f"unterminated {literal} literal")
+                kind = literal
+        kinds.append(kind)
+        texts.append(text)
+        starts.append(start)
+        ends.append(end)
+    blanked = _blank_comments(body_text, comments)
+    return tuple(_scan_statements(kinds, texts, starts, ends, blanked, line))
 
 
-def _scan_statements(tokens: list[_Token], blanked: str) -> list[StatementFacts]:
-    """Flatten a method body token stream into statement records.
+def _scan_statements(
+    kinds: list[str], texts: list[str], starts: list[int], ends: list[int], blanked: str, first_line: int
+) -> list[StatementFacts]:
+    """Flatten a method body's token columns into statement records.
 
     Control headers (if/for/try/...) become their own records; their blocks
     are scanned recursively in the same flat pass. Anything unrecognized is
-    collected up to the next top-level ';' and classified coarsely.
+    collected up to the next top-level ';' and classified coarsely.  A
+    statement's line is that of its first token, counted from first_line
+    (the line of blanked's first character) by a running newline count that
+    advances from one head to the next.
     """
     stmts: list[StatementFacts] = []
     i = 0
-    n = len(tokens)
+    n = len(texts)
+    counted = 0  # newlines before this offset are in line
+    line = first_line
+
+    def head_line(k: int) -> int:
+        nonlocal counted, line
+        start = starts[k]
+        line += blanked.count("\n", counted, start)
+        counted = start
+        return line
 
     def slice_text(a: int, b: int) -> str:
-        if a >= b:
-            return ""
-        raw = blanked[tokens[a].start : tokens[b - 1].end]
-        return re.sub(r"\s+", " ", raw).strip()
+        return " ".join(blanked[starts[a] : ends[b - 1]].split())
 
-    def balanced_end(start: int, open_t: str, close_t: str) -> int:
+    def balanced_end(start: int) -> int:
+        """Just past the ')' that closes the '(' at start."""
         depth = 0
         k = start
         while k < n:
-            if tokens[k].text == open_t:
+            if texts[k] == "(":
                 depth += 1
-            elif tokens[k].text == close_t:
+            elif texts[k] == ")":
                 depth -= 1
                 if depth == 0:
                     return k + 1
@@ -1012,64 +1078,27 @@ def _scan_statements(tokens: list[_Token], blanked: str) -> list[StatementFacts]
         return n
 
     while i < n:
-        t = tokens[i]
-        text = t.text
-        if text in ("{", "}"):
+        text = texts[i]
+        if text in ("{", "}", ";"):
             i += 1
             continue
-        if text == ";":
-            i += 1
-            continue
-        if text in ("if", "while", "switch", "synchronized"):
-            kind = "branch" if text in ("if", "switch") else ("loop" if text == "while" else "other")
+        kind = _HEADER_KINDS.get(text)
+        if kind is not None:
             end = i + 1
-            if end < n and tokens[end].text == "(":
-                end = balanced_end(end, "(", ")")
-            stmts.append(StatementFacts(kind, slice_text(i, end), t.line))
+            if text == "else" and end < n and texts[end] == "if":
+                end += 1
+                text = "if"
+            if text not in _BARE_HEADERS and end < n and texts[end] == "(":
+                end = balanced_end(end)
+            stmts.append(StatementFacts(kind, slice_text(i, end), head_line(i)))
             i = end
             continue
-        if text == "for":
-            end = i + 1
-            if end < n and tokens[end].text == "(":
-                end = balanced_end(end, "(", ")")
-            stmts.append(StatementFacts("loop", slice_text(i, end), t.line))
-            i = end
-            continue
-        if text == "do":
-            stmts.append(StatementFacts("loop", "do", t.line))
-            i += 1
-            continue
-        if text == "else":
-            if i + 1 < n and tokens[i + 1].text == "if":
-                end = i + 2
-                if end < n and tokens[end].text == "(":
-                    end = balanced_end(end, "(", ")")
-                stmts.append(StatementFacts("branch", slice_text(i, end), t.line))
-                i = end
-            else:
-                stmts.append(StatementFacts("branch", "else", t.line))
-                i += 1
-            continue
-        if text in ("try", "finally"):
-            end = i + 1
-            if text == "try" and end < n and tokens[end].text == "(":
-                end = balanced_end(end, "(", ")")
-            stmts.append(StatementFacts("try", slice_text(i, end), t.line))
-            i = end
-            continue
-        if text == "catch":
-            end = i + 1
-            if end < n and tokens[end].text == "(":
-                end = balanced_end(end, "(", ")")
-            stmts.append(StatementFacts("try", slice_text(i, end), t.line))
-            i = end
-            continue
-        if text in ("case", "default") and _looks_like_switch_label(tokens, i):
+        if text in ("case", "default") and _looks_like_switch_label(texts, i):
             end = i
             depth = 0
             while end < n:
-                tt = tokens[end].text
-                if tt in ("(", "[") :
+                tt = texts[end]
+                if tt in ("(", "["):
                     depth += 1
                 elif tt in (")", "]"):
                     depth -= 1
@@ -1077,14 +1106,14 @@ def _scan_statements(tokens: list[_Token], blanked: str) -> list[StatementFacts]
                     end += 1
                     break
                 end += 1
-            stmts.append(StatementFacts("branch", slice_text(i, end), t.line))
+            stmts.append(StatementFacts("branch", slice_text(i, end), head_line(i)))
             i = end
             continue
         if text in _STMT_SIMPLE_KEYWORDS:
             end = i
             depth = 0
             while end < n:
-                tt = tokens[end].text
+                tt = texts[end]
                 if tt in ("(", "[", "{"):
                     depth += 1
                 elif tt in (")", "]", "}"):
@@ -1093,16 +1122,16 @@ def _scan_statements(tokens: list[_Token], blanked: str) -> list[StatementFacts]
                     end += 1
                     break
                 end += 1
-            stmts.append(StatementFacts(_STMT_SIMPLE_KEYWORDS[text], slice_text(i, end), t.line))
+            stmts.append(StatementFacts(_STMT_SIMPLE_KEYWORDS[text], slice_text(i, end), head_line(i)))
             i = end
             continue
         # label: `name :` followed by a statement keyword
         if (
-            t.kind == "ident"
+            kinds[i] == "ident"
             and i + 1 < n
-            and tokens[i + 1].text == ":"
+            and texts[i + 1] == ":"
             and i + 2 < n
-            and tokens[i + 2].text in ("for", "while", "do", "if", "switch", "try")
+            and texts[i + 2] in ("for", "while", "do", "if", "switch", "try")
         ):
             i += 2
             continue
@@ -1111,8 +1140,8 @@ def _scan_statements(tokens: list[_Token], blanked: str) -> list[StatementFacts]
         depth = 0
         saw_eq = False
         while end < n:
-            tt = tokens[end].text
-            if tt in ("(", "[") or (tt == "{" and (depth > 0 or saw_eq or _prev_is_expr(tokens, end))):
+            tt = texts[end]
+            if tt in ("(", "[") or (tt == "{" and (depth > 0 or saw_eq or _prev_is_expr(texts, end))):
                 depth += 1
             elif tt == "{" and depth == 0:
                 break  # mis-grabbed a block opener; stop before it
@@ -1129,15 +1158,15 @@ def _scan_statements(tokens: list[_Token], blanked: str) -> list[StatementFacts]
         if end == i:
             i += 1
             continue
-        stmts.append(StatementFacts(_classify_generic(tokens[i:end]), slice_text(i, end), t.line))
+        stmts.append(StatementFacts(_classify_generic(kinds, texts, i, end), slice_text(i, end), head_line(i)))
         i = end
     return stmts
 
 
-def _looks_like_switch_label(tokens: list[_Token], i: int) -> bool:
+def _looks_like_switch_label(texts: list[str], i: int) -> bool:
     depth = 0
-    for k in range(i, min(i + 40, len(tokens))):
-        tt = tokens[k].text
+    for k in range(i, min(i + 40, len(texts))):
+        tt = texts[k]
         if tt in ("(", "["):
             depth += 1
         elif tt in (")", "]"):
@@ -1149,78 +1178,79 @@ def _looks_like_switch_label(tokens: list[_Token], i: int) -> bool:
     return False
 
 
-def _prev_is_expr(tokens: list[_Token], i: int) -> bool:
+def _prev_is_expr(texts: list[str], i: int) -> bool:
     """Heuristic: a '{' continues the current expression (anonymous class or
     array literal) when preceded by ')' or ']' or '=' style contexts."""
     if i == 0:
         return False
-    prev = tokens[i - 1].text
+    prev = texts[i - 1]
     return prev in (")", "]", "=", ",", "{")
 
 
-def _classify_generic(tokens: list[_Token]) -> str:
+def _classify_generic(kinds: list[str], texts: list[str], lo: int, hi: int) -> str:
+    """Classify the generic statement made of tokens lo..hi (exclusive)."""
     depth = 0
     has_assign = False
     has_call = False
-    for idx, t in enumerate(tokens):
-        if t.text in ("(", "[", "{"):
+    for idx in range(lo, hi):
+        t = texts[idx]
+        if t in ("(", "[", "{"):
             depth += 1
-            if t.text == "(" and idx > 0 and tokens[idx - 1].kind == "ident":
+            if t == "(" and idx > lo and kinds[idx - 1] == "ident":
                 if depth == 1:
                     has_call = True
-        elif t.text in (")", "]", "}"):
+        elif t in (")", "]", "}"):
             depth -= 1
-        elif depth == 0 and t.text in _ASSIGN_OPS:
+        elif depth == 0 and t in _ASSIGN_OPS:
             has_assign = True
             break
-        elif depth == 0 and t.text in ("++", "--"):
+        elif depth == 0 and t in ("++", "--"):
             has_assign = True
-    if not has_assign and _looks_like_declaration(tokens):
+    if not has_assign and _looks_like_declaration(kinds, texts, lo, hi):
         return "declaration"
     if has_assign:
-        if _looks_like_declaration(tokens):
+        if _looks_like_declaration(kinds, texts, lo, hi):
             return "declaration"
         return "assignment"
     if has_call:
         return "invocation"
-    if tokens and tokens[0].text == "new":
+    if lo < hi and texts[lo] == "new":
         return "invocation"
     return "other"
 
 
-def _looks_like_declaration(tokens: list[_Token]) -> bool:
-    """Type-then-name shape at the statement head, e.g. `Map<K,V> m = ...`."""
-    i = 0
-    n = len(tokens)
-    if i < n and tokens[i].text == "final":
+def _looks_like_declaration(kinds: list[str], texts: list[str], i: int, n: int) -> bool:
+    """Type-then-name shape at the head of tokens i..n (exclusive), e.g.
+    `Map<K,V> m = ...`."""
+    if i < n and texts[i] == "final":
         i += 1
-    if i >= n or tokens[i].kind != "ident":
+    if i >= n or kinds[i] != "ident":
         return False
-    if tokens[i].text in ("this", "super", "new"):
+    if texts[i] in ("this", "super", "new"):
         return False
     i += 1
     while i < n:
-        t = tokens[i].text
-        if t == "." and i + 1 < n and tokens[i + 1].kind == "ident":
+        t = texts[i]
+        if t == "." and i + 1 < n and kinds[i + 1] == "ident":
             i += 2
             continue
         if t == "<":
             depth = 1
             i += 1
             while i < n and depth > 0:
-                if tokens[i].text == "<":
+                if texts[i] == "<":
                     depth += 1
-                elif tokens[i].text == ">":
+                elif texts[i] == ">":
                     depth -= 1
-                elif tokens[i].text == ">>":
+                elif texts[i] == ">>":
                     depth -= 2
                 i += 1
             continue
-        if t == "[" and i + 1 < n and tokens[i + 1].text == "]":
+        if t == "[" and i + 1 < n and texts[i + 1] == "]":
             i += 2
             continue
         break
-    return i < n and tokens[i].kind == "ident" and (i + 1 >= n or tokens[i + 1].text in ("=", ";", ",", "[", ":"))
+    return i < n and kinds[i] == "ident" and (i + 1 >= n or texts[i + 1] in ("=", ";", ",", "[", ":"))
 
 
 # ---------------------------------------------------------------------------

@@ -108,7 +108,8 @@ def _generated_files(seed: int) -> list[javagen.JFile]:
     files = [javagen.sized_file(gen, lines) for lines in (20, 150, 600)]
     files.append(javagen.edit_file(gen, files[1], 4)[0])
     rewrite = javagen.rewrite_file(gen, 300)
-    return files + [rewrite.old, rewrite.new]
+    largest = javagen.rewrite_file(gen, 2000)  # the largest rewrite the benchmark runs
+    return files + [rewrite.old, rewrite.new, largest.old, largest.new]
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -138,6 +139,83 @@ def test_java16_commits_fail_like_oracle(commit, message):
         with pytest.raises(ParseError) as exc:
             parse_java(source, commit["path"])
         assert str(exc.value) == message
+
+
+# Pieces for every rule of the body scanner: control headers and their
+# misuses ('else (', 'finally ('), switch labels, simple keywords, labels,
+# declarations, assignments and calls, and loose words, inside balanced
+# '(...)' and '{...}'.
+_SCANNER_PIECE = st.sampled_from([
+    "if (a)", "else if (b)", "else", "else (a)", "while (a)", "for (int i = 0; i < n; i++)", "do",
+    "do (a)", "try", "try (R r = a())", "catch (E e)", "finally", "finally (a)", "switch (a)",
+    "synchronized (a)", "case 1:", "case A.B:", "default:", "default ->", "case (1) ->",
+    "return a;", "throw new E();", "break out;", "continue;", "assert a : b;", "yield 1;",
+    "out: for", "out: try", "out: x();", "final List<Map<A, B>> m = c;", "int[] a = { 1, 2 };",
+    "a.b(c);", "a = b;", "a += 1;", "a++;", "new A() { };", "this.a = b;", "super.f();",
+    "if", "else", "do", "case", "default", "new", "final", "a", "b", "(", ")", "[", "]",
+    ";", ":", ",", "=", ".", "<", ">", ">>", "->", "1", '"s;"', "'c'", "/* c */", "// c\n", "\n",
+])
+_SCANNER_BODY = st.recursive(
+    st.lists(_SCANNER_PIECE, max_size=8).map(" ".join),
+    lambda inner: st.lists(
+        st.one_of(inner, inner.map(lambda s: f"({s})"), inner.map(lambda s: f"{{ {s} }}")), max_size=4
+    ).map(" ".join),
+    max_leaves=16,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_SCANNER_BODY)
+def test_scanner_rule_bodies_parse_like_oracle(body):
+    assert _assert_parses_like_oracle("class A {\n  void m() {\n" + body + "\n  }\n}\n")
+
+
+# Statement heads after a multi-line block comment, after a label, and a
+# 'case' after a statement that spans three lines: a statement's line is that
+# of its first token, whatever lies between it and the previous head.
+_HEADS_SOURCE = """\
+class Heads {
+  int run(int k) {
+    /* a block comment
+       over three
+       lines */ int a = 1;
+    /*
+     * another
+     */
+    outer:
+    for (int i = 0; i < k; i++) {
+      switch (i) {
+        case 0:
+          a = a
+            + i
+            + 1;
+        case 1: return a;
+        default:
+          break outer;
+      }
+    }
+    return a;
+  }
+}
+"""
+
+
+def test_statement_lines_at_heads_match_oracle():
+    assert not has_multiline_literal(_HEADS_SOURCE)
+    assert _assert_parses_like_oracle(_HEADS_SOURCE)
+    statements = parse_java(_HEADS_SOURCE).classes[0].methods[0].body_statements
+    assert [(s.line, s.kind, s.text) for s in statements] == [
+        (5, "declaration", "int a = 1;"),
+        (10, "loop", "for (int i = 0; i < k; i++)"),
+        (11, "branch", "switch (i)"),
+        (12, "branch", "case 0:"),
+        (13, "assignment", "a = a + i + 1;"),
+        (16, "branch", "case 1:"),
+        (16, "return", "return a;"),
+        (17, "branch", "default:"),
+        (18, "other", "break outer;"),
+        (21, "return", "return a;"),
+    ]
 
 
 # --- laziness ------------------------------------------------------------------
