@@ -102,10 +102,6 @@ class MethodInlineChange:
     annotation_added: tuple[tuple[str, str | None], ...] = ()
     annotation_removed: tuple[tuple[str, str | None], ...] = ()
 
-    @property
-    def display_name(self) -> str:
-        return f"{self.class_name}.{self.method_name}"
-
     def statement_change_count(self) -> int:
         return len(self.stmt_added) + len(self.stmt_removed) + len(self.stmt_modified)
 
@@ -492,6 +488,13 @@ def _inline_change(
     return None if change.is_empty() else change
 
 
+# the missing side of an added or removed class
+_EMPTY_CLASS = ClassFacts(
+    name="", kind="class", modifiers=frozenset(), annotations=(), extends_types=(), implements_types=(),
+    fields=(), methods=(), inner_classes=(), doc_comment=None, byte_range=(0, 0),
+)
+
+
 def _members_fingerprint(cls: ClassFacts) -> frozenset:
     return frozenset(
         [("m",) + m.signature() for m in cls.methods]
@@ -544,41 +547,16 @@ def diff_facts(
     supertype_added: list[tuple[str, str, str]] = []
     supertype_removed: list[tuple[str, str, str]] = []
 
-    for name in class_added:
-        cls = new_classes[name]
-        for f in cls.fields:
-            field_added.append((name, f))
-        for m in cls.methods:
-            method_added.append((name, m))
-        for t in cls.extends_types:
-            supertype_added.append((name, "extends", t))
-        for t in cls.implements_types:
-            supertype_added.append((name, "implements", t))
-        annotation_changes.extend(_diff_annotations((), cls.annotations, f"class {name}"))
-        for f in cls.fields:
-            annotation_changes.extend(_diff_annotations((), f.annotations, f"field {name}.{f.name}"))
-    for name in class_removed:
-        cls = old_classes[name]
-        for f in cls.fields:
-            field_removed.append((name, f))
-        for m in cls.methods:
-            method_removed.append((name, m))
-        for t in cls.extends_types:
-            supertype_removed.append((name, "extends", t))
-        for t in cls.implements_types:
-            supertype_removed.append((name, "implements", t))
-        annotation_changes.extend(_diff_annotations(cls.annotations, (), f"class {name}"))
-        for f in cls.fields:
-            annotation_changes.extend(_diff_annotations(f.annotations, (), f"field {name}.{f.name}"))
-
+    # an added class is diffed against an empty class, a removed one the
+    # other way round, before the classes present in both versions
     renamed_map = {o: n for o, n in class_renamed}
-    for old_name, old_cls in old_classes.items():
-        new_name = renamed_map.get(old_name, old_name)
-        new_cls = new_classes.get(new_name)
-        if new_cls is None:
-            continue
-        cname = new_name
-
+    kept = ((renamed_map.get(name, name), old_cls) for name, old_cls in old_classes.items())
+    class_pairs = (
+        [(name, _EMPTY_CLASS, new_classes[name]) for name in class_added]
+        + [(name, old_classes[name], _EMPTY_CLASS) for name in class_removed]
+        + [(name, old_cls, new_classes[name]) for name, old_cls in kept if name in new_classes]
+    )
+    for cname, old_cls, new_cls in class_pairs:
         for kind_label, old_list, new_list in (
             ("extends", old_cls.extends_types, new_cls.extends_types),
             ("implements", old_cls.implements_types, new_cls.implements_types),

@@ -139,16 +139,9 @@ def _read_tree(root: str) -> dict[str, str]:
 def _pairs_from_trees(old_contents: dict[str, str], new_contents: dict[str, str]) -> list[FilePair]:
     pairs: list[FilePair] = []
     for path in sorted(set(old_contents) | set(new_contents)):
-        in_old = path in old_contents
-        in_new = path in new_contents
-        if in_old and in_new:
-            if old_contents[path] == new_contents[path]:
-                continue
-            pairs.append(FilePair(path, path, old_contents[path], new_contents[path], "modified"))
-        elif in_new:
-            pairs.append(FilePair(None, path, None, new_contents[path], "added"))
-        else:
-            pairs.append(FilePair(path, None, old_contents[path], None, "deleted"))
+        old, new = old_contents.get(path), new_contents.get(path)
+        if old != new:
+            pairs.append(FilePair(path if old is not None else None, path if new is not None else None, old, new))
     return pairs
 
 

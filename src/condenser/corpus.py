@@ -8,6 +8,7 @@ A corpus is a JSONL file of self-contained commit records (no git access):
 
 File statuses are derived from path presence: a missing old side is an
 added file, a missing new side a deleted one, differing paths a rename.
+A file entry with neither path is invalid, and its record is skipped.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import json
 import logging
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from condenser.changeset import (
@@ -108,18 +109,6 @@ class GenerationResponse:
     endpoint: str
 
 
-def _derive_status(entry: dict) -> str:
-    path_old = entry.get("path_old")
-    path_new = entry.get("path_new")
-    if path_old is None:
-        return "added"
-    if path_new is None:
-        return "deleted"
-    if path_old != path_new:
-        return "renamed"
-    return "modified"
-
-
 def _file_pair(entry) -> FilePair:
     if not isinstance(entry, dict):
         raise ValueError(f"file entry must be an object, got {type(entry).__name__}")
@@ -127,13 +116,11 @@ def _file_pair(entry) -> FilePair:
         value = entry.get(key)
         if value is not None and not isinstance(value, str):
             raise ValueError(f"{key} must be a string or null")
-    status = _derive_status(entry)
     return FilePair(
         path_old=entry.get("path_old"),
         path_new=entry.get("path_new"),
         content_old=entry.get("content_old"),
         content_new=entry.get("content_new"),
-        status=status,
     )
 
 
@@ -313,16 +300,10 @@ def export_sft(
     raises BudgetError and no file is written.
     """
     config = config or PipelineConfig()
-    out_lines = []
-    for sample, template in pairs:
-        record = make_sft_record(sample, template, config)
-        out_lines.append(
-            json.dumps(
-                {"repo": record.repo, "hash": record.hash, "prompt": record.prompt, "target": record.target},
-                ensure_ascii=False,
-                sort_keys=True,
-            )
-        )
+    out_lines = [
+        json.dumps(asdict(make_sft_record(sample, template, config)), ensure_ascii=False, sort_keys=True)
+        for sample, template in pairs
+    ]
     Path(path).write_text("".join(line + "\n" for line in out_lines), encoding="utf-8")
     return len(out_lines)
 

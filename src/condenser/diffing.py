@@ -63,21 +63,27 @@ class UnifiedDiff:
 
 @dataclass(frozen=True)
 class FilePair:
-    path_old: str | None
-    path_new: str | None
+    path_old: str | None  # None for added files
+    path_new: str | None  # None for deleted files
     content_old: str | None
     content_new: str | None
-    status: str  # added | deleted | modified | renamed
 
     def __post_init__(self):
-        if self.status == "added" and (self.path_old is not None or self.content_old is not None):
+        if self.path_old is None and self.path_new is None:
+            raise ValueError("file pair needs at least one path")
+        if self.path_old is None and self.content_old is not None:
             raise ValueError("added pair must have no old side")
-        if self.status == "deleted" and (self.path_new is not None or self.content_new is not None):
+        if self.path_new is None and self.content_new is not None:
             raise ValueError("deleted pair must have no new side")
-        if self.status == "renamed" and (
-            self.path_old is None or self.path_new is None or self.path_old == self.path_new
-        ):
-            raise ValueError("renamed pair needs two distinct paths")
+
+    @property
+    def status(self) -> str:
+        """added | deleted | modified | renamed, from the two paths."""
+        if self.path_old is None:
+            return "added"
+        if self.path_new is None:
+            return "deleted"
+        return "modified" if self.path_old == self.path_new else "renamed"
 
     @property
     def path(self) -> str:
@@ -176,6 +182,8 @@ def parse_unified_diff(text: str) -> UnifiedDiff:
                 old_p = old_p if old_p is not None else rename_old
             if rename_new is not None:
                 new_p = new_p if new_p is not None else rename_new
+            if old_p is None and new_p is None:
+                raise DiffFormatError(i + 1, "'---' and '+++' are both /dev/null")
             current_old, current_new = old_p, new_p
             have_header = True
             hunks = []
@@ -225,16 +233,6 @@ def parse_unified_diff(text: str) -> UnifiedDiff:
     return UnifiedDiff(file_sections=tuple(sections))
 
 
-def _section_status(section: FileSection) -> str:
-    if section.path_old is None:
-        return "added"
-    if section.path_new is None:
-        return "deleted"
-    if section.path_old != section.path_new:
-        return "renamed"
-    return "modified"
-
-
 def reconstruct_pairs(
     diff: UnifiedDiff,
     old_contents: dict[str, str],
@@ -252,7 +250,6 @@ def reconstruct_pairs(
     for section in diff.file_sections:
         if section.is_binary:
             continue
-        status = _section_status(section)
         content_old = content_new = None
         if section.path_old is not None:
             if section.path_old not in old_contents:
@@ -268,7 +265,6 @@ def reconstruct_pairs(
                 path_new=section.path_new,
                 content_old=content_old,
                 content_new=content_new,
-                status=status,
             )
         )
     return CommitInput(repo_name=repo_name, commit_hash=commit_hash, file_pairs=tuple(pairs))

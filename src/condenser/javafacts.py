@@ -9,21 +9,24 @@ needs; there is no symbol resolution and no full-grammar conformance.
 A file is read in two passes.  A coarse regex pass over the whole file finds
 its comments, string and char literals and braces: it yields every comment,
 the matching '}' of each code '{', and the errors for unterminated comments
-and literals and unbalanced braces.  The declaration parser then lexes
-tokens as it reads them, with a single compiled regex scanned by finditer
-(one match per token or comment, the whitespace before it included, so no
-Python code runs per character).  It lexes only the text outside the '{...}'
-regions it steps over (method bodies, initializer blocks and enum-constant
-bodies): at such a '{' it jumps to the matching '}' and resumes lexing just
-past it.  A method keeps its body's source text, and its statements are
-built from that text the first time body_statements is read, so the bodies
-a diff never looks at are never lexed.  A body is lexed into a columnar
-token stream (parallel lists of kinds, texts and offsets, no token objects)
-that the statement scanner indexes in place, and a statement's line is
-counted only at its head, by a running newline count from the previous
-head.  Elsewhere line numbers come from bisecting the precomputed newline
-offsets; every newline counts.  Comments attach to declarations by bisecting
-declaration offsets and by a sweep over the nested body spans.
+and literals and unbalanced braces.  The declaration parser then reads
+tokens that one decoder (_decode) lexes: a single compiled regex scanned by
+finditer (one match per token or comment, the whitespace before it
+included, so no Python code runs per character) fills parallel columns of
+kinds, texts and start and end offsets, with no token objects.  The parser
+lexes in chunks that end just past the next code '{' and names a token by
+its index in the columns.  At a '{' region it steps over (a method body, an
+initializer block or an enum-constant body) it jumps to the matching '}'
+and lexes on from just past it, so the region is never lexed.  A method
+keeps its body's source text, and its statements are built from that text
+the first time body_statements is read, so the bodies a diff never looks at
+are never lexed.  The same decoder lexes a body into columns that the
+statement scanner indexes in place, and a statement's line is counted only
+at its head, by a running newline count from the previous head.  Elsewhere
+a line comes from bisecting the precomputed newline offsets, only where a
+fact or an error needs one; every newline counts.  Comments attach to
+declarations by bisecting declaration offsets and by a sweep over the
+nested body spans.
 
 All returned facts are immutable in value and safe to share across threads
 (building a method's statements twice gives the same tuple).
@@ -37,7 +40,6 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import accumulate
-from typing import Iterator, NamedTuple
 
 log = logging.getLogger(__name__)
 
@@ -215,14 +217,6 @@ class SourceFacts:
 # ---------------------------------------------------------------------------
 
 
-class _Token(NamedTuple):
-    kind: str  # ident|number|string|char|punct
-    text: str
-    line: int
-    start: int
-    end: int
-
-
 @dataclass(frozen=True)
 class _RawComment:
     kind: str
@@ -242,26 +236,37 @@ _MULTI_PUNCT = (
     "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<", ">>",
 )
 
+# Comment and literal patterns, shared by the token regex and the coarse scan
+# so both agree on where each comment and literal starts and ends.  A literal
+# may not span a line unless the newline is escaped; an open one runs to the
+# first unescaped newline or to the end.
+_LINE_COMMENT = r"//[^\n]*"
+_BLOCK_COMMENT = r"/\*[^*]*\*+(?:[^/*][^*]*\*+)*/"
+_OPEN_COMMENT = r"/\*[\s\S]*"
+_CLOSED_LITERAL = r'"[^"\\\n]*(?:\\[\s\S][^"\\\n]*)*"' r"|'[^'\\\n]*(?:\\[\s\S][^'\\\n]*)*'"
+_OPEN_LITERAL = (
+    r'"[^"\\\n]*(?:\\[\s\S][^"\\\n]*)*(?:\n|\\?\Z)'
+    r"|'[^'\\\n]*(?:\\[\s\S][^'\\\n]*)*(?:\n|\\?\Z)"
+)
+
 # One match per token or comment, leading whitespace included.  Only ' \t\r\f\v'
 # and '\n' are whitespace; any other character that starts nothing else is a
-# one-character token.  A literal may not span a line unless the newline is
-# escaped: such 'wrapped' literals and unterminated ones ('open_literal', which
-# runs to the first unescaped newline or to the end) are rare and get their
-# own groups.  The empty tail alternative lets trailing whitespace match once.
+# one-character token.  Literals with an escaped newline ('wrapped') and
+# unterminated ones ('open_literal') are rare and get their own groups after
+# the one-line string and char patterns.  The empty tail alternative lets
+# trailing whitespace match once.
 _TOKEN_RE = re.compile(
     r"[ \t\r\f\v\n]*(?:"
     r"(?P<ident>[A-Za-z_$][A-Za-z0-9_$]*)"
-    r"|(?P<line_comment>//[^\n]*)"
-    r"|(?P<block_comment>/\*[^*]*\*+(?:[^/*][^*]*\*+)*/)"
-    r"|(?P<open_comment>/\*[\s\S]*)"
+    rf"|(?P<line_comment>{_LINE_COMMENT})"
+    rf"|(?P<block_comment>{_BLOCK_COMMENT})"
+    rf"|(?P<open_comment>{_OPEN_COMMENT})"
     r"|(?P<punct>" + "|".join(map(re.escape, _MULTI_PUNCT)) + r"|[!#%&()*+,\-./:;<=>?@\[\\\]^`{|}~])"
     r"|(?P<number>\d(?:[\w.]|[eEpP][+-])*)"
     r'|(?P<string>"[^"\\\n]*(?:\\.[^"\\\n]*)*")'
     r"|(?P<char>'[^'\\\n]*(?:\\.[^'\\\n]*)*')"
-    r'|(?P<wrapped>"[^"\\\n]*(?:\\[\s\S][^"\\\n]*)*"'
-    r"|'[^'\\\n]*(?:\\[\s\S][^'\\\n]*)*')"
-    r'|(?P<open_literal>"[^"\\\n]*(?:\\[\s\S][^"\\\n]*)*(?:\n|\\?\Z)'
-    r"|'[^'\\\n]*(?:\\[\s\S][^'\\\n]*)*(?:\n|\\?\Z))"
+    rf"|(?P<wrapped>{_CLOSED_LITERAL})"
+    rf"|(?P<open_literal>{_OPEN_LITERAL})"
     r"|(?P<other>[^ \t\r\f\v\n])"
     r"|\Z)"
 )
@@ -273,96 +278,101 @@ def _line_starts(source: str) -> list[int]:
     return list(accumulate(len(part) + 1 for part in source.split("\n")))
 
 
-def _tokens(
-    source: str,
-    pos: int,
-    line_starts: list[int],
-    comments: list[_RawComment] | None,
-    lenient: bool = False,
-) -> Iterator[_Token]:
-    """Yield the code tokens of source from offset pos on.
+def _decode(
+    text: str, pos: int, endpos: int, line: int, lenient: bool = False
+) -> tuple[list[str], list[str], list[int], list[int], list[tuple[str, int, int]]]:
+    """Lex text[pos:endpos] into parallel columns: each code token's kind
+    (ident|number|string|char|punct), text, start and end offset; and each
+    comment's (group, start, end), its group a _TOKEN_RE group name.
 
-    One compiled regex (_TOKEN_RE) is scanned with finditer; each match is a
-    token or a comment with the whitespace before it.  A token's line comes
-    from bisecting line_starts; every newline counts, those inside a literal
-    included.  Comments are appended to comments unless it is None.  In
-    lenient mode unterminated comments and literals run to end of input (a
-    literal to its line's end) instead of raising.
+    One finditer loop over _TOKEN_RE; no Python code runs per character.
+    line is the line of text[0]; a ParseError for an unterminated comment
+    or literal counts its line from there.  In lenient mode those run to
+    end of input (a literal to its line's end) instead of raising.
     """
-    for m in _TOKEN_RE.finditer(source, pos):
+    kinds: list[str] = []
+    texts: list[str] = []
+    starts: list[int] = []
+    ends: list[int] = []
+    comments: list[tuple[str, int, int]] = []
+    for m in _TOKEN_RE.finditer(text, pos, endpos):
         kind = m.lastgroup
         if kind in _CODE_KINDS:
             start, end = m.span(kind)
-            yield _Token(kind, m[kind], bisect_right(line_starts, start) + 1, start, end)
+            tok = m[kind]
+        elif kind is None:  # trailing whitespace
+            break
+        elif kind == "line_comment" or kind == "block_comment":
+            comments.append((kind, *m.span(kind)))
             continue
-        if kind is None:  # trailing whitespace
-            return
-        text = m[kind]
-        start, end = m.span(kind)
-        line = bisect_right(line_starts, start) + 1
-        if kind == "line_comment":
-            if comments is not None:
-                comments.append(_RawComment("line", text[2:], line, line, start, end))
-        elif kind == "block_comment":
-            if comments is not None:
-                comments.append(_block_comment(text, line, start, end))
-        elif kind == "open_comment":
-            if not lenient:
-                raise ParseError(line, "unterminated block comment")
-            if comments is not None:
-                comments.append(_block_comment(text, line, start, end, terminated=False))
-            log.warning("unterminated block comment at line %d runs to end of input", line)
-        elif kind == "other":
-            # non-ASCII digits outside \d (e.g. '\u00b2') still lex as numbers
-            yield _Token("number" if text.isdigit() else "punct", text, line, start, end)
-        else:  # a wrapped or open literal
-            literal = "string" if text[0] == '"' else "char"
-            if kind == "open_literal" and not lenient:
-                raise ParseError(line, f"unterminated {literal} literal")
-            yield _Token(literal, text, line, start, end)
+        else:
+            start, end = m.span(kind)
+            tok = m[kind]
+            if kind == "other":
+                # non-ASCII digits outside \d (e.g. '\u00b2') still lex as numbers
+                kind = "number" if tok.isdigit() else "punct"
+            elif kind == "open_comment":
+                at = line + text.count("\n", 0, start)
+                if not lenient:
+                    raise ParseError(at, "unterminated block comment")
+                log.warning("unterminated block comment at line %d runs to end of input", at)
+                comments.append((kind, start, end))
+                continue
+            else:  # a wrapped or open literal
+                literal = "string" if tok[0] == '"' else "char"
+                if kind == "open_literal" and not lenient:
+                    raise ParseError(line + text.count("\n", 0, start), f"unterminated {literal} literal")
+                kind = literal
+        kinds.append(kind)
+        texts.append(tok)
+        starts.append(start)
+        ends.append(end)
+    return kinds, texts, starts, ends, comments
 
 
-def _block_comment(text: str, line: int, start: int, end: int, terminated: bool = True) -> _RawComment:
-    """A block or javadoc comment from its source text, '/*' included; an
-    unterminated one runs to end of input."""
-    if not terminated:
+def _raw_comment(group: str, text: str, line: int, start: int, end: int) -> _RawComment:
+    """A comment from its _TOKEN_RE group and source text, delimiters
+    included; an open_comment runs to end of input."""
+    if group == "line_comment":
+        kind, body = "line", text[2:]
+    elif group == "open_comment":
         body = text[2:]
         kind = "javadoc" if body.startswith("*") else "block"
     elif text.startswith("/**") and len(text) > 4:
         kind, body = "javadoc", text[3:-2]  # drop the second '*' of the opener
     else:
         kind, body = "block", text[2:-2]
-    return _RawComment(kind, body, line, line + body.count("\n"), start, end, terminated)
+    return _RawComment(kind, body, line, line + body.count("\n"), start, end, group != "open_comment")
 
 
-def _lex(source: str, lenient: bool = False) -> tuple[list[_Token], list[_RawComment]]:
-    """Tokenize Java source, returning code tokens and comment records.
+def _lex(source: str, lenient: bool = False) -> tuple[list[tuple[str, str, int, int, int]], list[_RawComment]]:
+    """Tokenize Java source into one (kind, text, line, start, end) row per
+    code token, and its comment records.
 
     In lenient mode unterminated comments/strings run to end of input (a
     literal to its line's end) instead of raising; that mode backs
     extract_comments on arbitrary text.
     """
-    comments: list[_RawComment] = []
-    tokens = list(_tokens(source, 0, _line_starts(source), comments, lenient))
+    line_starts = _line_starts(source)
+    kinds, texts, starts, ends, spans = _decode(source, 0, len(source), 1, lenient)
+    tokens = [(k, t, bisect_right(line_starts, s) + 1, s, e) for k, t, s, e in zip(kinds, texts, starts, ends)]
+    comments = [_raw_comment(g, source[s:e], bisect_right(line_starts, s) + 1, s, e) for g, s, e in spans]
     return tokens, comments
 
 
 # The coarse scan: comments, string and char literals, and braces, with
-# everything between them skipped.  Its literal and comment patterns are
-# _TOKEN_RE's, so both agree on where each one starts and ends: no
-# identifier, number or operator token holds a quote or a brace, and a '/'
-# starts a comment here exactly when it starts one as a fine token.
+# everything between them skipped.  No identifier, number or operator token
+# holds a quote or a brace, and a '/' starts a comment here exactly when it
+# starts one as a fine token.
 _LAYOUT_RE = re.compile(
     r"[^{}\"'/]*(?:"
     r"(?P<open>\{)"
     r"|(?P<close>\})"
-    r'|(?P<literal>"[^"\\\n]*(?:\\[\s\S][^"\\\n]*)*"'
-    r"|'[^'\\\n]*(?:\\[\s\S][^'\\\n]*)*')"
-    r"|(?P<line_comment>//[^\n]*)"
-    r"|(?P<block_comment>/\*[^*]*\*+(?:[^/*][^*]*\*+)*/)"
-    r'|(?P<open_literal>"[^"\\\n]*(?:\\[\s\S][^"\\\n]*)*(?:\n|\\?\Z)'
-    r"|'[^'\\\n]*(?:\\[\s\S][^'\\\n]*)*(?:\n|\\?\Z))"
-    r"|(?P<open_comment>/\*[\s\S]*)"
+    rf"|(?P<literal>{_CLOSED_LITERAL})"
+    rf"|(?P<line_comment>{_LINE_COMMENT})"
+    rf"|(?P<block_comment>{_BLOCK_COMMENT})"
+    rf"|(?P<open_literal>{_OPEN_LITERAL})"
+    rf"|(?P<open_comment>{_OPEN_COMMENT})"
     r"|(?P<slash>/)"
     r"|\Z)"
 )
@@ -396,20 +406,19 @@ def _scan_layout(source: str, line_starts: list[int], path: str) -> tuple[list[_
         else:
             start, end = m.span(kind)
             line = bisect_right(line_starts, start) + 1
-            if kind == "line_comment":
-                comments.append(_RawComment("line", m[kind][2:], line, line, start, end))
-            elif kind == "block_comment":
-                comments.append(_block_comment(m[kind], line, start, end))
-            elif kind == "open_comment":
+            if kind == "open_comment":
                 raise ParseError(line, "unterminated block comment")
-            else:
+            if kind == "open_literal":
                 literal = "string" if m[kind][0] == '"' else "char"
                 raise ParseError(line, f"unterminated {literal} literal")
+            comments.append(_raw_comment(kind, m[kind], line, start, end))
     if stray is not None:
         raise ParseError(bisect_right(line_starts, stray) + 1, f"unbalanced '}}' in {path}")
     if opened:
-        last_line = _lex(source)[0][-1].line  # the line of the file's last token
-        raise ParseError(last_line, f"unbalanced '{{' in {path}")
+        # the line of the file's last token; the innermost unclosed '{' is a
+        # token boundary, so lexing from it reaches that token
+        last = _decode(source, opened[-1], len(source), 1)[2][-1]
+        raise ParseError(bisect_right(line_starts, last) + 1, f"unbalanced '{{' in {path}")
     return comments, closers
 
 
@@ -427,12 +436,12 @@ def _comment_facts(raw: _RawComment, attachment: str) -> CommentFacts:
     )
 
 
-def _blank_comments(source: str, comments: list[tuple[int, int]]) -> str:
-    """Replace the characters of each comment (start, end) span with spaces,
-    preserving newlines/offsets."""
+def _blank_comments(source: str, comments: list[tuple[str, int, int]]) -> str:
+    """Replace the characters of each comment (group, start, end) span with
+    spaces, preserving newlines/offsets."""
     parts: list[str] = []
     done = 0
-    for start, end in comments:
+    for _group, start, end in comments:
         parts.append(source[done:start])
         parts.append("\n".join(" " * len(run) for run in source[start:end].split("\n")))
         done = end
@@ -451,14 +460,24 @@ _MAX_TYPE_NESTING = 64
 
 
 class _Parser:
-    """Declaration parser over a token list that is lexed as it is read."""
+    """Declaration parser over token columns that are lexed as they are read.
+
+    A token is named by its index in the columns.  The source is lexed in
+    chunks that end just past the next code '{', so a '{' region the parser
+    steps over is never lexed; a line is computed only where a fact or an
+    error needs one.
+    """
 
     def __init__(self, source: str, line_starts: list[int], closers: dict[int, int]):
         self.source = source
         self.line_starts = line_starts
         self.closers = closers  # offset of each code '{' -> its '}'
-        self.toks: list[_Token] = []
-        self.stream = _tokens(source, 0, line_starts, None)
+        self.opens = sorted(closers)
+        self.lexed = 0  # source offset the next chunk starts at
+        self.kinds: list[str] = []
+        self.texts: list[str] = []
+        self.starts: list[int] = []
+        self.ends: list[int] = []
         self.pos = 0
         self.nesting = 0
         # (kind, qualified name, decl line, decl start offset, body span)
@@ -466,37 +485,55 @@ class _Parser:
 
     # -- token helpers -----------------------------------------------------
 
-    def peek(self, offset: int = 0) -> _Token | None:
+    def lex_chunk(self) -> bool:
+        """Append the tokens up to and including the next code '{'; False
+        when no token is left."""
+        k = bisect_left(self.opens, self.lexed)
+        end = self.opens[k] + 1 if k < len(self.opens) else len(self.source)
+        if self.lexed >= end:
+            return False
+        kinds, texts, starts, ends, _comments = _decode(self.source, self.lexed, end, 1)
+        self.lexed = end
+        self.kinds += kinds
+        self.texts += texts
+        self.starts += starts
+        self.ends += ends
+        return bool(texts)
+
+    def peek(self, offset: int = 0) -> int | None:
         k = self.pos + offset
-        toks = self.toks
-        while k >= len(toks):
-            t = next(self.stream, None)
-            if t is None:
+        while k >= len(self.texts):
+            if not self.lex_chunk():
                 return None
-            toks.append(t)
-        return toks[k]
+        return k
 
     def at(self, text: str, offset: int = 0) -> bool:
-        t = self.peek(offset)
-        return t is not None and t.text == text
+        k = self.peek(offset)
+        return k is not None and self.texts[k] == text
 
-    def take(self) -> _Token:
-        t = self.toks[self.pos]
+    def take(self) -> int:
         self.pos += 1
-        return t
+        return self.pos - 1
 
-    def expect(self, text: str, what: str) -> _Token:
-        t = self.peek()
-        if t is None or t.text != text:
-            line = t.line if t else (self.toks[-1].line if self.toks else 1)
-            raise ParseError(line, f"expected '{text}' {what}")
+    def line(self, k: int) -> int:
+        return bisect_right(self.line_starts, self.starts[k]) + 1
+
+    def here(self) -> int:
+        """The line of the next token; at end of input that of the last."""
+        k = self.peek()
+        if k is None:
+            k = len(self.texts) - 1
+        return self.line(k) if k >= 0 else 1
+
+    def expect(self, text: str, what: str) -> int:
+        if not self.at(text):
+            raise ParseError(self.here(), f"expected '{text}' {what}")
         return self.take()
 
-    def expect_ident(self, what: str) -> _Token:
-        t = self.peek()
-        if t is None or t.kind != "ident":
-            line = t.line if t else (self.toks[-1].line if self.toks else 1)
-            raise ParseError(line, f"expected identifier {what}")
+    def expect_ident(self, what: str) -> int:
+        k = self.peek()
+        if k is None or self.kinds[k] != "ident":
+            raise ParseError(self.here(), f"expected identifier {what}")
         return self.take()
 
     def skip_balanced(self, open_text: str, close_text: str) -> tuple[int, int]:
@@ -507,20 +544,24 @@ class _Parser:
         start = self.pos
         opener = self.expect(open_text, "to open a balanced region")
         if open_text == "{":
-            close = self.closers[opener.start]
-            del self.toks[self.pos :]  # lookahead read past the '{' lies inside the region
-            self.toks.append(_Token("punct", "}", bisect_right(self.line_starts, close) + 1, close, close + 1))
+            close = self.closers[self.starts[opener]]
+            for column in (self.kinds, self.texts, self.starts, self.ends):
+                del column[self.pos :]  # lookahead read past the '{' lies inside the region
+            self.kinds.append("punct")
+            self.texts.append("}")
+            self.starts.append(close)
+            self.ends.append(close + 1)
             self.pos += 1
-            self.stream = _tokens(self.source, close + 1, self.line_starts, None)
+            self.lexed = close + 1
             return start, self.pos
         depth = 1
         while depth > 0:
-            t = self.peek()
-            if t is None:
-                raise ParseError(opener.line, f"unbalanced '{open_text}'")
-            if t.text == open_text:
+            k = self.peek()
+            if k is None:
+                raise ParseError(self.line(opener), f"unbalanced '{open_text}'")
+            if self.texts[k] == open_text:
                 depth += 1
-            elif t.text == close_text:
+            elif self.texts[k] == close_text:
                 depth -= 1
             self.take()
         return start, self.pos
@@ -531,16 +572,17 @@ class _Parser:
         opener = self.expect("<", "to open type parameters")
         depth = 1
         while depth > 0:
-            t = self.peek()
-            if t is None:
-                raise ParseError(opener.line, "unbalanced '<'")
-            if t.text == "<":
+            k = self.peek()
+            if k is None:
+                raise ParseError(self.line(opener), "unbalanced '<'")
+            text = self.texts[k]
+            if text == "<":
                 depth += 1
-            elif t.text == ">":
+            elif text == ">":
                 depth -= 1
-            elif t.text == ">>":
+            elif text == ">>":
                 depth -= 2
-            elif t.text == ">>>":
+            elif text == ">>>":
                 depth -= 3
             self.take()
 
@@ -548,7 +590,7 @@ class _Parser:
 
     def slice_tokens(self, start: int, end: int) -> str:
         """Join token texts start..end (exclusive) into normalized text."""
-        return _join_tokens(self.toks[start:end])
+        return _join_tokens(self.texts[start:end])
 
     # -- grammar -------------------------------------------------------------
 
@@ -582,10 +624,10 @@ class _Parser:
         return package, imports, classes
 
     def read_dotted_name(self, what: str) -> str:
-        parts = [self.expect_ident(what).text]
-        while self.at(".") and (t := self.peek(1)) is not None and t.kind == "ident":
+        parts = [self.texts[self.expect_ident(what)]]
+        while self.at(".") and (k := self.peek(1)) is not None and self.kinds[k] == "ident":
             self.take()
-            parts.append(self.take().text)
+            parts.append(self.texts[self.take()])
         return ".".join(parts)
 
     def parse_annotation(self, target: str) -> AnnotationFacts:
@@ -596,51 +638,47 @@ class _Parser:
             s, e = self.skip_balanced("(", ")")
             inner = self.slice_tokens(s + 1, e - 1)
             argument_text = inner or None
-        return AnnotationFacts(name=name, argument_text=argument_text, target=target, line=at.line)
+        return AnnotationFacts(name=name, argument_text=argument_text, target=target, line=self.line(at))
 
-    def parse_modifiers_and_annotations(
-        self, target: str
-    ) -> tuple[set[str], list[AnnotationFacts], int | None, int | None]:
-        """Returns (modifiers, annotations, start offset, start line) where
-        start marks the declaration's first modifier or annotation token."""
+    def parse_modifiers_and_annotations(self, target: str) -> tuple[set[str], list[AnnotationFacts], int | None]:
+        """Returns (modifiers, annotations, first) where first is the
+        declaration's first modifier or annotation token, if any."""
         mods: set[str] = set()
         annos: list[AnnotationFacts] = []
-        start: int | None = None
-        start_line: int | None = None
-        while True:
-            t = self.peek()
-            if t is None:
-                break
-            if t.text == "@" and not self.at("interface", 1):
-                if start is None:
-                    start, start_line = t.start, t.line
+        first: int | None = None
+        while (k := self.peek()) is not None:
+            text = self.texts[k]
+            if text == "@" and not self.at("interface", 1):
                 annos.append(self.parse_annotation(target))
-                continue
-            if t.kind == "ident" and t.text in MODIFIER_WORDS:
-                if start is None:
-                    start, start_line = t.start, t.line
-                mods.add(self.take().text)
-                continue
-            break
-        return mods, annos, start, start_line
+            elif self.kinds[k] == "ident" and text in MODIFIER_WORDS:
+                mods.add(text)
+                self.take()
+            else:
+                break
+            if first is None:
+                first = k
+        return mods, annos, first
 
     def parse_type_decl(self, prefix: str) -> ClassFacts:
-        mods, annos, start_off, start_line = self.parse_modifiers_and_annotations("class")
+        mods, annos, first = self.parse_modifiers_and_annotations("class")
         t = self.peek()
         if t is None:
-            raise ParseError(self.toks[-1].line if self.toks else 1, "expected type declaration")
-        if t.text == "@" and self.at("interface", 1):
+            raise ParseError(self.here(), "expected type declaration")
+        text = self.texts[t]
+        if text == "@" and self.at("interface", 1):
             self.take()
             self.take()
             kind = "annotation-decl"
-        elif t.text in ("class", "interface", "enum"):
-            kind = self.take().text
+        elif text in ("class", "interface", "enum"):
+            kind = text
+            self.take()
         else:
-            raise ParseError(t.line, f"expected type declaration, found '{t.text}'")
-        if start_off is None:
-            start_off, start_line = t.start, t.line
+            raise ParseError(self.line(t), f"expected type declaration, found '{text}'")
+        if first is None:
+            first = t
         name_tok = self.expect_ident("as type name")
-        qname = f"{prefix}.{name_tok.text}" if prefix else name_tok.text
+        name = self.texts[name_tok]
+        qname = f"{prefix}.{name}" if prefix else name
         if self.at("<"):
             self.skip_generics()
         extends_types: list[str] = []
@@ -653,15 +691,15 @@ class _Parser:
             implements_types = self.read_type_list()
         open_tok = self.expect("{", "to open type body")
         if self.nesting == _MAX_TYPE_NESTING:
-            raise ParseError(name_tok.line, f"type {name_tok.text} nested deeper than {_MAX_TYPE_NESTING} levels")
+            raise ParseError(self.line(name_tok), f"type {name} nested deeper than {_MAX_TYPE_NESTING} levels")
         self.nesting += 1
-        fields, methods, inners = self.parse_class_body(name_tok.text, qname, kind)
+        fields, methods, inners = self.parse_class_body(name, qname, kind)
         self.nesting -= 1
-        close = self.toks[self.pos - 1]
-        self.decl_index.append(("class", qname, start_line or name_tok.line, start_off, (open_tok.start, close.end)))
-        self.check_uniqueness(qname, name_tok.line, fields, methods)
+        start_off, end_off = self.starts[first], self.ends[self.pos - 1]
+        self.decl_index.append(("class", qname, self.line(first), start_off, (self.starts[open_tok], end_off)))
+        self.check_uniqueness(qname, self.line(name_tok), fields, methods)
         return ClassFacts(
-            name=name_tok.text,
+            name=name,
             kind=kind,
             modifiers=frozenset(mods),
             annotations=tuple(annos),
@@ -671,7 +709,7 @@ class _Parser:
             methods=tuple(methods),
             inner_classes=tuple(inners),
             doc_comment=None,  # filled in during comment attachment
-            byte_range=(start_off, close.end),
+            byte_range=(start_off, end_off),
         )
 
     def check_uniqueness(self, qname: str, line: int, fields: list[FieldFacts], methods: list[MethodFacts]) -> None:
@@ -699,12 +737,12 @@ class _Parser:
         start = self.pos
         t = self.peek()
         if t is None:
-            raise ParseError(self.toks[-1].line if self.toks else 1, f"expected type {what}")
-        if t.kind != "ident":
-            raise ParseError(t.line, f"expected type {what}, found '{t.text}'")
+            raise ParseError(self.here(), f"expected type {what}")
+        if self.kinds[t] != "ident":
+            raise ParseError(self.line(t), f"expected type {what}, found '{self.texts[t]}'")
         self.take()
         while True:
-            if self.at(".") and (nxt := self.peek(1)) is not None and nxt.kind == "ident":
+            if self.at(".") and (nxt := self.peek(1)) is not None and self.kinds[nxt] == "ident":
                 self.take()
                 self.take()
                 continue
@@ -729,17 +767,18 @@ class _Parser:
         while True:
             t = self.peek()
             if t is None:
-                raise ParseError(self.toks[-1].line, f"unclosed body of {qname}")
-            if t.text == "}":
+                raise ParseError(self.here(), f"unclosed body of {qname}")
+            text = self.texts[t]
+            if text == "}":
                 self.take()
                 return fields, methods, inners
-            if t.text == ";":
+            if text == ";":
                 self.take()
                 continue
-            if t.text == "{":  # instance initializer block
+            if text == "{":  # instance initializer block
                 self.skip_balanced("{", "}")
                 continue
-            if t.text == "static" and self.at("{", 1):  # static initializer
+            if text == "static" and self.at("{", 1):  # static initializer
                 self.take()
                 self.skip_balanced("{", "}")
                 continue
@@ -747,10 +786,10 @@ class _Parser:
 
     def parse_enum_constants(self, simple_name: str, fields: list[FieldFacts]) -> None:
         while True:
-            t = self.peek()
-            if t is None or t.text in (";", "}"):
-                if t is not None and t.text == ";":
-                    self.take()
+            if self.at(";"):
+                self.take()
+                return
+            if self.peek() is None or self.at("}"):
                 return
             annos: list[AnnotationFacts] = []
             while self.at("@"):
@@ -762,12 +801,12 @@ class _Parser:
                 self.skip_balanced("{", "}")
             fields.append(
                 FieldFacts(
-                    name=name_tok.text,
+                    name=self.texts[name_tok],
                     type_text=simple_name,
                     modifiers=frozenset({"public", "static", "final"}),
                     annotations=tuple(annos),
                     initializer_text=None,
-                    line=name_tok.line,
+                    line=self.line(name_tok),
                     is_enum_constant=True,
                 )
             )
@@ -783,45 +822,43 @@ class _Parser:
         methods: list[MethodFacts],
         inners: list[ClassFacts],
     ) -> None:
-        mods, annos, start_off, start_line = self.parse_modifiers_and_annotations("method")
+        mods, annos, first = self.parse_modifiers_and_annotations("method")
         t = self.peek()
         if t is None:
-            raise ParseError(self.toks[-1].line, f"unexpected end of {qname} body")
-        if t.text in ("class", "interface", "enum") or (t.text == "@" and self.at("interface", 1)):
+            raise ParseError(self.here(), f"unexpected end of {qname} body")
+        if self.texts[t] in ("class", "interface", "enum") or (self.texts[t] == "@" and self.at("interface", 1)):
             # the annotations above were parsed with a method target; retarget
-            retargeted = [
-                AnnotationFacts(a.name, a.argument_text, "class", a.line) for a in annos
-            ]
+            retargeted = tuple(replace(a, target="class") for a in annos)
             inner = self.parse_type_decl(prefix=qname)
             inner = replace(
                 inner,
                 modifiers=inner.modifiers | mods,
-                annotations=tuple(retargeted) + inner.annotations,
-                byte_range=(start_off, inner.byte_range[1]) if start_off is not None else inner.byte_range,
+                annotations=retargeted + inner.annotations,
+                byte_range=(self.starts[first], inner.byte_range[1]) if first is not None else inner.byte_range,
             )
             inners.append(inner)
             return
-        if t.text == "<":  # generic method type parameters
+        if self.texts[t] == "<":  # generic method type parameters
             self.skip_generics()
             t = self.peek()
             if t is None:
-                raise ParseError(self.toks[-1].line, "unexpected end after type parameters")
-        if start_off is None:
-            start_off, start_line = t.start, t.line
+                raise ParseError(self.here(), "unexpected end after type parameters")
+        if first is None:
+            first = t
         # constructor: ClassName (
-        if t.kind == "ident" and t.text == simple_name and self.at("(", 1):
+        if self.kinds[t] == "ident" and self.texts[t] == simple_name and self.at("(", 1):
             name_tok = self.take()
-            methods.append(self.parse_method_rest(name_tok, None, mods, annos, qname, start_off, start_line))
+            methods.append(self.parse_method_rest(name_tok, None, mods, annos, qname, first))
             return
         return_type = self.read_type_text(f"in member of {qname}")
         name_tok = self.expect_ident(f"as member name in {qname}")
         if self.at("("):
-            methods.append(self.parse_method_rest(name_tok, return_type, mods, annos, qname, start_off, start_line))
+            methods.append(self.parse_method_rest(name_tok, return_type, mods, annos, qname, first))
             return
         # field declarator list
-        field_annos = [AnnotationFacts(a.name, a.argument_text, "field", a.line) for a in annos]
+        field_annos = tuple(replace(a, target="field") for a in annos)
         while True:
-            decl_name = name_tok.text
+            decl_name = self.texts[name_tok]
             decl_type = return_type
             while self.at("[") and self.at("]", 1):
                 self.take()
@@ -833,14 +870,15 @@ class _Parser:
                 start = self.pos
                 depth = 0
                 while True:
-                    tok = self.peek()
-                    if tok is None:
-                        raise ParseError(name_tok.line, f"unterminated field initializer for {decl_name}")
-                    if tok.text in ("(", "{", "["):
+                    k = self.peek()
+                    if k is None:
+                        raise ParseError(self.line(name_tok), f"unterminated field initializer for {decl_name}")
+                    text = self.texts[k]
+                    if text in ("(", "{", "["):
                         depth += 1
-                    elif tok.text in (")", "}", "]"):
+                    elif text in (")", "}", "]"):
                         depth -= 1
-                    elif depth == 0 and tok.text in (",", ";"):
+                    elif depth == 0 and text in (",", ";"):
                         break
                     self.take()
                 initializer = self.slice_tokens(start, self.pos)
@@ -849,9 +887,9 @@ class _Parser:
                     name=decl_name,
                     type_text=decl_type,
                     modifiers=frozenset(mods),
-                    annotations=tuple(field_annos),
+                    annotations=field_annos,
                     initializer_text=initializer,
-                    line=name_tok.line,
+                    line=self.line(name_tok),
                 )
             )
             if self.at(","):
@@ -863,14 +901,14 @@ class _Parser:
 
     def parse_method_rest(
         self,
-        name_tok: _Token,
+        name_tok: int,
         return_type: str | None,
         mods: set[str],
         annos: list[AnnotationFacts],
         qname: str,
-        start_off: int,
-        start_line: int | None = None,
+        first: int,
     ) -> MethodFacts:
+        name = self.texts[name_tok]
         self.expect("(", "to open parameter list")
         params: list[tuple[str, str]] = []
         seen_param_names: set[str] = set()
@@ -879,19 +917,20 @@ class _Parser:
                 self.parse_annotation("method")  # parameter annotations dropped
             if self.at("final"):
                 self.take()
-            ptype = self.read_type_text(f"as parameter type of {qname}.{name_tok.text}")
+            ptype = self.read_type_text(f"as parameter type of {qname}.{name}")
             if self.at("..."):
                 self.take()
                 ptype += "..."
             pname_tok = self.expect_ident("as parameter name")
+            pname = self.texts[pname_tok]
             while self.at("[") and self.at("]", 1):
                 self.take()
                 self.take()
                 ptype += "[]"
-            if pname_tok.text in seen_param_names:
-                raise ParseError(pname_tok.line, f"duplicate parameter {pname_tok.text} in {qname}.{name_tok.text}")
-            seen_param_names.add(pname_tok.text)
-            params.append((ptype, pname_tok.text))
+            if pname in seen_param_names:
+                raise ParseError(self.line(pname_tok), f"duplicate parameter {pname} in {qname}.{name}")
+            seen_param_names.add(pname)
+            params.append((ptype, pname))
             if self.at(","):
                 self.take()
         self.expect(")", "to close parameter list")
@@ -901,27 +940,27 @@ class _Parser:
             thrown = self.read_type_list()
         body_text, body_line = "", 0
         if self.at("{"):
-            open_tok = self.peek()
+            open_tok = self.pos
             self.skip_balanced("{", "}")
-            end_off = self.toks[self.pos - 1].end
-            body_span = (open_tok.start, end_off)
-            body_text, body_line = self.source[open_tok.start : end_off], open_tok.line
+            end_off = self.ends[self.pos - 1]
+            body_span = (self.starts[open_tok], end_off)
+            body_text, body_line = self.source[body_span[0] : end_off], self.line(open_tok)
         elif self.at("="):
             # annotation-decl member with default value: drop the default
             self.take()
             while not self.at(";"):
                 if self.peek() is None:
-                    raise ParseError(name_tok.line, "unterminated default value")
+                    raise ParseError(self.line(name_tok), "unterminated default value")
                 self.take()
-            end_off = self.take().end
+            end_off = self.ends[self.take()]
             body_span = (end_off, end_off)
         else:
-            end_off = self.expect(";", "after abstract method").end
+            end_off = self.ends[self.expect(";", "after abstract method")]
             body_span = (end_off, end_off)
-        method_qname = f"{qname}.{name_tok.text}"
-        self.decl_index.append(("method", method_qname, start_line or name_tok.line, start_off, body_span))
+        start_off = self.starts[first]
+        self.decl_index.append(("method", f"{qname}.{name}", self.line(first), start_off, body_span))
         return MethodFacts(
-            name=name_tok.text,
+            name=name,
             return_type=return_type,
             parameters=tuple(params),
             modifiers=frozenset(mods),
@@ -943,23 +982,23 @@ _NO_SPACE_AFTER = {"(", "[", ".", "@", "::"}
 _TYPE_GLUE = {"<", ">", ">>", ">>>"}
 
 
-def _join_tokens(tokens: list[_Token]) -> str:
-    """Render a token run as compact single-line text."""
+def _join_tokens(texts: list[str]) -> str:
+    """Render a run of token texts as compact single-line text."""
     out: list[str] = []
-    prev: _Token | None = None
-    for t in tokens:
+    prev: str | None = None
+    for t in texts:
         if prev is not None:
-            if t.text in _NO_SPACE_BEFORE or prev.text in _NO_SPACE_AFTER:
+            if t in _NO_SPACE_BEFORE or prev in _NO_SPACE_AFTER:
                 pass
-            elif (t.text in _TYPE_GLUE or prev.text in _TYPE_GLUE) and t.text != "extends" and prev.text != "extends":
+            elif (t in _TYPE_GLUE or prev in _TYPE_GLUE) and t != "extends" and prev != "extends":
                 pass
-            elif prev.text in ("extends", "super") or t.text in ("extends", "super"):
+            elif prev in ("extends", "super") or t in ("extends", "super"):
                 out.append(" ")
-            elif t.text == "<" or prev.text in ("<",):
+            elif t == "<" or prev in ("<",):
                 pass
             else:
                 out.append(" ")
-        out.append(t.text)
+        out.append(t)
         prev = t
     return "".join(out)
 
@@ -991,48 +1030,15 @@ def _body_statements(body_text: str, line: int) -> tuple[StatementFacts, ...]:
     """The statements of a method body, from its '{...}' source text and the
     line its '{' is on.
 
-    The text between the braces is lexed into parallel columns (each code
-    token's kind, text, start and end offset) by one finditer loop over
-    _TOKEN_RE, with the token kinds _tokens gives; comments only leave their
-    spans, to be blanked.  No line is computed here: _scan_statements counts
-    newlines up to each statement head.  The matching '}' ends the last
-    token.  A comment or literal left open raises ParseError as in _tokens,
-    although a body from a file that passed _scan_layout holds none.
+    The text between the braces is decoded into token columns; comments
+    only leave their spans, to be blanked.  No line is computed here:
+    _scan_statements counts newlines up to each statement head.  The
+    matching '}' ends the last token.  A comment or literal left open raises
+    ParseError, although a body from a file that passed _scan_layout holds
+    none.
     """
-    kinds: list[str] = []
-    texts: list[str] = []
-    starts: list[int] = []
-    ends: list[int] = []
-    comments: list[tuple[int, int]] = []
-    for m in _TOKEN_RE.finditer(body_text, 1, len(body_text) - 1):
-        kind = m.lastgroup
-        if kind in _CODE_KINDS:
-            start, end = m.span(kind)
-            text = m[kind]
-        elif kind is None:  # trailing whitespace
-            break
-        elif kind == "line_comment" or kind == "block_comment":
-            comments.append(m.span(kind))
-            continue
-        else:
-            start, end = m.span(kind)
-            text = m[kind]
-            if kind == "other":
-                # non-ASCII digits outside \d (e.g. '\u00b2') still lex as numbers
-                kind = "number" if text.isdigit() else "punct"
-            elif kind == "open_comment":
-                raise ParseError(line + body_text.count("\n", 0, start), "unterminated block comment")
-            else:  # a wrapped or open literal
-                literal = "string" if text[0] == '"' else "char"
-                if kind == "open_literal":
-                    raise ParseError(line + body_text.count("\n", 0, start), f"unterminated {literal} literal")
-                kind = literal
-        kinds.append(kind)
-        texts.append(text)
-        starts.append(start)
-        ends.append(end)
-    blanked = _blank_comments(body_text, comments)
-    return tuple(_scan_statements(kinds, texts, starts, ends, blanked, line))
+    kinds, texts, starts, ends, comments = _decode(body_text, 1, len(body_text) - 1, line)
+    return tuple(_scan_statements(kinds, texts, starts, ends, _blank_comments(body_text, comments), line))
 
 
 def _scan_statements(
@@ -1378,5 +1384,5 @@ def extract_comments(source: str) -> list[CommentFacts]:
     try:
         return list(parse_java(source).comments)
     except ParseError:
-        _tokens, raw_comments = _lex(source, lenient=True)
+        _rows, raw_comments = _lex(source, lenient=True)
         return [_comment_facts(raw, "file") for raw in raw_comments]

@@ -14,7 +14,7 @@ left to cut.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from importlib import resources
 
 from condenser.changeset import AnnotationChange, ChangeType, FileDiff, MethodInlineChange, StructuralDiff
@@ -311,21 +311,6 @@ def _build_lines(
     return header, lines
 
 
-def _prune_empty_sections(kept: list[_Line]) -> list[_Line]:
-    out: list[_Line] = []
-    for line in kept:
-        if line.text == TEMPLATES["comments_header"] and not any(
-            l.section == "comments" and l.text != TEMPLATES["comments_header"] for l in kept
-        ):
-            continue
-        if line.text == TEMPLATES["identifiers_header"] and not any(
-            l.section == "identifiers" and l.text != TEMPLATES["identifiers_header"] for l in kept
-        ):
-            continue
-        out.append(line)
-    return out
-
-
 def render(
     commit: CommitInput,
     diff: StructuralDiff,
@@ -400,7 +385,10 @@ def render(
                 total -= line_tokens[h]
     if total > budget:
         raise BudgetError(f"cannot fit template into {budget} tokens")
-    kept = _prune_empty_sections([l for i, l in enumerate(lines) if alive[i]])
+    # a section header is kept only while its section has a live body line
+    kept = [
+        l for i, l in enumerate(lines) if alive[i] and not (is_section_header(l) and body_alive[l.section] == 0)
+    ]
 
     summary_text = "\n".join(l.text for l in kept if l.section == "summary")
     comments_text = "\n".join(l.text for l in kept if l.section == "comments")
@@ -422,15 +410,7 @@ def render(
 
 
 def template_to_dict(template: CondensedTemplate, change_type: ChangeType, rule: str | None = None) -> dict:
-    out = {
-        "header": template.header,
-        "summarized_changes": template.summarized_changes,
-        "comments_section": template.comments_section,
-        "identifiers_section": template.identifiers_section,
-        "full_text": template.full_text,
-        "token_count": template.token_count,
-        "change_type": change_type.value,
-    }
+    out = asdict(template) | {"change_type": change_type.value}
     if rule is not None:
         out["rule"] = rule
     return out

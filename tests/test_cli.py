@@ -271,6 +271,28 @@ def test_bad_record_exits_1(capsys, tmp_path, bad_corpus_path, command, out_line
     assert len(out_path.read_text(encoding="utf-8").splitlines()) == out_lines
 
 
+def test_file_entry_without_a_path_is_skipped(capsys, tmp_path):
+    good = {"repo": "r", "hash": "h1", "message": "add stop", "files": [
+        {"path_old": "A.java", "path_new": "A.java",
+         "content_old": "class A { }\n", "content_new": "class A { void stop() { } }\n"}]}
+    corpus = tmp_path / "corpus.jsonl"
+    no_path = {"repo": "r", "hash": "h2", "message": "m", "files": [{}]}
+    corpus.write_text(json.dumps(good) + "\n" + json.dumps(no_path) + "\n")
+    code, out, err = run_cli(capsys, "corpus", "run", "--corpus", str(corpus))
+    assert code == 1
+    assert "skipping record: file pair needs at least one path" in err
+    assert [json.loads(line)["hash"] for line in out.splitlines()] == ["h1"]
+    assert "change in  (not summarized)" not in out
+
+
+def test_diff_with_both_paths_dev_null_exits_2(capsys, tmp_path):
+    diff_file = tmp_path / "change.diff"
+    diff_file.write_text("diff --git a/A.java b/A.java\n--- /dev/null\n+++ /dev/null\n@@ -0,0 +1 @@\n+x\n")
+    code, out, err = run_cli(capsys, "condense", "--diff", str(diff_file), "--repo", "r", "--hash", "h")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: line 2: ")
+
+
 def test_corpus_run_to_file_deterministic(tmp_path, capsys, corpus_path):
     out1 = tmp_path / "run1.jsonl"
     out2 = tmp_path / "run2.jsonl"

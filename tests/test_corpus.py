@@ -140,7 +140,7 @@ def _nested_classes_commit(depth: int) -> CommitInput:
         opened = "".join(f"class C{i} {{\n" for i in range(depth))
         return f"{opened}int {field};\n" + "}\n" * depth
 
-    pair = FilePair("src/Deep.java", "src/Deep.java", source("a"), source("b"), "modified")
+    pair = FilePair("src/Deep.java", "src/Deep.java", source("a"), source("b"))
     return CommitInput("deep/nesting", "d00000000001", (pair,))
 
 

@@ -166,17 +166,27 @@ def test_patch_consistency_for_modified_pairs():
         assert apply_hunks(pair.content_old, section.hunks) == pair.content_new
 
 
-def test_file_pair_status_invariants():
+def test_file_pair_status_follows_paths():
+    assert [FilePair(*paths, None, None).status for paths in (("A", "A"), ("A", "B"), (None, "A"), ("A", None))] == [
+        "modified", "renamed", "added", "deleted"
+    ]
+    with pytest.raises(ValueError, match="at least one path"):
+        FilePair(None, None, None, None)
     with pytest.raises(ValueError):
-        FilePair("A.java", "A.java", "x", "y", "added")
+        FilePair(None, "A.java", "x", "y")  # an added file has no old content
     with pytest.raises(ValueError):
-        FilePair("A.java", "A.java", "x", None, "deleted")
-    with pytest.raises(ValueError):
-        FilePair("A.java", "A.java", "x", "y", "renamed")
+        FilePair("A.java", None, "x", "y")  # a deleted file has no new content
+
+
+def test_diff_with_both_sides_dev_null_is_rejected():
+    text = "diff --git a/A.java b/A.java\n--- /dev/null\n+++ /dev/null\n@@ -0,0 +1 @@\n+x\n"
+    with pytest.raises(DiffFormatError) as err:
+        parse_unified_diff(text)
+    assert err.value.line == 2
 
 
 def test_commit_input_invariants():
-    pair = FilePair("A.java", "A.java", "x", "y", "modified")
+    pair = FilePair("A.java", "A.java", "x", "y")
     with pytest.raises(ValueError):
         CommitInput("", "h", (pair,))
     with pytest.raises(ValueError):

@@ -20,6 +20,7 @@ each token and comment instead.
 from __future__ import annotations
 
 import ast
+from dataclasses import astuple
 from pathlib import Path
 
 import pytest
@@ -68,12 +69,18 @@ def _lexed(lex, source: str, lenient: bool, lines: bool = True):
     except ParseError as exc:
         return ("error", exc.line if lines else None, exc.message)
     return (
-        [(t.kind, t.text, t.line if lines else None, t.start, t.end) for t in tokens],
+        [(kind, text, line if lines else None, start, end) for kind, text, line, start, end in tokens],
         [
             (c.kind, c.text, c.start_line if lines else None, c.end_line if lines else None, c.start, c.end, c.terminated)
             for c in comments
         ],
     )
+
+
+def _oracle_rows(source: str, lenient: bool):
+    """The original lexer's tokens as (kind, text, line, start, end) rows, as _lex gives them."""
+    tokens, comments = lex_oracle(source, lenient)
+    return [astuple(t) for t in tokens], comments
 
 
 def has_multiline_literal(source: str) -> bool:
@@ -90,13 +97,13 @@ def _line_of(source: str, offset: int) -> int:
 def _assert_lexes_like_oracle(source: str) -> None:
     lines = not has_multiline_literal(source)
     for lenient in (False, True):
-        assert _lexed(_lex, source, lenient, lines) == _lexed(lex_oracle, source, lenient, lines), (lenient, source)
+        assert _lexed(_lex, source, lenient, lines) == _lexed(_oracle_rows, source, lenient, lines), (lenient, source)
         if not lines:
             try:
                 tokens, comments = _lex(source, lenient)
             except ParseError:
                 continue
-            assert [t.line for t in tokens] == [_line_of(source, t.start) for t in tokens], source
+            assert [t[2] for t in tokens] == [_line_of(source, t[3]) for t in tokens], source
             assert [(c.start_line, c.end_line) for c in comments] == [
                 (_line_of(source, c.start), _line_of(source, c.start) + source.count("\n", c.start, c.end)) for c in comments
             ], source

@@ -31,7 +31,7 @@ from condenser import javafacts
 from condenser.changeset import diff_facts
 from condenser.corpus import condense_commit
 from condenser.diffing import CommitInput, FilePair
-from condenser.javafacts import ParseError, parse_java
+from condenser.javafacts import ParseError, _lex, parse_java
 from corpusdata import COMMITS
 from oracles import parse_java_oracle
 from test_lexer_oracle import _PIECE, FIXTURE_SOURCES, _program_source, has_multiline_literal
@@ -101,6 +101,29 @@ def test_token_soups_in_a_body_parse_like_oracle(source):
     # whatever the body holds, the coarse scan must find the '}' the fine
     # lexer finds, and the statements built from the body text must match
     _assert_parses_like_oracle("class A {\n  void m() {\n" + source + "\n  }\n  int f;\n}\n")
+
+
+def _deletable_tokens(source: str) -> list[tuple[int, int]]:
+    """The (start, end) span of each non-brace code token of a source that
+    parses; none for one that does not."""
+    try:
+        parse_java(source)
+    except ParseError:
+        return []
+    return [(start, end) for _kind, text, _line, start, end in _lex(source)[0] if text not in ("{", "}")]
+
+
+_DELETABLE = [(source, spans) for source in FIXTURE_SOURCES if (spans := _deletable_tokens(source))]
+
+
+@settings(max_examples=1500, deadline=None)
+@given(st.data())
+def test_deleting_a_token_parses_like_oracle(data):
+    # with one token gone the declaration parser raises its own errors, in
+    # chunks lexed around the bodies it steps over
+    source, spans = data.draw(st.sampled_from(_DELETABLE))
+    start, end = data.draw(st.sampled_from(spans))
+    _assert_parses_like_oracle(source[:start] + source[end:])
 
 
 def _generated_files(seed: int) -> list[javagen.JFile]:
@@ -250,7 +273,7 @@ def test_one_statement_edit_builds_only_the_edited_method(built, monkeypatch):
     new.classes[0].methods[10].body[3] = gen.simple_stmt()
     old_src, new_src = javagen.render(old), javagen.render(new)
     path = "src/main/java/LargeGeneratedService.java"
-    commit = CommitInput("acme/large", "0123456789ab", (FilePair(path, path, old_src, new_src, "modified"),))
+    commit = CommitInput("acme/large", "0123456789ab", (FilePair(path, path, old_src, new_src),))
 
     result = condense_commit(commit)
     name = old.classes[0].methods[10].name

@@ -42,7 +42,7 @@ def render_single_file(old_src: str, new_src: str, repo="r", commit_hash="h", bu
         extract_identifiers(diff, [old_f], [new_f]),
         IdentifierFilter(stoplist=PipelineConfig().stoplist),
     )
-    commit = CommitInput(repo, commit_hash, (FilePair(path, path, old_src, new_src, status),))
+    commit = CommitInput(repo, commit_hash, (FilePair(path, path, old_src, new_src),))
     return render(commit, diff, change_type, comments, annotations, identifiers, budget=budget)
 
 
@@ -282,13 +282,13 @@ def test_renamed_file_line():
     new = parse_java("class S { int t() { return 2; } }")
     diff = diff_facts(old, new, path="New.java", status="renamed")
     diff = StructuralDiff(files=(dataclasses.replace(diff.files[0], path_old="Old.java"),))
-    commit = CommitInput("r", "h", (FilePair("Old.java", "New.java", "x", "y", "renamed"),))
+    commit = CommitInput("r", "h", (FilePair("Old.java", "New.java", "x", "y"),))
     template = render(commit, diff, ChangeType.of("Ty10"), [], [], [])
     assert "change renaming Old.java to New.java" in template.full_text.split("\n")
 
 
 def test_non_java_files_listed_as_skipped():
-    commit = CommitInput("r", "h", (FilePair("README.md", "README.md", "a", "b", "modified"),))
+    commit = CommitInput("r", "h", (FilePair("README.md", "README.md", "a", "b"),))
     result = condense_commit(commit)
     assert "change in README.md (not summarized)" in result.template.full_text.split("\n")
     assert result.template.summarized_changes.endswith("End change part")
