@@ -14,6 +14,7 @@ import re
 from dataclasses import dataclass, field, replace
 
 from condenser.config import PipelineConfig
+from condenser.diffing import FilePair
 from condenser.javafacts import (
     ClassFacts,
     FieldFacts,
@@ -141,6 +142,8 @@ class FileDiff:
     method_added: tuple[tuple[str, MethodFacts], ...] = ()
     method_removed: tuple[tuple[str, MethodFacts], ...] = ()
     inline_changes: tuple[MethodInlineChange, ...] = ()
+    # (class qname, old, new) of each matched method whose body text differs
+    body_changed: tuple[tuple[str, MethodFacts, MethodFacts], ...] = ()
     supertype_added: tuple[tuple[str, str, str], ...] = ()  # (class, extends|implements, type)
     supertype_removed: tuple[tuple[str, str, str], ...] = ()
 
@@ -491,7 +494,7 @@ def _inline_change(
 # the missing side of an added or removed class
 _EMPTY_CLASS = ClassFacts(
     name="", kind="class", modifiers=frozenset(), annotations=(), extends_types=(), implements_types=(),
-    fields=(), methods=(), inner_classes=(), doc_comment=None, byte_range=(0, 0),
+    fields=(), methods=(), inner_classes=(), byte_range=(0, 0),
 )
 
 
@@ -505,17 +508,18 @@ def _members_fingerprint(cls: ClassFacts) -> frozenset:
 def diff_facts(
     old: SourceFacts,
     new: SourceFacts,
-    path: str = "",
-    status: str = "modified",
+    path_old: str | None = "",
+    path_new: str | None = "",
     config: PipelineConfig | None = None,
-    path_old: str | None = None,
 ) -> StructuralDiff:
     """Structural diff of one file's old and new facts.
 
-    Either side may be SourceFacts.empty() for added/deleted files. Unchanged
-    entities produce no records; the result satisfies the per-method
-    exclusivity invariant (a method is added, removed, or inline-changed,
-    never more than one).
+    The file's status follows from its two paths as FilePair.status does: a
+    missing old path means added, a missing new path deleted, and two
+    different paths renamed.  Either side may be SourceFacts.empty() for
+    added/deleted files. Unchanged entities produce no records; the result
+    satisfies the per-method exclusivity invariant (a method is added,
+    removed, or inline-changed, never more than one).
     """
     config = config or PipelineConfig()
     old_imports = [_import_text(i) for i in old.imports]
@@ -544,6 +548,7 @@ def diff_facts(
     method_added: list[tuple[str, MethodFacts]] = []
     method_removed: list[tuple[str, MethodFacts]] = []
     inline_changes: list[MethodInlineChange] = []
+    body_changed: list[tuple[str, MethodFacts, MethodFacts]] = []
     supertype_added: list[tuple[str, str, str]] = []
     supertype_removed: list[tuple[str, str, str]] = []
 
@@ -598,6 +603,8 @@ def diff_facts(
         for m in removed_m:
             method_removed.append((cname, m))
         for mo, mn in matched:
+            if mo.body_text != mn.body_text:
+                body_changed.append((cname, mo, mn))
             change = _inline_change(cname, mo, mn, config)
             if change is not None:
                 inline_changes.append(change)
@@ -607,12 +614,13 @@ def diff_facts(
     class_order = tuple(new_classes) + tuple(
         n for n in old_classes if n not in new_classes and n not in renamed_old_names
     )
+    pair = FilePair(path_old, path_new, None, None)
     file_diff = FileDiff(
-        path=path,
-        status=status,
+        path=pair.path,
+        status=pair.status,
         is_java=True,
         package_name=package,
-        path_old=path_old,
+        path_old=path_old if pair.status == "renamed" else None,
         class_order=class_order,
         single_class=len(new_classes or old_classes) == 1,
         import_added=import_added,
@@ -627,6 +635,7 @@ def diff_facts(
         method_added=tuple(method_added),
         method_removed=tuple(method_removed),
         inline_changes=tuple(inline_changes),
+        body_changed=tuple(body_changed),
         supertype_added=tuple(supertype_added),
         supertype_removed=tuple(supertype_removed),
     )
@@ -639,18 +648,16 @@ def _import_text(imp) -> str:
 
 
 def diff_commit_facts(
-    per_file: list[tuple[str, str, str | None, SourceFacts, SourceFacts]],
+    per_file: list[tuple[str | None, str | None, SourceFacts, SourceFacts]],
     config: PipelineConfig | None = None,
     skipped: list[tuple[str, str]] | None = None,
 ) -> StructuralDiff:
-    """Diff a whole commit: (path, status, old path, old facts, new facts)
-    per Java file, plus (path, status) records for files carried through
+    """Diff a whole commit: (old path, new path, old facts, new facts) per
+    Java file, plus (path, status) records for files carried through
     unsummarized."""
     files: list[FileDiff] = []
-    for path, status, old_path, old, new in per_file:
-        files.extend(
-            diff_facts(old, new, path=path, status=status, config=config, path_old=old_path).files
-        )
+    for path_old, path_new, old, new in per_file:
+        files.extend(diff_facts(old, new, path_old, path_new, config).files)
     for path, status in skipped or []:
         files.append(FileDiff(path=path, status=status, is_java=False))
     return StructuralDiff(files=tuple(files))

@@ -3,8 +3,11 @@ methods.
 
 Comments are surfaced when they were added or removed between versions, or
 when they document an entity the structural diff touches (origin=context).
-Each elicited comment gets exactly one category, assigned by first match in
-the fixed priority order license > todo > javadoc > general.
+They pair through the diff's own entity matching: old comments take the
+names of the diff's renamed classes, and inline comments are read only for
+the methods the diff adds, removes or re-bodies.  Each elicited comment gets
+exactly one category, assigned by first match in the fixed priority order
+license > todo > javadoc > general.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import re
 from dataclasses import dataclass
 
 from condenser.changeset import AnnotationChange, FileDiff, StructuralDiff
-from condenser.javafacts import CommentFacts, SourceFacts
+from condenser.javafacts import CommentFacts, MethodFacts, SourceFacts, merge_inline_comments
 
 __all__ = [
     "ElicitedComment",
@@ -54,18 +57,13 @@ def categorize_comment(comment: CommentFacts) -> str:
     return "general"
 
 
-def _comment_key(comment: CommentFacts) -> tuple[str, str]:
-    return (normalize_comment_text(comment.text), comment.attachment)
-
-
 def _touched_attachments(diff: StructuralDiff) -> set[str]:
     """Attachment strings for entities the diff records touch."""
     touched: set[str] = set()
     for fd in diff.files:
         for name in fd.class_added + fd.class_removed:
             touched.add(f"class:{name}")
-        for old_name, new_name in fd.class_renamed:
-            touched.add(f"class:{old_name}")
+        for _old_name, new_name in fd.class_renamed:
             touched.add(f"class:{new_name}")
         for cname, m in list(fd.method_added) + list(fd.method_removed):
             touched.add(f"method:{cname}.{m.name}")
@@ -76,19 +74,64 @@ def _touched_attachments(diff: StructuralDiff) -> set[str]:
     return touched
 
 
+def _renamed(qname: str, renames: dict[str, str]) -> str:
+    """A qualified name with a renamed class, or one nested in it, renamed."""
+    for old, new in renames.items():
+        if qname == old or qname.startswith(old + "."):
+            return new + qname[len(old) :]
+    return qname
+
+
+def _keyed(
+    facts: SourceFacts, body_changed: set[str], renames: dict[str, str]
+) -> list[tuple[CommentFacts, tuple[str, str]]]:
+    """Each comment of one version that can differ from the other version's,
+    in source order, with its key: every comment outside method bodies, and
+    the inline comments of the methods named in body_changed.  Names are
+    the new version's, so old attachments go through renames."""
+    methods: list[MethodFacts] = []
+    if body_changed:
+        for qname, cls in facts.all_classes():
+            qname = _renamed(qname, renames)
+            methods += (m for m in cls.methods if f"{qname}.{m.name}" in body_changed)
+
+    def attachment(comment: CommentFacts) -> str:
+        if not renames:
+            return comment.attachment
+        kind, sep, qname = comment.attachment.partition(":")
+        return kind + sep + _renamed(qname, renames)
+
+    # normalizing is the costly part of a key, so each is computed once
+    return [
+        (c, (normalize_comment_text(c.text), attachment(c)))
+        for c in merge_inline_comments(facts.comments, methods)
+    ]
+
+
 def elicit_comments(
     old: SourceFacts, new: SourceFacts, diff: StructuralDiff
 ) -> list[ElicitedComment]:
     """Comments added/removed between versions, plus unchanged doc comments
     attached to entities the diff touches (rendered after the changed ones).
 
+    Comments pair through the diff's own matching: an old comment's class is
+    renamed as the diff renames it, and a method's inline comments are read
+    only when the diff adds or removes a method of that qualified name or
+    matches one whose body text changed; all overloads of that name are read
+    on both sides.  Any other name's methods are matched with equal bodies,
+    which hold equal inline comments.
+
     Duplicates (same normalized text and attachment) are emitted once.
     Unchanged license boilerplate is suppressed: a license header that did
     not change is noise for every commit that touches the file.
     """
-    # each comment's key, computed once: normalizing is the costly part
-    old_keyed = [(c, _comment_key(c)) for c in old.comments]
-    new_keyed = [(c, _comment_key(c)) for c in new.comments]
+    renames = {o: n for fd in diff.files for o, n in fd.class_renamed}
+    body_changed: set[str] = set()
+    for fd in diff.files:
+        body_changed.update(f"{cname}.{m.name}" for cname, m in fd.method_added + fd.method_removed)
+        body_changed.update(f"{cname}.{new_m.name}" for cname, _old_m, new_m in fd.body_changed)
+    old_keyed = _keyed(old, body_changed, renames)
+    new_keyed = _keyed(new, body_changed, {})
     old_keys = {key for _c, key in old_keyed}
     new_keys = {key for _c, key in new_keyed}
 
@@ -119,11 +162,7 @@ def elicit_comments(
     touched = _touched_attachments(diff)
     for keyed in (new_keyed, old_keyed):
         for comment, key in keyed:
-            if comment.attachment not in touched:
-                continue
-            if comment.attachment.startswith("inline:"):
-                continue
-            if key in changed_keys:
+            if key[1] not in touched or key in changed_keys:
                 continue
             emit(comment, key, "context")
     return out

@@ -184,7 +184,7 @@ class CondenseResult:
 def condense_commit(commit: CommitInput, config: PipelineConfig | None = None) -> CondenseResult:
     """Run the full condensation pipeline for one commit."""
     config = config or PipelineConfig()
-    per_file: list[tuple[str, str, str | None, SourceFacts, SourceFacts]] = []
+    per_file: list[tuple[str | None, str | None, SourceFacts, SourceFacts]] = []
     skipped: list[tuple[str, str]] = []
     parse_failures: list[str] = []
     old_facts_all: list[SourceFacts] = []
@@ -203,8 +203,7 @@ def condense_commit(commit: CommitInput, config: PipelineConfig | None = None) -
             log.warning("%s:%d: warning: %s", pair.path, exc.line, exc.message)
             skipped.append((pair.path, pair.status))
             continue
-        old_path = pair.path_old if pair.status == "renamed" else None
-        per_file.append((pair.path, pair.status, old_path, old_facts, new_facts))
+        per_file.append((pair.path_old, pair.path_new, old_facts, new_facts))
         old_facts_all.append(old_facts)
         new_facts_all.append(new_facts)
 
@@ -213,7 +212,7 @@ def condense_commit(commit: CommitInput, config: PipelineConfig | None = None) -
 
     comments: list[ElicitedComment] = []
     annotations: list[AnnotationChange] = []
-    for (path, status, _old_path, old_facts, new_facts), file_diff in zip(
+    for (_path_old, _path_new, old_facts, new_facts), file_diff in zip(
         per_file, (fd for fd in diff.files if fd.is_java)
     ):
         comments.extend(elicit_comments(old_facts, new_facts, StructuralDiff(files=(file_diff,))))

@@ -24,9 +24,16 @@ are never lexed.  The same decoder lexes a body into columns that the
 statement scanner indexes in place, and a statement's line is counted only
 at its head, by a running newline count from the previous head.  Elsewhere
 a line comes from bisecting the precomputed newline offsets, only where a
-fact or an error needs one; every newline counts.  Comments attach to
-declarations by bisecting declaration offsets and by a sweep over the
-nested body spans.
+fact or an error needs one; every newline counts.
+
+The coarse pass keeps each comment as a span.  A comment inside a method
+body belongs to that body: the method keeps the spans that fall inside it,
+and its inline_comments are built from body_text on first read, so the
+comments of the bodies a diff never looks at are never built.  Any other
+comment attaches to the class or method declaration that starts within two
+lines below it, else to the innermost class body around it, else to the
+file; the declaration comes from bisecting declaration offsets and the
+class from a sweep over the nested class body spans.
 
 All returned facts are immutable in value and safe to share across threads
 (building a method's statements twice gives the same tuple).
@@ -54,6 +61,7 @@ __all__ = [
     "SourceFacts",
     "StatementFacts",
     "extract_comments",
+    "merge_inline_comments",
     "parse_java",
 ]
 
@@ -140,15 +148,34 @@ class MethodFacts:
     modifiers: frozenset[str]
     annotations: tuple[AnnotationFacts, ...]
     thrown_exceptions: tuple[str, ...]
-    doc_comment: CommentFacts | None
     byte_range: tuple[int, int]
     body_text: str = field(default="", repr=False)  # the body's '{...}' source; '' without a body
     body_line: int = 0  # line of the body's '{'
+    owner: str = field(default="", compare=False, repr=False)  # qualified name of the declaring class
+    # the (group, start, end) file span of each comment in the body, and how
+    # many of the file's SourceFacts.comments precede the body
+    body_comments: tuple[tuple[str, int, int], ...] = field(default=(), compare=False, repr=False)
+    comments_before: int = field(default=0, compare=False, repr=False)
 
     @cached_property
     def body_statements(self) -> tuple[StatementFacts, ...]:
         """The body's statements, built from body_text on first read."""
         return _body_statements(self.body_text, self.body_line) if self.body_text else ()
+
+    @cached_property
+    def inline_comments(self) -> tuple[CommentFacts, ...]:
+        """The body's comments, built from body_text on first read, each
+        attached as 'inline:<owner>.<name>'."""
+        attachment = f"inline:{self.owner}.{self.name}"
+        text = self.body_text
+        base = self.byte_range[1] - len(text)  # the file offset of the body's '{'
+        line, counted, out = self.body_line, 0, []
+        for group, start, end in self.body_comments:
+            start, end = start - base, end - base
+            line += text.count("\n", counted, start)
+            counted = start
+            out.append(_comment_facts(_raw_comment(group, text[start:end], line, start, end), attachment))
+        return tuple(out)
 
     @property
     def is_constructor(self) -> bool:
@@ -169,7 +196,6 @@ class ClassFacts:
     fields: tuple[FieldFacts, ...]
     methods: tuple[MethodFacts, ...]
     inner_classes: tuple[ClassFacts, ...]
-    doc_comment: CommentFacts | None
     byte_range: tuple[int, int]
 
 
@@ -185,12 +211,9 @@ class SourceFacts:
     package_name: str | None
     imports: tuple[ImportFacts, ...]
     classes: tuple[ClassFacts, ...]
+    # the comments outside method bodies, in source order; a method's own
+    # are its inline_comments
     comments: tuple[CommentFacts, ...] = ()
-
-    @property
-    def file_comments(self) -> tuple[CommentFacts, ...]:
-        """Comments outside any class body."""
-        return tuple(c for c in self.comments if c.attachment == "file")
 
     @staticmethod
     def empty() -> "SourceFacts":
@@ -378,15 +401,16 @@ _LAYOUT_RE = re.compile(
 )
 
 
-def _scan_layout(source: str, line_starts: list[int], path: str) -> tuple[list[_RawComment], dict[int, int]]:
-    """One coarse pass over the whole file: its comments, and the offset of
-    each code '{' mapped to that of its matching '}'.
+def _scan_layout(source: str, line_starts: list[int], path: str) -> tuple[list[tuple[str, int, int]], dict[int, int]]:
+    """One coarse pass over the whole file: the (group, start, end) span of
+    each comment, its group a _TOKEN_RE group name, and the offset of each
+    code '{' mapped to that of its matching '}'.
 
     Raises ParseError for an unterminated comment or literal (the first in
     the file) and then for braces that do not balance, with the lines and
     messages the fine lexer and a brace match over all its tokens give.
     """
-    comments: list[_RawComment] = []
+    comments: list[tuple[str, int, int]] = []
     closers: dict[int, int] = {}
     opened: list[int] = []
     stray: int | None = None
@@ -399,19 +423,15 @@ def _scan_layout(source: str, line_starts: list[int], path: str) -> tuple[list[_
                 closers[opened.pop()] = m.end() - 1
             elif stray is None:
                 stray = m.end() - 1
-        elif kind == "literal" or kind == "slash":
-            continue
+        elif kind == "line_comment" or kind == "block_comment":
+            comments.append((kind, *m.span(kind)))
+        elif kind == "open_comment":
+            raise ParseError(bisect_right(line_starts, m.start(kind)) + 1, "unterminated block comment")
+        elif kind == "open_literal":
+            literal = "string" if m[kind][0] == '"' else "char"
+            raise ParseError(bisect_right(line_starts, m.start(kind)) + 1, f"unterminated {literal} literal")
         elif kind is None:
             break
-        else:
-            start, end = m.span(kind)
-            line = bisect_right(line_starts, start) + 1
-            if kind == "open_comment":
-                raise ParseError(line, "unterminated block comment")
-            if kind == "open_literal":
-                literal = "string" if m[kind][0] == '"' else "char"
-                raise ParseError(line, f"unterminated {literal} literal")
-            comments.append(_raw_comment(kind, m[kind], line, start, end))
     if stray is not None:
         raise ParseError(bisect_right(line_starts, stray) + 1, f"unbalanced '}}' in {path}")
     if opened:
@@ -465,14 +485,22 @@ class _Parser:
     A token is named by its index in the columns.  The source is lexed in
     chunks that end just past the next code '{', so a '{' region the parser
     steps over is never lexed; a line is computed only where a fact or an
-    error needs one.
+    error needs one.  Each method takes the comment spans inside its body;
+    the others are collected in outer_comments.
     """
 
-    def __init__(self, source: str, line_starts: list[int], closers: dict[int, int]):
+    def __init__(
+        self, source: str, line_starts: list[int], closers: dict[int, int], comments: list[tuple[str, int, int]]
+    ):
         self.source = source
         self.line_starts = line_starts
         self.closers = closers  # offset of each code '{' -> its '}'
         self.opens = sorted(closers)
+        self.comments = comments  # (group, start, end) of every comment, in source order
+        self.comment_starts = [start for _group, start, _end in comments]
+        # the comments outside method bodies that precede comments[next_comment]
+        self.outer_comments: list[tuple[str, int, int]] = []
+        self.next_comment = 0
         self.lexed = 0  # source offset the next chunk starts at
         self.kinds: list[str] = []
         self.texts: list[str] = []
@@ -708,7 +736,6 @@ class _Parser:
             fields=tuple(fields),
             methods=tuple(methods),
             inner_classes=tuple(inners),
-            doc_comment=None,  # filled in during comment attachment
             byte_range=(start_off, end_off),
         )
 
@@ -938,13 +965,18 @@ class _Parser:
         if self.at("throws"):
             self.take()
             thrown = self.read_type_list()
-        body_text, body_line = "", 0
+        body_text, body_line, body_comments = "", 0, ()
         if self.at("{"):
             open_tok = self.pos
             self.skip_balanced("{", "}")
             end_off = self.ends[self.pos - 1]
             body_span = (self.starts[open_tok], end_off)
             body_text, body_line = self.source[body_span[0] : end_off], self.line(open_tok)
+            lo = bisect_left(self.comment_starts, body_span[0])
+            hi = bisect_left(self.comment_starts, end_off, lo)
+            self.outer_comments += self.comments[self.next_comment : lo]
+            self.next_comment = hi
+            body_comments = tuple(self.comments[lo:hi])
         elif self.at("="):
             # annotation-decl member with default value: drop the default
             self.take()
@@ -966,10 +998,12 @@ class _Parser:
             modifiers=frozenset(mods),
             annotations=tuple(annos),
             thrown_exceptions=tuple(thrown),
-            doc_comment=None,
             byte_range=(start_off, end_off),
             body_text=body_text,
             body_line=body_line,
+            owner=qname,
+            body_comments=body_comments,
+            comments_before=len(self.outer_comments),
         )
 
 
@@ -1267,75 +1301,49 @@ _ATTACH_WINDOW_LINES = 2
 
 
 def _resolve_attachments(
-    raw_comments: list[_RawComment],
+    source: str,
+    line_starts: list[int],
+    spans: list[tuple[str, int, int]],
     decl_index: list[tuple[str, str, int, int, tuple[int, int]]],
-) -> tuple[list[CommentFacts], dict[str, CommentFacts]]:
-    """Attach each comment to a declaration or scope.
+) -> list[CommentFacts]:
+    """Attach each comment outside method bodies, given as a (group, start,
+    end) span in source order, to a declaration or scope.
 
     A comment that ends within two lines above a class/method declaration
-    attaches to it (and becomes its doc comment candidate); otherwise the
-    innermost enclosing method or class scope wins; otherwise 'file'.
+    attaches to it; otherwise the innermost enclosing class body wins;
+    otherwise 'file'.
 
-    raw_comments come in source order, as _lex returns them.  The nearest
-    declaration after a comment is found by bisecting the declaration start
-    offsets: a declaration's line is that of its first token, so lines grow
-    with offsets and the first declaration after the comment is the only
-    candidate.  Enclosing scopes come from a sweep that keeps a stack of the
-    body spans opened so far; spans nest, and method bodies hold no
-    declarations, so the top of the stack is the innermost scope.
+    The nearest declaration after a comment is found by bisecting the
+    declaration start offsets: a declaration's line is that of its first
+    token, so lines grow with offsets and the first declaration after the
+    comment is the only candidate.  Enclosing classes come from a sweep that
+    keeps a stack of the class body spans opened so far; spans nest, so the
+    top of the stack is the innermost class.
     """
     decls = sorted(decl_index, key=lambda d: d[3])
     starts = [d[3] for d in decls]
-    bodies = sorted((d for d in decls if d[4][0] < d[4][1]), key=lambda d: d[4][0])
-    open_bodies: list[tuple[str, str, int, int, tuple[int, int]]] = []
+    bodies = sorted((d[4], d[1]) for d in decls if d[0] == "class")
+    open_bodies: list[tuple[tuple[int, int], str]] = []
     next_body = 0
     facts: list[CommentFacts] = []
-    doc_candidates: dict[str, CommentFacts] = {}
-    for raw in raw_comments:
-        while next_body < len(bodies) and bodies[next_body][4][0] < raw.start:
+    for group, start, end in spans:
+        while next_body < len(bodies) and bodies[next_body][0][0] < start:
             open_bodies.append(bodies[next_body])
             next_body += 1
         # spans that closed before this comment leave the top; what remains
         # on top contains the comment, and any span opened inside it lies above
-        while open_bodies and open_bodies[-1][4][1] < raw.end:
+        while open_bodies and open_bodies[-1][0][1] < end:
             open_bodies.pop()
-        target_qname = None
-        k = bisect_left(starts, raw.end)
+        raw = _raw_comment(group, source[start:end], bisect_right(line_starts, start) + 1, start, end)
+        k = bisect_left(starts, end)
         if k < len(decls) and 0 <= decls[k][2] - raw.end_line <= _ATTACH_WINDOW_LINES:
-            kind, target_qname = decls[k][0], decls[k][1]
-            attachment = f"{kind}:{target_qname}"
+            attachment = f"{decls[k][0]}:{decls[k][1]}"
         elif open_bodies:
-            kind, qname = open_bodies[-1][0], open_bodies[-1][1]
-            attachment = f"inline:{qname}" if kind == "method" else f"class:{qname}"
+            attachment = f"class:{open_bodies[-1][1]}"
         else:
             attachment = "file"
-        fact = _comment_facts(raw, attachment)
-        facts.append(fact)
-        if target_qname is not None:
-            # closest comment wins as the doc comment
-            prev = doc_candidates.get(target_qname)
-            if prev is None or fact.line_range > prev.line_range:
-                doc_candidates[target_qname] = fact
-    return facts, doc_candidates
-
-
-def _attach_doc_comments(classes: tuple[ClassFacts, ...], docs: dict[str, CommentFacts], prefix: str = "") -> tuple[ClassFacts, ...]:
-    out = []
-    for cls in classes:
-        qname = f"{prefix}.{cls.name}" if prefix else cls.name
-        methods = tuple(
-            m if (doc := docs.get(f"{qname}.{m.name}")) is None else replace(m, doc_comment=doc)
-            for m in cls.methods
-        )
-        out.append(
-            replace(
-                cls,
-                methods=methods,
-                inner_classes=_attach_doc_comments(cls.inner_classes, docs, qname),
-                doc_comment=docs.get(qname),
-            )
-        )
-    return tuple(out)
+        facts.append(_comment_facts(raw, attachment))
+    return facts
 
 
 # ---------------------------------------------------------------------------
@@ -1352,8 +1360,8 @@ def parse_java(source: str, path: str = "<memory>") -> SourceFacts:
     a type declaration.
     """
     line_starts = _line_starts(source)
-    raw_comments, closers = _scan_layout(source, line_starts, path)
-    parser = _Parser(source, line_starts, closers)
+    spans, closers = _scan_layout(source, line_starts, path)
+    parser = _Parser(source, line_starts, closers, spans)
     package, imports, classes = parser.parse_unit()
     if not classes:
         raise ParseError(1, f"no type declaration in {path}")
@@ -1363,26 +1371,41 @@ def parse_java(source: str, path: str = "<memory>") -> SourceFacts:
             if qname in seen_qnames:
                 raise ParseError(line, f"duplicate type declaration {qname} in {path}")
             seen_qnames.add(qname)
-    comments, docs = _resolve_attachments(raw_comments, parser.decl_index)
-    classes_t = _attach_doc_comments(tuple(classes), docs)
+    outer = parser.outer_comments + spans[parser.next_comment :]
     return SourceFacts(
         package_name=package,
         imports=tuple(imports),
-        classes=classes_t,
-        comments=tuple(comments),
+        classes=tuple(classes),
+        comments=tuple(_resolve_attachments(source, line_starts, outer, parser.decl_index)),
     )
+
+
+def merge_inline_comments(comments: tuple[CommentFacts, ...], methods: list[MethodFacts]) -> list[CommentFacts]:
+    """A file's SourceFacts.comments with the inline comments of the given
+    methods of that file merged in, all in source order."""
+    out: list[CommentFacts] = []
+    done = 0
+    for m in sorted(methods, key=lambda m: (m.comments_before, m.byte_range)):
+        if m.body_comments:
+            out += comments[done : m.comments_before]
+            done = m.comments_before
+            out += m.inline_comments
+    out += comments[done:]
+    return out
 
 
 def extract_comments(source: str) -> list[CommentFacts]:
     """Extract every comment from source text, with best-effort attachment.
 
-    For parseable Java this reuses the full parser's attachment resolution.
-    For anything else it degrades to a lenient lexical scan (string literals
-    still never produce comments) with file-level attachment; an unterminated
-    block comment runs to end of input and is logged.
+    For parseable Java these are the parser's comments with every method's
+    inline comments merged in.  For anything else it degrades to a lenient
+    lexical scan (string literals still never produce comments) with
+    file-level attachment; an unterminated block comment runs to end of
+    input and is logged.
     """
     try:
-        return list(parse_java(source).comments)
+        facts = parse_java(source)
     except ParseError:
         _rows, raw_comments = _lex(source, lenient=True)
         return [_comment_facts(raw, "file") for raw in raw_comments]
+    return merge_inline_comments(facts.comments, [m for _q, cls in facts.all_classes() for m in cls.methods])

@@ -2,11 +2,12 @@
 
 Everything here is written straight from first principles (exhaustive
 enumeration, literal formulas with exact fractions) and shares no code with
-the package. Only usable for short inputs.  The exception is the last four
+the package. Only usable for short inputs.  The exception is the last five
 sections: the package's previous Java lexer and comment-attachment resolver,
-its previous eager declaration parser, its previous statement diff and
-ROUGE-L LCS, and its previous METEOR chunk search, kept as the reference
-their rewrites must reproduce.
+its previous eager declaration parser, its previous whole-file comment
+attachment and elicitation, its previous statement diff and ROUGE-L LCS,
+and its previous METEOR chunk search, kept as the reference their rewrites
+must reproduce.
 """
 
 from __future__ import annotations
@@ -14,10 +15,13 @@ from __future__ import annotations
 import logging
 import math
 import re
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
+from condenser.changeset import StructuralDiff
+from condenser.comments import ElicitedComment, categorize_comment, normalize_comment_text
 from condenser.javafacts import (
     AnnotationFacts,
     ClassFacts,
@@ -488,7 +492,9 @@ def resolve_attachments_oracle(
 # facts), and the lexer and attachment resolver are lex_oracle and
 # resolve_attachments_oracle above, which that lexer and resolver matched
 # token for token.  It shares the other fact types and ParseError with the
-# package.
+# package.  Since the fact types lost their doc comments, no doc comment is
+# attached and EagerMethodFacts has none; every comment, inline ones
+# included, stays in SourceFacts.comments.
 
 MODIFIER_WORDS = {
     "public", "protected", "private", "abstract", "static", "final",
@@ -505,11 +511,13 @@ class EagerMethodFacts:
     annotations: tuple[AnnotationFacts, ...]
     thrown_exceptions: tuple[str, ...]
     body_statements: tuple[StatementFacts, ...]
-    doc_comment: CommentFacts | None
     byte_range: tuple[int, int]
     # never equal between two methods, so the diff aligns every matched
     # pair's statements; not compared, so equality means what it meant
     body_text: object = field(default_factory=object, compare=False, repr=False)
+    # no comment is kept apart from SourceFacts.comments, which holds them all
+    body_comments: tuple = field(default=(), compare=False, repr=False)
+    comments_before: int = field(default=0, compare=False, repr=False)
 
     @property
     def is_constructor(self) -> bool:
@@ -738,7 +746,6 @@ class _Parser:
             fields=tuple(fields),
             methods=tuple(methods),
             inner_classes=tuple(inners),
-            doc_comment=None,  # filled in during comment attachment
             byte_range=(start_off, close.end),
         )
 
@@ -1004,7 +1011,6 @@ class _Parser:
             annotations=tuple(annos),
             thrown_exceptions=tuple(thrown),
             body_statements=statements,
-            doc_comment=None,
             byte_range=(start_off, end_off),
         )
 
@@ -1291,24 +1297,6 @@ def _looks_like_declaration(tokens: list[_Token]) -> bool:
         break
     return i < n and tokens[i].kind == "ident" and (i + 1 >= n or tokens[i + 1].text in ("=", ";", ",", "[", ":"))
 
-def _attach_doc_comments(classes: tuple[ClassFacts, ...], docs: dict[str, CommentFacts], prefix: str = "") -> tuple[ClassFacts, ...]:
-    out = []
-    for cls in classes:
-        qname = f"{prefix}.{cls.name}" if prefix else cls.name
-        methods = tuple(
-            m if (doc := docs.get(f"{qname}.{m.name}")) is None else replace(m, doc_comment=doc)
-            for m in cls.methods
-        )
-        out.append(
-            replace(
-                cls,
-                methods=methods,
-                inner_classes=_attach_doc_comments(cls.inner_classes, docs, qname),
-                doc_comment=docs.get(qname),
-            )
-        )
-    return tuple(out)
-
 def _match_braces(tokens: list[_Token], path: str) -> dict[int, int]:
     """Map the token index of each '{' to that of its matching '}'; raise
     ParseError when the braces do not balance."""
@@ -1345,14 +1333,154 @@ def parse_java_oracle(source: str, path: str = "<memory>") -> SourceFacts:
             if qname in seen_qnames:
                 raise ParseError(line, f"duplicate type declaration {qname} in {path}")
             seen_qnames.add(qname)
-    comments, docs = resolve_attachments_oracle(raw_comments, parser.decl_index)
-    classes_t = _attach_doc_comments(tuple(classes), docs)
+    comments, _docs = resolve_attachments_oracle(raw_comments, parser.decl_index)
     return SourceFacts(
         package_name=package,
         imports=tuple(imports),
-        classes=classes_t,
+        classes=tuple(classes),
         comments=tuple(comments),
     )
+
+
+# --- comment attachment and elicitation: the whole-file originals -----------
+#
+# The package's previous _resolve_attachments, which attached every comment
+# of a file (a comment in a method body included) by bisecting declaration
+# offsets and sweeping the nested body spans, and its previous
+# elicit_comments, which keyed and set-differenced every comment of both
+# versions by (normalized text, attachment), kept verbatim.  Only names
+# changed: sweep_attachments_oracle and elicit_comments_oracle.  Two
+# behaviours differ on purpose from the package's: a comment at the end of
+# a method body attaches to a declaration that starts within two lines below
+# it, and a renamed class's unchanged comments are both added and removed.
+
+
+def sweep_attachments_oracle(
+    raw_comments: list[_RawComment],
+    decl_index: list[tuple[str, str, int, int, tuple[int, int]]],
+) -> tuple[list[CommentFacts], dict[str, CommentFacts]]:
+    """Attach each comment to a declaration or scope.
+
+    A comment that ends within two lines above a class/method declaration
+    attaches to it (and becomes its doc comment candidate); otherwise the
+    innermost enclosing method or class scope wins; otherwise 'file'.
+
+    raw_comments come in source order, as _lex returns them.  The nearest
+    declaration after a comment is found by bisecting the declaration start
+    offsets: a declaration's line is that of its first token, so lines grow
+    with offsets and the first declaration after the comment is the only
+    candidate.  Enclosing scopes come from a sweep that keeps a stack of the
+    body spans opened so far; spans nest, and method bodies hold no
+    declarations, so the top of the stack is the innermost scope.
+    """
+    decls = sorted(decl_index, key=lambda d: d[3])
+    starts = [d[3] for d in decls]
+    bodies = sorted((d for d in decls if d[4][0] < d[4][1]), key=lambda d: d[4][0])
+    open_bodies: list[tuple[str, str, int, int, tuple[int, int]]] = []
+    next_body = 0
+    facts: list[CommentFacts] = []
+    doc_candidates: dict[str, CommentFacts] = {}
+    for raw in raw_comments:
+        while next_body < len(bodies) and bodies[next_body][4][0] < raw.start:
+            open_bodies.append(bodies[next_body])
+            next_body += 1
+        # spans that closed before this comment leave the top; what remains
+        # on top contains the comment, and any span opened inside it lies above
+        while open_bodies and open_bodies[-1][4][1] < raw.end:
+            open_bodies.pop()
+        target_qname = None
+        k = bisect_left(starts, raw.end)
+        if k < len(decls) and 0 <= decls[k][2] - raw.end_line <= _ATTACH_WINDOW_LINES:
+            kind, target_qname = decls[k][0], decls[k][1]
+            attachment = f"{kind}:{target_qname}"
+        elif open_bodies:
+            kind, qname = open_bodies[-1][0], open_bodies[-1][1]
+            attachment = f"inline:{qname}" if kind == "method" else f"class:{qname}"
+        else:
+            attachment = "file"
+        fact = _comment_facts(raw, attachment)
+        facts.append(fact)
+        if target_qname is not None:
+            # closest comment wins as the doc comment
+            prev = doc_candidates.get(target_qname)
+            if prev is None or fact.line_range > prev.line_range:
+                doc_candidates[target_qname] = fact
+    return facts, doc_candidates
+
+
+def _comment_key(comment: CommentFacts) -> tuple[str, str]:
+    return (normalize_comment_text(comment.text), comment.attachment)
+
+
+def _touched_attachments(diff: StructuralDiff) -> set[str]:
+    """Attachment strings for entities the diff records touch."""
+    touched: set[str] = set()
+    for fd in diff.files:
+        for name in fd.class_added + fd.class_removed:
+            touched.add(f"class:{name}")
+        for old_name, new_name in fd.class_renamed:
+            touched.add(f"class:{old_name}")
+            touched.add(f"class:{new_name}")
+        for cname, m in list(fd.method_added) + list(fd.method_removed):
+            touched.add(f"method:{cname}.{m.name}")
+        for ic in fd.inline_changes:
+            touched.add(f"method:{ic.class_name}.{ic.method_name}")
+        for cname, f in list(fd.field_added) + list(fd.field_removed):
+            touched.add(f"class:{cname}")
+    return touched
+
+
+def elicit_comments_oracle(
+    old: SourceFacts, new: SourceFacts, diff: StructuralDiff
+) -> list[ElicitedComment]:
+    """Comments added/removed between versions, plus unchanged doc comments
+    attached to entities the diff touches (rendered after the changed ones).
+
+    Duplicates (same normalized text and attachment) are emitted once.
+    Unchanged license boilerplate is suppressed: a license header that did
+    not change is noise for every commit that touches the file.
+    """
+    # each comment's key, computed once: normalizing is the costly part
+    old_keyed = [(c, _comment_key(c)) for c in old.comments]
+    new_keyed = [(c, _comment_key(c)) for c in new.comments]
+    old_keys = {key for _c, key in old_keyed}
+    new_keys = {key for _c, key in new_keyed}
+
+    out: list[ElicitedComment] = []
+    seen: set[tuple[str, str, str]] = set()
+
+    def emit(comment: CommentFacts, key: tuple[str, str], origin: str) -> None:
+        text, attachment = key
+        if not text:
+            return
+        category = categorize_comment(comment)
+        if origin == "context" and category == "license":
+            return
+        emitted = (text, attachment, origin)
+        if emitted in seen:
+            return
+        seen.add(emitted)
+        out.append(ElicitedComment(category=category, text=text, origin=origin, attachment=attachment))
+
+    for comment, key in new_keyed:
+        if key not in old_keys:
+            emit(comment, key, "added")
+    for comment, key in old_keyed:
+        if key not in new_keys:
+            emit(comment, key, "removed")
+
+    changed_keys = {(t, a) for t, a, _o in seen}
+    touched = _touched_attachments(diff)
+    for keyed in (new_keyed, old_keyed):
+        for comment, key in keyed:
+            if comment.attachment not in touched:
+                continue
+            if comment.attachment.startswith("inline:"):
+                continue
+            if key in changed_keys:
+                continue
+            emit(comment, key, "context")
+    return out
 
 
 # --- statement diff and ROUGE-L LCS: the full-table originals ----------------

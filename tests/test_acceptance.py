@@ -140,7 +140,7 @@ def test_criterion_change_type_fixtures():
         for _ in range(3):
             old = parse_java(old_src)
             new = parse_java(new_src)
-            diff = diff_facts(old, new, path="F.java")
+            diff = diff_facts(old, new, "F.java", "F.java")
             change_type, rule = classify_change_explained(diff, [new])
             outcomes.add(change_type.value)
         assert outcomes == {expected}, f"wanted {expected}, got {outcomes} (rule {rule})"
@@ -168,7 +168,7 @@ def test_criterion_structural_diff_reconstruction():
         except Exception:
             continue
         produced += 1
-        diff = diff_facts(old, new, path="F.java")
+        diff = diff_facts(old, new, "F.java", "F.java")
         assert apply_file_diff(identity_view(old), diff.files[0]) == identity_view(new)
     _report("structural-diff reconstruction (30/30 pairs)")
 
@@ -197,7 +197,7 @@ def test_criterion_comment_categorization():
         "    show(orUnknown(c));\n"
         "} }"
     )
-    elicited = elicit_comments(old, new, diff_facts(old, new, path="Dialer.java"))
+    elicited = elicit_comments(old, new, diff_facts(old, new, "Dialer.java", "Dialer.java"))
     texts = {(c.text, c.origin) for c in elicited}
     assert ("handle callers without callerid so they display as unknown", "added") in texts
     _report("comment categorization (rules, priority, motivating case)")

@@ -23,7 +23,7 @@ from typefixtures import ALL_TYPE_FIXTURES
 def diff_sources(old_src: str, new_src: str):
     old = parse_java(old_src) if old_src.strip() else SourceFacts.empty()
     new = parse_java(new_src) if new_src.strip() else SourceFacts.empty()
-    return old, new, diff_facts(old, new, path="F.java")
+    return old, new, diff_facts(old, new, "F.java", "F.java")
 
 
 # --- diff_facts ------------------------------------------------------------------
@@ -217,8 +217,8 @@ SYMMETRY_SOURCES = [
 def test_diff_symmetry_add_vs_remove(left, right):
     a = parse_java(left)
     b = parse_java(right)
-    forward = diff_facts(a, b, path="F.java").files[0]
-    backward = diff_facts(b, a, path="F.java").files[0]
+    forward = diff_facts(a, b, "F.java", "F.java").files[0]
+    backward = diff_facts(b, a, "F.java", "F.java").files[0]
     assert forward.import_added == backward.import_removed
     assert forward.import_removed == backward.import_added
     assert set(forward.class_added) == set(backward.class_removed)
@@ -530,6 +530,6 @@ def test_reconstruction_on_30_declaration_level_pairs():
         except Exception:
             continue
         produced += 1
-        diff = diff_facts(old, new, path="F.java")
+        diff = diff_facts(old, new, "F.java", "F.java")
         reconstructed = apply_file_diff(identity_view(old), diff.files[0])
         assert reconstructed == identity_view(new), f"seed {seed}\nOLD:\n{old_src}\nNEW:\n{new_src}"

@@ -158,7 +158,6 @@ def _methods(draw):
                 modifiers=frozenset(),
                 annotations=(),
                 thrown_exceptions=(),
-                doc_comment=None,
                 # a small range of spans makes value-equal duplicates likely
                 byte_range=(draw(st.integers(0, 2)), 0),
             )

@@ -10,7 +10,7 @@ from condenser.comments import (
     elicit_comments,
     normalize_comment_text,
 )
-from condenser.javafacts import CommentFacts, parse_java
+from condenser.javafacts import CommentFacts, extract_comments, parse_java
 
 
 def comment(kind: str, text: str, attachment: str = "file") -> CommentFacts:
@@ -26,7 +26,7 @@ def comment(kind: str, text: str, attachment: str = "file") -> CommentFacts:
 def run_elicit(old_src: str, new_src: str):
     old = parse_java(old_src)
     new = parse_java(new_src)
-    diff = diff_facts(old, new, path="F.java")
+    diff = diff_facts(old, new, "F.java", "F.java")
     return elicit_comments(old, new, diff)
 
 
@@ -155,11 +155,54 @@ def test_duplicates_emitted_once():
     assert len(notes) == len(attachments)
 
 
+def test_comment_at_the_end_of_a_body_belongs_to_that_body():
+    # 'done' ends two lines above b(); it used to attach to b and be elicited
+    # as context whenever b changed
+    old_src = "class C {\n  void a() {\n    x(); // done\n  }\n  void b() { y(); }\n}"
+    new_src = old_src.replace("y();", "y(); z();")
+    assert run_elicit(old_src, new_src) == []
+    assert parse_java(old_src).comments == ()
+    assert [c.attachment for c in extract_comments(old_src)] == ["inline:C.a"]
+
+
+def test_renamed_class_keeps_its_comments():
+    old_src = (
+        "class A {\n"
+        "    /** Doc for m. */\n"
+        "    void m() {\n"
+        "        // keep the count\n"
+        "        count++;\n"
+        "    }\n"
+        "}\n"
+    )
+    new_src = old_src.replace("class A", "class B")
+    old, new = parse_java(old_src), parse_java(new_src)
+    diff = diff_facts(old, new, "F.java", "F.java")
+    assert diff.files[0].class_renamed == (("A", "B"),)
+    assert elicit_comments(old, new, diff) == []
+    # a changed comment of the renamed class is named after the new class
+    edited = parse_java(new_src.replace("keep the count", "count calls"))
+    elicited = elicit_comments(old, edited, diff_facts(old, edited, "F.java", "F.java"))
+    assert [(c.origin, c.text, c.attachment) for c in elicited] == [
+        ("added", "count calls", "inline:B.m"),
+        ("removed", "keep the count", "inline:B.m"),
+    ]
+
+
+def test_comment_only_body_edit_is_elicited():
+    # no statement changes, so no inline change; the body text still differs
+    old_src = "class C {\n  void f() {\n    // old note\n    g();\n  }\n  void f(int k) {\n    // old note\n  }\n}"
+    new_src = old_src.replace("// old note\n    g();", "// new note\n    g();")
+    old, new = parse_java(old_src), parse_java(new_src)
+    fd = diff_facts(old, new, "F.java", "F.java").files[0]
+    assert fd.inline_changes == () and [(c, o.name) for c, o, _n in fd.body_changed] == [("C", "f")]
+    # the overload f(int) keeps 'old note', so that key is in both versions
+    assert [(c.origin, c.text) for c in run_elicit(old_src, new_src)] == [("added", "new note")]
+
+
 def test_every_elicited_text_comes_from_real_comments():
     elicited = run_elicit(OLD_CALLER, NEW_CALLER)
-    old = parse_java(OLD_CALLER)
-    new = parse_java(NEW_CALLER)
-    normalized_pool = {normalize_comment_text(c.text) for c in old.comments + new.comments}
+    normalized_pool = {normalize_comment_text(c.text) for c in extract_comments(OLD_CALLER) + extract_comments(NEW_CALLER)}
     for c in elicited:
         assert c.text in normalized_pool
 

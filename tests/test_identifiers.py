@@ -113,14 +113,14 @@ def test_simple_type_names_drop_packages_and_arrays():
 
 def test_empty_diff_yields_no_identifiers():
     facts = parse_java("class C { int x; }")
-    diff = diff_facts(facts, facts, path="F.java")
+    diff = diff_facts(facts, facts, "F.java", "F.java")
     assert extract_identifiers(diff, [facts], [facts]) == []
 
 
 def test_constructor_change_contributes_class_name():
     old = parse_java("class RequestParams { RequestParams(String p) { use(p); } }")
     new = parse_java("class RequestParams { RequestParams(String... p) { use(p); } }")
-    diff = diff_facts(old, new, path="F.java")
+    diff = diff_facts(old, new, "F.java", "F.java")
     ids = extract_identifiers(diff, [old], [new])
     assert ("RequestParams", "ClassName") in {(e.raw, e.category) for e in ids}
 
@@ -134,7 +134,7 @@ def test_one_method_one_field_one_annotation_in_category_order():
         "    void syncAll() { repo.flush(); }\n"
         "}"
     )
-    diff = diff_facts(old, new, path="F.java")
+    diff = diff_facts(old, new, "F.java", "F.java")
     ids = extract_identifiers(diff, [old], [new])
     cats = [e.category for e in ids]
     assert cats == sorted(cats, key=CATEGORY_ORDER.index)
@@ -147,7 +147,7 @@ def test_one_method_one_field_one_annotation_in_category_order():
 def test_enum_constants_categorized_as_other():
     old = parse_java("enum Mode { FAST }")
     new = parse_java("enum Mode { FAST, SLOW_START }")
-    diff = diff_facts(old, new, path="F.java")
+    diff = diff_facts(old, new, "F.java", "F.java")
     ids = extract_identifiers(diff, [old], [new])
     assert ("SLOW_START", "Other") in {(e.raw, e.category) for e in ids}
 
@@ -155,7 +155,7 @@ def test_enum_constants_categorized_as_other():
 def test_deduplicated_by_raw_and_category():
     old = parse_java("class C { }")
     new = parse_java("class C { Service a; Service b; }")
-    diff = diff_facts(old, new, path="F.java")
+    diff = diff_facts(old, new, "F.java", "F.java")
     ids = extract_identifiers(diff, [old], [new])
     type_names = [e.raw for e in ids if e.category == "TypeName"]
     assert type_names == ["Service"]
@@ -164,7 +164,7 @@ def test_deduplicated_by_raw_and_category():
 def test_order_is_stable_by_first_occurrence_within_category():
     old = parse_java("class C { }")
     new = parse_java("class C { void zebra() { } void apple() { } }")
-    diff = diff_facts(old, new, path="F.java")
+    diff = diff_facts(old, new, "F.java", "F.java")
     ids = extract_identifiers(diff, [old], [new])
     methods = [e.raw for e in ids if e.category == "MethodName"]
     assert methods == ["zebra", "apple"]  # declaration order, not alphabetical

@@ -36,10 +36,10 @@ def test_doc_comment_token_count_21():
         "}\n"
     )
     facts = parse_java(src)
-    method = facts.classes[0].methods[0]
-    assert method.name == "id"
-    assert method.doc_comment is not None
-    assert method.doc_comment.token_count == 21
+    assert facts.classes[0].methods[0].name == "id"
+    [doc] = [c for c in facts.comments if c.attachment == "method:C.id"]
+    assert doc.kind == "javadoc"
+    assert doc.token_count == 21
 
 
 def test_empty_string_is_parse_error():
@@ -181,9 +181,7 @@ def test_doc_comment_attaches_through_annotations():
         "}\n"
     )
     facts = parse_java(src)
-    cls = facts.classes[0]
-    assert cls.doc_comment is not None and "class doc" in cls.doc_comment.text
-    assert cls.methods[0].doc_comment is not None and "method doc" in cls.methods[0].doc_comment.text
+    assert [(c.attachment, c.text) for c in facts.comments] == [("class:Svc", " class doc "), ("method:Svc.run", " method doc ")]
 
 
 def test_array_types_render_tight():
@@ -360,6 +358,33 @@ def test_comment_inside_method_is_inline():
     assert comments[0].attachment == "inline:C.f"
 
 
+def test_body_comments_are_built_on_first_read_with_their_lines():
+    src = (
+        "class C {\n"
+        "    class D {\n"
+        "        void f() { // first\n"
+        "            /* second\n"
+        "               spans two lines */ g();\n"
+        "            h(); // last\n"
+        "        }\n"
+        "        void g() { }\n"
+        "    }\n"
+        "}\n"
+    )
+    facts = parse_java(src)
+    assert facts.comments == ()
+    method = facts.classes[0].inner_classes[0].methods[0]
+    assert "inline_comments" not in vars(method)
+    assert [(c.kind, c.text, c.line_range, c.attachment) for c in method.inline_comments] == [
+        ("line", " first", (3, 3), "inline:C.D.f"),
+        ("block", " second\n               spans two lines ", (4, 5), "inline:C.D.f"),
+        ("line", " last", (6, 6), "inline:C.D.f"),
+    ]
+    assert method.inline_comments is method.inline_comments
+    # the last comment ends two lines above g(), but the body it sits in owns it
+    assert extract_comments(src) == list(method.inline_comments)
+
+
 def test_comment_far_from_decls_attaches_to_enclosing_class():
     src = (
         "class C {\n"
@@ -380,7 +405,7 @@ def test_file_level_comment():
     comments = extract_comments(src)
     assert comments[0].attachment == "file"
     facts = parse_java(src)
-    assert len(facts.file_comments) == 1
+    assert [c.attachment for c in facts.comments] == ["file"]
 
 
 def test_unterminated_block_comment_extends_to_eof_leniently():

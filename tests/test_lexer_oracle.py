@@ -15,6 +15,12 @@ The lexer counts every newline.  Where the original's token stream holds a
 literal with a newline, everything but line numbers is compared, and the
 lexer's line numbers are checked against a count of the newlines before
 each token and comment instead.
+
+Attachments differ on purpose in one case: a comment inside a method body
+belongs to that body, where the original attached it to a declaration that
+starts within two lines below it.  Attachments are compared with every
+method's inline comments read, through without_body_comments_attached_below,
+which drops each such comment and counts it; the fixtures hold one.
 """
 
 from __future__ import annotations
@@ -29,12 +35,15 @@ from hypothesis import strategies as st
 
 from condenser.javafacts import (
     _MULTI_PUNCT,
+    CommentFacts,
     ParseError,
+    SourceFacts,
     _lex,
     _line_starts,
     _Parser,
-    _resolve_attachments,
     _scan_layout,
+    extract_comments,
+    parse_java,
 )
 from corpusdata import COMMITS
 from oracles import lex_oracle, resolve_attachments_oracle
@@ -109,18 +118,52 @@ def _assert_lexes_like_oracle(source: str) -> None:
             ], source
 
 
-def _assert_attaches_like_oracle(source: str) -> bool:
-    """Compare attachments on a source that parses; False when it does not."""
+def without_body_comments_attached_below(
+    source: str, facts: SourceFacts, got: list[CommentFacts], expected: list[CommentFacts]
+) -> tuple[list[CommentFacts], list[CommentFacts], int]:
+    """The one deliberate attachment change, filtered out and counted.
+
+    got and expected are the same source's comments in source order, as the
+    package and the previous resolver attach them.  A comment inside a
+    method body belongs to that body now; the previous resolver attached it
+    to a declaration starting within two lines below it instead.  Each such
+    comment, inline in got, is dropped from both lists; returns the filtered
+    lists and how many were dropped.
+    """
+    bodies = [
+        (m.byte_range[1] - len(m.body_text), m.byte_range[1])
+        for _q, cls in facts.all_classes()
+        for m in cls.methods
+        if m.body_text
+    ]
+    raw_comments = _lex(source)[1]
+    assert len(raw_comments) == len(got) == len(expected), source
+    drop = {
+        k
+        for k, (raw, old) in enumerate(zip(raw_comments, expected))
+        if not old.attachment.startswith("inline:") and any(b0 < raw.start and raw.end <= b1 for b0, b1 in bodies)
+    }
+    assert all(got[k].attachment.startswith("inline:") for k in drop), source
+    kept = [k for k in range(len(got)) if k not in drop]
+    return [got[k] for k in kept], [expected[k] for k in kept], len(drop)
+
+
+def _assert_attaches_like_oracle(source: str) -> int | None:
+    """Compare attachments on a source that parses, every method's inline
+    comments read; None when it does not parse, else how many comments the
+    filter dropped."""
     try:
-        line_starts = _line_starts(source)
-        raw_comments, closers = _scan_layout(source, line_starts, "<test>")
-        parser = _Parser(source, line_starts, closers)
-        parser.parse_unit()
+        facts = parse_java(source)
     except ParseError:
-        return False
-    expected = resolve_attachments_oracle(raw_comments, parser.decl_index)
-    assert _resolve_attachments(raw_comments, parser.decl_index) == expected, source
-    return True
+        return None
+    line_starts = _line_starts(source)
+    spans, closers = _scan_layout(source, line_starts, "<test>")
+    parser = _Parser(source, line_starts, closers, spans)
+    parser.parse_unit()
+    expected = resolve_attachments_oracle(_lex(source)[1], parser.decl_index)[0]
+    got, expected, dropped = without_body_comments_attached_below(source, facts, extract_comments(source), expected)
+    assert got == expected, source
+    return dropped
 
 
 def test_fixture_token_streams_match_oracle():
@@ -130,8 +173,11 @@ def test_fixture_token_streams_match_oracle():
 
 
 def test_fixture_attachments_match_oracle():
-    attached = [source for source in FIXTURE_SOURCES if _assert_attaches_like_oracle(source)]
-    assert len(attached) > 50
+    dropped = [n for source in FIXTURE_SOURCES if (n := _assert_attaches_like_oracle(source)) is not None]
+    assert len(dropped) > 50
+    # one body comment ends two lines above a declaration: '// last' in
+    # test_javafacts' test_body_comments_are_built_on_first_read_with_their_lines
+    assert sum(dropped) == 1
 
 
 @pytest.mark.parametrize(
@@ -229,4 +275,4 @@ def _program_source(draw) -> str:
 @given(_program_source())
 def test_program_attachments_match_oracle(source):
     _assert_lexes_like_oracle(source)
-    assert _assert_attaches_like_oracle(source)
+    assert _assert_attaches_like_oracle(source) is not None

@@ -9,9 +9,15 @@ on both sides of its Java 16+ commits.  As in test_lexer_oracle, line
 numbers are left out where a literal holds a newline, since the original
 does not count that newline.
 
-The rest checks the laziness itself: parsing builds no statements, a
-one-statement edit builds those of the edited method's two versions only,
-and the statements the benchmark reads from each inline change are the
+The original attaches every comment, those in method bodies included, in
+SourceFacts.comments; the parser's comments are compared with every
+method's inline comments merged back in, through test_lexer_oracle's filter
+for the one deliberate attachment change.
+
+The rest checks the laziness itself: parsing builds no statements and no
+body comments, a one-statement edit builds the statements of the edited
+method's two versions only and the inline comments of its name only, and
+the statements the benchmark reads from each inline change are the
 original's.
 """
 
@@ -31,14 +37,20 @@ from condenser import javafacts
 from condenser.changeset import diff_facts
 from condenser.corpus import condense_commit
 from condenser.diffing import CommitInput, FilePair
-from condenser.javafacts import ParseError, _lex, parse_java
+from condenser.javafacts import ParseError, SourceFacts, _lex, merge_inline_comments, parse_java
 from corpusdata import COMMITS
 from oracles import parse_java_oracle
-from test_lexer_oracle import _PIECE, FIXTURE_SOURCES, _program_source, has_multiline_literal
+from test_lexer_oracle import (
+    _PIECE,
+    FIXTURE_SOURCES,
+    _program_source,
+    has_multiline_literal,
+    without_body_comments_attached_below,
+)
 
 _METHOD_FIELDS = (
     "name", "return_type", "parameters", "modifiers", "annotations",
-    "thrown_exceptions", "body_statements", "doc_comment", "byte_range",
+    "thrown_exceptions", "body_statements", "byte_range",
 )
 _LINE_FIELDS = {"line", "line_range"}
 
@@ -60,19 +72,34 @@ def _plain(value, lines: bool):
     )
 
 
-def _parsed(parse, source: str, lines: bool, path: str):
+def _parsed(parse, source: str, path: str) -> SourceFacts | ParseError:
     try:
-        return _plain(parse(source, path), lines)
+        return parse(source, path)
     except ParseError as exc:
-        return ("error", exc.line if lines else None, exc.message)
+        return exc
 
 
 def _assert_parses_like_oracle(source: str, path: str = "<memory>") -> bool:
-    """True when the source parses."""
+    """True when the source parses.  The package's comments are compared
+    with every method's inline comments merged in, and through the filter
+    of test_lexer_oracle."""
     lines = not has_multiline_literal(source)
-    got = _parsed(parse_java, source, lines, path)
-    assert got == _parsed(parse_java_oracle, source, lines, path), source
-    return got[0] != "error"
+    got, expected = _parsed(parse_java, source, path), _parsed(parse_java_oracle, source, path)
+    if isinstance(got, SourceFacts) and isinstance(expected, SourceFacts):
+        methods = [m for _q, cls in got.all_classes() for m in cls.methods]
+        comments, oracle_comments, _dropped = without_body_comments_attached_below(
+            source, got, merge_inline_comments(got.comments, methods), list(expected.comments)
+        )
+        got = dataclasses.replace(got, comments=tuple(comments))
+        expected = dataclasses.replace(expected, comments=tuple(oracle_comments))
+    assert _plain_outcome(got, lines) == _plain_outcome(expected, lines), source
+    return isinstance(got, SourceFacts)
+
+
+def _plain_outcome(outcome: SourceFacts | ParseError, lines: bool):
+    if isinstance(outcome, ParseError):
+        return ("error", outcome.line if lines else None, outcome.message)
+    return _plain(outcome, lines)
 
 
 def test_fixture_sources_parse_like_oracle():
@@ -284,6 +311,45 @@ def test_one_statement_edit_builds_only_the_edited_method(built, monkeypatch):
     monkeypatch.setattr("condenser.corpus.parse_java", parse_java_oracle)
     expected = condense_commit(commit)
     assert (result.template, result.change_type, result.rule) == (expected.template, expected.change_type, expected.rule)
+
+
+@pytest.fixture
+def built_comments(monkeypatch) -> list[str]:
+    """Attachments of the comment facts built, in order."""
+    calls: list[str] = []
+    build = javafacts._comment_facts
+
+    def spy(raw, attachment):
+        calls.append(attachment)
+        return build(raw, attachment)
+
+    monkeypatch.setattr(javafacts, "_comment_facts", spy)
+    return calls
+
+
+def test_parsing_builds_no_body_comments(built_comments):
+    facts = parse_java(_roadmap_source())
+    methods = facts.classes[0].methods
+    assert sum(len(m.body_comments) for m in methods) > 1000
+    assert built_comments == [c.attachment for c in facts.comments]
+    assert not any(a.startswith("inline:") for a in built_comments)
+    method = next(m for m in methods if m.body_comments)
+    built_comments.clear()
+    assert len(method.inline_comments) == len(method.body_comments)
+    assert method.inline_comments is method.inline_comments
+    assert built_comments == [f"inline:{facts.classes[0].name}.{method.name}"] * len(method.body_comments)
+
+
+def test_one_statement_edit_builds_only_the_edited_methods_comments(built_comments):
+    gen = javagen.JavaGen(random.Random(1))
+    old = javagen.roadmap_file(gen)
+    new = copy.deepcopy(old)
+    new.classes[0].methods[10].body[3] = gen.simple_stmt()
+    path = "src/main/java/LargeGeneratedService.java"
+    commit = CommitInput("acme/large", "0123456789ab", (FilePair(path, path, javagen.render(old), javagen.render(new)),))
+    condense_commit(commit)
+    inline = {a for a in built_comments if a.startswith("inline:")}
+    assert inline == {f"inline:{old.classes[0].name}.{old.classes[0].methods[10].name}"}
 
 
 def test_fixture_inline_change_statements_match_oracle():

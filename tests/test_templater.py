@@ -24,15 +24,14 @@ from grammar import check_template
 from oracles import count_tokens_oracle
 
 
-def render_single_file(old_src: str, new_src: str, repo="r", commit_hash="h", budget=1024,
-                       path="F.java", status="modified"):
+def render_single_file(old_src: str, new_src: str, repo="r", commit_hash="h", budget=1024, path="F.java"):
     old = parse_java(old_src) if old_src.strip() else None
     new = parse_java(new_src) if new_src.strip() else None
     from condenser.javafacts import SourceFacts
 
     old_f = old or SourceFacts.empty()
     new_f = new or SourceFacts.empty()
-    diff = diff_facts(old_f, new_f, path=path, status=status)
+    diff = diff_facts(old_f, new_f, path, path)
     from condenser.changeset import classify_change_explained
 
     change_type, _rule = classify_change_explained(diff, [new_f])
@@ -274,14 +273,10 @@ def test_added_overload_annotation_survives_inline_change_of_its_namesake():
 
 
 def test_renamed_file_line():
-    import dataclasses
-
-    from condenser.changeset import StructuralDiff
-
     old = parse_java("class S { int t() { return 1; } }")
     new = parse_java("class S { int t() { return 2; } }")
-    diff = diff_facts(old, new, path="New.java", status="renamed")
-    diff = StructuralDiff(files=(dataclasses.replace(diff.files[0], path_old="Old.java"),))
+    diff = diff_facts(old, new, "Old.java", "New.java")
+    assert (diff.files[0].status, diff.files[0].path_old) == ("renamed", "Old.java")
     commit = CommitInput("r", "h", (FilePair("Old.java", "New.java", "x", "y"),))
     template = render(commit, diff, ChangeType.of("Ty10"), [], [], [])
     assert "change renaming Old.java to New.java" in template.full_text.split("\n")
