@@ -22,6 +22,7 @@ from condenser.javafacts import (
     PRIMITIVE_TYPES,
     SourceFacts,
     StatementFacts,
+    paired_statements,
 )
 from condenser.sequences import TOKEN_RE, lcs_rows
 
@@ -462,7 +463,7 @@ def _inline_change(
         # alignment compares, so nothing is added, removed, moved or modified
         moves, modified, rest_removed, rest_added = [], [], [], []
     else:
-        raw_removed, raw_added = _lcs_align(old.body_statements, new.body_statements)
+        raw_removed, raw_added = _lcs_align(*paired_statements(old, new))
         moves, res_removed, res_added = detect_statement_moves(raw_removed, raw_added)
         modified, rest_removed, rest_added = _pair_modifications(
             res_removed, res_added, config.modify_similarity
@@ -505,6 +506,14 @@ def _members_fingerprint(cls: ClassFacts) -> frozenset:
     )
 
 
+def _nested_suffixes(outer: str, names: list[str]) -> set[str] | None:
+    """What follows outer in each of names, '' for outer itself; None when a
+    name is neither outer nor a class nested in it."""
+    if not all(name == outer or name.startswith(outer + ".") for name in names):
+        return None
+    return {name[len(outer) :] for name in names}
+
+
 def diff_facts(
     old: SourceFacts,
     new: SourceFacts,
@@ -533,11 +542,21 @@ def diff_facts(
 
     class_added = [name for name in new_classes if name not in old_classes]
     class_removed = [name for name in old_classes if name not in new_classes]
+    # one renamed class: the added and the removed names are each one outer
+    # class and the same classes nested in it, and the outer classes have
+    # equal members; the nested classes pair by their names below the outer
     class_renamed: list[tuple[str, str]] = []
-    if len(class_added) == 1 and len(class_removed) == 1:
+    renamed_map: dict[str, str] = {}
+    if class_added and class_removed:
         old_name, new_name = class_removed[0], class_added[0]
-        if _members_fingerprint(old_classes[old_name]) == _members_fingerprint(new_classes[new_name]):
+        suffixes = _nested_suffixes(old_name, class_removed)
+        if (
+            suffixes is not None
+            and suffixes == _nested_suffixes(new_name, class_added)
+            and _members_fingerprint(old_classes[old_name]) == _members_fingerprint(new_classes[new_name])
+        ):
             class_renamed.append((old_name, new_name))
+            renamed_map = {old_name + suffix: new_name + suffix for suffix in suffixes}
             class_added = []
             class_removed = []
 
@@ -554,7 +573,6 @@ def diff_facts(
 
     # an added class is diffed against an empty class, a removed one the
     # other way round, before the classes present in both versions
-    renamed_map = {o: n for o, n in class_renamed}
     kept = ((renamed_map.get(name, name), old_cls) for name, old_cls in old_classes.items())
     class_pairs = (
         [(name, _EMPTY_CLASS, new_classes[name]) for name in class_added]
@@ -610,10 +628,7 @@ def diff_facts(
                 inline_changes.append(change)
 
     package = new.package_name if new.package_name is not None else old.package_name
-    renamed_old_names = {o for o, _n in class_renamed}
-    class_order = tuple(new_classes) + tuple(
-        n for n in old_classes if n not in new_classes and n not in renamed_old_names
-    )
+    class_order = tuple(new_classes) + tuple(n for n in old_classes if n not in new_classes and n not in renamed_map)
     pair = FilePair(path_old, path_new, None, None)
     file_diff = FileDiff(
         path=pair.path,

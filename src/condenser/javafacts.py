@@ -26,6 +26,14 @@ at its head, by a running newline count from the previous head.  Elsewhere
 a line comes from bisecting the precomputed newline offsets, only where a
 fact or an error needs one; every newline counts.
 
+The two versions of a matched method whose body changed are built together
+(paired_statements), per segment: a coarse regex pass cuts each body at
+every top-level ';', one outside any bracket opened in the body and outside
+comments and literals, and makes no cut after a bracket that closes out of
+turn.  The new body is scanned whole; an old segment whose text is a new
+segment's takes that segment's statements with their lines shifted, and
+only the runs of other old segments are lexed and scanned.
+
 The coarse pass keeps each comment as a span.  A comment inside a method
 body belongs to that body: the method keeps the spans that fall inside it,
 and its inline_comments are built from body_text on first read, so the
@@ -945,6 +953,8 @@ class _Parser:
             if self.at("final"):
                 self.take()
             ptype = self.read_type_text(f"as parameter type of {qname}.{name}")
+            while self.at("@"):
+                self.parse_annotation("method")  # type annotations on '...' dropped
             if self.at("..."):
                 self.take()
                 ptype += "..."
@@ -977,8 +987,8 @@ class _Parser:
             self.outer_comments += self.comments[self.next_comment : lo]
             self.next_comment = hi
             body_comments = tuple(self.comments[lo:hi])
-        elif self.at("="):
-            # annotation-decl member with default value: drop the default
+        elif self.at("default"):
+            # an annotation-type element's default value (JLS 9.6.2): dropped
             self.take()
             while not self.at(";"):
                 if self.peek() is None:
@@ -1075,8 +1085,142 @@ def _body_statements(body_text: str, line: int) -> tuple[StatementFacts, ...]:
     return tuple(_scan_statements(kinds, texts, starts, ends, _blank_comments(body_text, comments), line))
 
 
+# The coarse pass that cuts a body into segments: brackets and ';', with
+# literals and comments stepped over as in _LAYOUT_RE.  A '(...)' that holds
+# no bracket, comment or '/', only closed literals, is skipped whole, so most
+# statements are one match.  A '/*' or a quote that starts no closed comment
+# or literal is left open.
+_CUT_RE = re.compile(
+    r"[^{}()\[\];\"'/]*(?:"
+    rf"\([^{{}}()\[\]\"'/]*(?:(?:{_CLOSED_LITERAL})[^{{}}()\[\]\"'/]*)*\)"
+    r"[^{}()\[\];\"'/]*)*(?:"
+    r"(?P<open>[{(\[])"
+    r"|(?P<close>[})\]])"
+    r"|(?P<semi>;)"
+    rf"|{_CLOSED_LITERAL}|{_LINE_COMMENT}|{_BLOCK_COMMENT}"
+    r"|(?P<left_open>/\*|[\"'])"
+    r"|/|\Z)"
+)
+_OPENER_OF = {"}": "{", ")": "(", "]": "["}
+_DEPTH_STEP = {"(": 1, "[": 1, "{": 1, ")": -1, "]": -1, "}": -1}
+
+
+def _segment_bounds(body_text: str) -> list[int] | None:
+    """Where a '{...}' body text splits into segments: the offset just past
+    its '{', just past each top-level ';' (one outside every bracket opened
+    in the body) and that of its '}'.
+
+    No cut is made past the first bracket that closes out of turn, where
+    the scanner's bracket counts stop following the nesting.  None when a
+    comment or literal is left open.
+    """
+    bounds = [1]
+    opened: list[str] = []
+    nested = True
+    for m in _CUT_RE.finditer(body_text, 1, len(body_text) - 1):
+        kind = m.lastgroup
+        if kind == "semi":
+            if nested and not opened:
+                bounds.append(m.end())
+        elif kind == "open":
+            opened.append(m[kind])
+        elif kind == "close":
+            nested = nested and bool(opened) and opened.pop() == _OPENER_OF[m[kind]]
+        elif kind == "left_open":
+            return None
+    bounds.append(len(body_text) - 1)
+    return bounds
+
+
+def _paired_statements(
+    old_text: str, old_line: int, new_text: str, new_line: int
+) -> tuple[tuple[StatementFacts, ...], tuple[StatementFacts, ...]]:
+    """The statements _body_statements builds for two versions of a method
+    body, with the text the two share scanned once.
+
+    Both bodies are cut into segments at their top-level ';'s.  The new body
+    is scanned whole and its statements are grouped by the segment their
+    head lies in; a cut that a statement runs across joins its two segments.
+    An old segment whose text is a new segment's takes that segment's
+    statements, their lines shifted to where it sits, and each run of other
+    old segments is decoded and scanned as one region.
+
+    A cut is exact because the scanner keeps no state from one statement
+    head to the next and, with brackets nested, every lookahead stops at a
+    top-level ';'.  Only a keyword statement without its ';' runs on past
+    the '}' of its block and across a cut; a region whose last statement
+    does so leaves the old body to a whole scan.  Without a cut on either
+    side both bodies are scanned whole.
+    """
+    old_bounds, new_bounds = _segment_bounds(old_text), _segment_bounds(new_text)
+    if old_bounds is None or new_bounds is None or len(old_bounds) == 2 or len(new_bounds) == 2:
+        return _body_statements(old_text, old_line), _body_statements(new_text, new_line)
+    kinds, texts, starts, ends, comments = _decode(new_text, 1, len(new_text) - 1, new_line)
+    spans: list[tuple[int, int]] = []
+    new_stmts = _scan_statements(kinds, texts, starts, ends, _blank_comments(new_text, comments), new_line, spans)
+    # segment text -> (first statement, end statement, the segment's first line)
+    table: dict[str, tuple[int, int, int]] = {}
+    a, line, first, k = 1, new_line, 0, 0
+    for b in new_bounds[1:]:
+        while k < len(spans) and starts[spans[k][0]] < b:
+            k += 1
+        if k and ends[spans[k - 1][1] - 1] > b:
+            continue
+        table.setdefault(new_text[a:b], (first, k, line))
+        line += new_text.count("\n", a, b)
+        a, first = b, k
+
+    old_stmts: list[StatementFacts] = []
+
+    def scan_region(a: int, b: int, line: int) -> bool:
+        """Append the statements of old_text[a:b]; False when the last one
+        would run on past b."""
+        region = old_text[a:b]
+        kinds, texts, starts, ends, comments = _decode(region, 0, len(region), line)
+        spans: list[tuple[int, int]] = []
+        old_stmts.extend(_scan_statements(kinds, texts, starts, ends, _blank_comments(region, comments), line, spans))
+        if not spans or spans[-1][1] < len(texts) or texts[spans[-1][0]] not in _STMT_SIMPLE_KEYWORDS:
+            return True
+        return sum(_DEPTH_STEP.get(t, 0) for t in texts[spans[-1][0] :]) == 0
+
+    built, built_line, line = 1, old_line, old_line  # old_text[1:built] is built
+    for a, b in zip(old_bounds, old_bounds[1:]):
+        reused = table.get(old_text[a:b])
+        if reused is not None:
+            if built < a and not scan_region(built, a, built_line):
+                return _body_statements(old_text, old_line), tuple(new_stmts)
+            lo, hi, shift = reused[0], reused[1], line - reused[2]
+            old_stmts += [StatementFacts(s.kind, s.text, s.line + shift) for s in new_stmts[lo:hi]]
+        line += old_text.count("\n", a, b)
+        if reused is not None:
+            built, built_line = b, line
+    if built < len(old_text) - 1:
+        scan_region(built, len(old_text) - 1, built_line)
+    return tuple(old_stmts), tuple(new_stmts)
+
+
+def paired_statements(
+    old: MethodFacts, new: MethodFacts
+) -> tuple[tuple[StatementFacts, ...], tuple[StatementFacts, ...]]:
+    """old.body_statements and new.body_statements for two versions of one
+    method.  When neither is built yet, _paired_statements builds both and
+    they fill both caches, as a first read would."""
+    unbuilt = "body_statements" not in old.__dict__ and "body_statements" not in new.__dict__
+    if unbuilt and old.body_text and new.body_text:
+        old.__dict__["body_statements"], new.__dict__["body_statements"] = _paired_statements(
+            old.body_text, old.body_line, new.body_text, new.body_line
+        )
+    return old.body_statements, new.body_statements
+
+
 def _scan_statements(
-    kinds: list[str], texts: list[str], starts: list[int], ends: list[int], blanked: str, first_line: int
+    kinds: list[str],
+    texts: list[str],
+    starts: list[int],
+    ends: list[int],
+    blanked: str,
+    first_line: int,
+    spans: list[tuple[int, int]] | None = None,
 ) -> list[StatementFacts]:
     """Flatten a method body's token columns into statement records.
 
@@ -1085,7 +1229,8 @@ def _scan_statements(
     collected up to the next top-level ';' and classified coarsely.  A
     statement's line is that of its first token, counted from first_line
     (the line of blanked's first character) by a running newline count that
-    advances from one head to the next.
+    advances from one head to the next.  When spans is given, it receives
+    each statement's (head, end) token range, end exclusive.
     """
     stmts: list[StatementFacts] = []
     i = 0
@@ -1099,9 +1244,6 @@ def _scan_statements(
         line += blanked.count("\n", counted, start)
         counted = start
         return line
-
-    def slice_text(a: int, b: int) -> str:
-        return " ".join(blanked[starts[a] : ends[b - 1]].split())
 
     def balanced_end(start: int) -> int:
         """Just past the ')' that closes the '(' at start."""
@@ -1130,10 +1272,8 @@ def _scan_statements(
                 text = "if"
             if text not in _BARE_HEADERS and end < n and texts[end] == "(":
                 end = balanced_end(end)
-            stmts.append(StatementFacts(kind, slice_text(i, end), head_line(i)))
-            i = end
-            continue
-        if text in ("case", "default") and _looks_like_switch_label(texts, i):
+        elif text in ("case", "default") and _looks_like_switch_label(texts, i):
+            kind = "branch"
             end = i
             depth = 0
             while end < n:
@@ -1146,10 +1286,8 @@ def _scan_statements(
                     end += 1
                     break
                 end += 1
-            stmts.append(StatementFacts("branch", slice_text(i, end), head_line(i)))
-            i = end
-            continue
-        if text in _STMT_SIMPLE_KEYWORDS:
+        elif text in _STMT_SIMPLE_KEYWORDS:
+            kind = _STMT_SIMPLE_KEYWORDS[text]
             end = i
             depth = 0
             while end < n:
@@ -1162,11 +1300,8 @@ def _scan_statements(
                     end += 1
                     break
                 end += 1
-            stmts.append(StatementFacts(_STMT_SIMPLE_KEYWORDS[text], slice_text(i, end), head_line(i)))
-            i = end
-            continue
-        # label: `name :` followed by a statement keyword
-        if (
+        elif (
+            # label: `name :` followed by a statement keyword
             kinds[i] == "ident"
             and i + 1 < n
             and texts[i + 1] == ":"
@@ -1175,30 +1310,34 @@ def _scan_statements(
         ):
             i += 2
             continue
-        # generic statement: collect to top-level ';'
-        end = i
-        depth = 0
-        saw_eq = False
-        while end < n:
-            tt = texts[end]
-            if tt in ("(", "[") or (tt == "{" and (depth > 0 or saw_eq or _prev_is_expr(texts, end))):
-                depth += 1
-            elif tt == "{" and depth == 0:
-                break  # mis-grabbed a block opener; stop before it
-            elif tt in (")", "]", "}"):
-                depth -= 1
-                if depth < 0:
+        else:
+            # generic statement: collect to top-level ';'
+            end = i
+            depth = 0
+            saw_eq = False
+            while end < n:
+                tt = texts[end]
+                if tt in ("(", "[") or (tt == "{" and (depth > 0 or saw_eq or _prev_is_expr(texts, end))):
+                    depth += 1
+                elif tt == "{" and depth == 0:
+                    break  # mis-grabbed a block opener; stop before it
+                elif tt in (")", "]", "}"):
+                    depth -= 1
+                    if depth < 0:
+                        break
+                elif tt == ";" and depth == 0:
+                    end += 1
                     break
-            elif tt == ";" and depth == 0:
+                if tt in _ASSIGN_OPS and depth == 0:
+                    saw_eq = True
                 end += 1
-                break
-            if tt in _ASSIGN_OPS and depth == 0:
-                saw_eq = True
-            end += 1
-        if end == i:
-            i += 1
-            continue
-        stmts.append(StatementFacts(_classify_generic(kinds, texts, i, end), slice_text(i, end), head_line(i)))
+            if end == i:
+                i += 1
+                continue
+            kind = _classify_generic(kinds, texts, i, end)
+        stmts.append(StatementFacts(kind, " ".join(blanked[starts[i] : ends[end - 1]].split()), head_line(i)))
+        if spans is not None:
+            spans.append((i, end))
         i = end
     return stmts
 

@@ -961,6 +961,8 @@ class _Parser:
             if self.at("final"):
                 self.take()
             ptype = self.read_type_text(f"as parameter type of {qname}.{name_tok.text}")
+            while self.at("@"):
+                self.parse_annotation("method")  # type annotations on '...' dropped
             if self.at("..."):
                 self.take()
                 ptype += "..."
@@ -989,8 +991,8 @@ class _Parser:
             )
             end_off = self.toks[body_end - 1].end
             body_span = (open_tok.start, end_off)
-        elif self.at("="):
-            # annotation-decl member with default value: drop the default
+        elif self.at("default"):
+            # an annotation-type element's default value (JLS 9.6.2): dropped
             self.take()
             while not self.at(";"):
                 if self.peek() is None:

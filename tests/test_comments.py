@@ -189,6 +189,32 @@ def test_renamed_class_keeps_its_comments():
     ]
 
 
+def test_renamed_class_with_an_inner_class_is_one_rename():
+    # the outer classes have equal members and the nested ones pair by name
+    old_src = "class A {\n  class I { }\n  /** Doc for m. */\n  void m() { n++; }\n}\n"
+    new_src = old_src.replace("class A", "class B")
+    old, new = parse_java(old_src), parse_java(new_src)
+    fd = diff_facts(old, new, "F.java", "F.java").files[0]
+    assert fd.class_renamed == (("A", "B"),)
+    assert fd.class_added == fd.class_removed == ()
+    assert fd.method_added == fd.method_removed == fd.inline_changes == ()
+    assert fd.class_order == ("B", "B.I")
+    assert run_elicit(old_src, new_src) == []
+    # a nested class's edit is diffed under its new name
+    edited = new_src.replace("class I { }", "class I { int k; }")
+    fd = diff_facts(old, parse_java(edited), "F.java", "F.java").files[0]
+    assert fd.class_renamed == (("A", "B"),)
+    assert [(c, f.name) for c, f in fd.field_added] == [("B.I", "k")]
+
+
+def test_renamed_class_whose_inner_class_is_renamed_too_is_no_rename():
+    old_src = "class A {\n  class I { }\n  void m() { n++; }\n}\n"
+    new_src = old_src.replace("class A", "class B").replace("class I", "class J")
+    fd = diff_facts(parse_java(old_src), parse_java(new_src), "F.java", "F.java").files[0]
+    assert fd.class_renamed == ()
+    assert (fd.class_added, fd.class_removed) == (("B", "B.J"), ("A", "A.I"))
+
+
 def test_comment_only_body_edit_is_elicited():
     # no statement changes, so no inline change; the body text still differs
     old_src = "class C {\n  void f() {\n    // old note\n    g();\n  }\n  void f(int k) {\n    // old note\n  }\n}"

@@ -116,6 +116,15 @@ def test_varargs_parameter_type():
     assert facts.classes[0].methods[0].parameters == (("String...", "parts"),)
 
 
+def test_annotated_varargs_parameter_type():
+    # type annotations on the '...' (JLS 9.7.4) are dropped, like parameter annotations
+    facts = parse_java("class C { void f(String @A ... xs) {} void g(int n, @B String @A @C(1) ... ys) {} }")
+    assert [m.parameters for m in facts.classes[0].methods] == [
+        (("String...", "xs"),),
+        (("int", "n"), ("String...", "ys")),
+    ]
+
+
 def test_generic_types_kept_as_text():
     facts = parse_java("class C { java.util.Map<String,java.util.List<Integer>> m; }")
     # canonical whitespace: one space after commas, none inside name chains
@@ -144,6 +153,33 @@ def test_interface_and_enum_kinds():
 def test_annotation_declaration_kind():
     facts = parse_java("@interface Marker { String value(); }")
     assert facts.classes[0].kind == "annotation-decl"
+
+
+def test_annotation_type_element_defaults():
+    # JLS 9.6.2: an element value after 'default' is dropped
+    src = (
+        "@interface Config {\n"
+        "  int value() default 1;\n"
+        '  String[] names() default {"a"};\n'
+        "  Class<?> type() default Object.class;\n"
+        "  String plain();\n"
+        "}\n"
+    )
+    methods = parse_java(src).classes[0].methods
+    assert [(m.name, m.return_type, m.body_text, m.body_statements) for m in methods] == [
+        ("value", "int", "", ()),
+        ("names", "String[]", "", ()),
+        ("type", "Class<?>", "", ()),
+        ("plain", "String", "", ()),
+    ]
+    assert src[slice(*methods[1].byte_range)] == 'String[] names() default {"a"};'
+
+
+def test_element_value_after_equals_is_a_parse_error():
+    # '= value' is not Java; it was accepted before 'default' was
+    with pytest.raises(ParseError) as exc:
+        parse_java("@interface A { int value() = 1; }")
+    assert exc.value.message == "expected ';' after abstract method"
 
 
 def test_annotations_with_arguments():

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import json
 import random
 
 import pytest
@@ -273,15 +274,21 @@ def test_statement_lines_at_heads_match_oracle():
 
 @pytest.fixture
 def built(monkeypatch) -> list[str]:
-    """Body texts the statement builder is called with, in order."""
+    """Body texts the statement builders are called with, in order; a pair
+    built together gives its old and then its new text."""
     calls: list[str] = []
-    build = javafacts._body_statements
+    build, build_pair = javafacts._body_statements, javafacts._paired_statements
 
     def spy(body_text, line):
         calls.append(body_text)
         return build(body_text, line)
 
+    def spy_pair(old_text, old_line, new_text, new_line):
+        calls.extend((old_text, new_text))
+        return build_pair(old_text, old_line, new_text, new_line)
+
     monkeypatch.setattr(javafacts, "_body_statements", spy)
+    monkeypatch.setattr(javafacts, "_paired_statements", spy_pair)
     return calls
 
 
@@ -305,7 +312,7 @@ def test_one_statement_edit_builds_only_the_edited_method(built, monkeypatch):
     result = condense_commit(commit)
     name = old.classes[0].methods[10].name
     edited = [m.body_text for src in (old_src, new_src) for m in parse_java(src).classes[0].methods if m.name == name]
-    assert sorted(built) == sorted(edited) and len(built) == 2
+    assert built == edited
     assert result.rule == "small_change"
 
     monkeypatch.setattr("condenser.corpus.parse_java", parse_java_oracle)
@@ -372,3 +379,154 @@ def test_fixture_inline_change_statements_match_oracle():
                 assert ic.new.body_statements == sides["new"][ic.new.byte_range].body_statements
                 checked += 1
     assert checked >= 10
+
+
+# --- statements built in pairs -------------------------------------------------
+#
+# A matched method's two bodies are built together, the text they share
+# scanned once (javafacts._paired_statements).  The whole-body scan of each
+# side (javafacts._body_statements) is the reference: statements, lines
+# included, and any ParseError must be the same, old side first.
+
+
+def _outcome(build):
+    try:
+        return build()
+    except ParseError as exc:
+        return ("error", exc.line, exc.message)
+
+
+def _assert_pair_like_whole_scans(old_body: str, new_body: str, old_line: int = 3, new_line: int = 7) -> None:
+    expected = _outcome(
+        lambda: (javafacts._body_statements(old_body, old_line), javafacts._body_statements(new_body, new_line))
+    )
+    got = _outcome(lambda: javafacts._paired_statements(old_body, old_line, new_body, new_line))
+    assert got == expected, (old_body, new_body)
+
+
+def _assert_diff_pairs_like_whole_scans(old_src: str, new_src: str) -> int:
+    """Diff two parsed versions through the real call site; every method
+    whose body changed must hold the whole-body statements on each side.
+    Returns the number of such methods."""
+    fd = diff_facts(parse_java(old_src), parse_java(new_src)).files[0]
+    for _cname, old, new in fd.body_changed:
+        for method in (old, new):
+            whole = javafacts._body_statements(method.body_text, method.body_line) if method.body_text else ()
+            assert method.body_statements == whole
+    return len(fd.body_changed)
+
+
+# Each construct sits between statements that are edited, kept and edited
+# again, so that its segment is either taken from the other side or scanned
+# in a region next to taken ones.  The variants of one construct are paired
+# with each other: the second gives a keyword statement its ';' or turns a
+# label into a word, so that only one side's statement runs across a cut.
+_PAIR_CONSTRUCTS = [
+    ("a ) ; ( b ; c ;",),  # a ')' out of turn: no cut after it
+    ("a [ ; b ; c ;",),  # an unclosed '['
+    ("m ( ] ; n ) ; o ;",),  # a ']' that does not close the '('
+    ("{ return ( } ; case ) ; z ( : q ) ;", "{ return ( } ; cash ) ; z ( : q ) ;"),  # a '}' closes a '('
+    ("for (;;) { k++; }",),
+    ('String s = "};{"; char c = \';\'; // ; { }\n /* ; } { */ t();',),
+    ("Runnable r = () -> { a(); b(); }; r.run();",),
+    ("Object o = new Object() { void f() { g(); } }; use(o);",),
+    ("int y = switch (x) { case 1 -> 2; default -> { yield 3; } }; use(y);",),
+    ("case 1: one(); default: two();",),  # a 'case' label starting a segment
+    ("if (a) x(); else y(); do x(); while (c);",),
+    ("out: for (;;) { break out; } done();",),
+    ("if (a) { return x } ; y ;", "if (a) { return x ; } ; y ;"),  # a keyword statement without its ';'
+    ("if (a) { return new A() { } } ; y ;", "if (a) { return new A() { } ; } ; y ;"),
+    ("{ throw e } ; y ;", "{ throw e ; } ; y ;"),
+]
+
+
+@pytest.mark.parametrize("variants", _PAIR_CONSTRUCTS, ids=lambda variants: variants[0])
+def test_fixed_pairs_build_like_whole_scans(variants):
+    bodies = []
+    for construct in variants:
+        for head, tail in (("a();", "z();"), ("b();", "z();"), ("a();", "w();")):
+            bodies.append(f"{{\n    {head}\n    {construct}\n    k();\n    {tail}\n  }}")
+            bodies.append(f"{{ {head} {construct} k(); {tail} }}")
+    for old in bodies:
+        for new in bodies:
+            _assert_pair_like_whole_scans(old, new)
+
+
+@st.composite
+def _edited_scanner_bodies(draw) -> tuple[str, str]:
+    """Two bodies made of the same _SCANNER_BODY parts, some of them
+    inserted, deleted or replaced in the second."""
+    parts = draw(st.lists(_SCANNER_BODY, min_size=1, max_size=6))
+    edited = list(parts)
+    for _ in range(draw(st.integers(0, 3))):
+        k = draw(st.integers(0, len(edited)))
+        op = draw(st.sampled_from(["insert", "delete", "replace"]))
+        if op == "insert" or not edited:
+            edited.insert(k, draw(_SCANNER_BODY))
+        elif op == "delete":
+            del edited[min(k, len(edited) - 1)]
+        else:
+            edited[min(k, len(edited) - 1)] = draw(_SCANNER_BODY)
+    sep = draw(st.sampled_from([";\n", "\n", " ; ", " "]))
+    return "{\n" + sep.join(parts) + "\n}", "{\n" + sep.join(edited) + "\n}"
+
+
+@settings(max_examples=400, deadline=None)
+@given(_edited_scanner_bodies())
+def test_edited_scanner_rule_bodies_build_like_whole_scans(bodies):
+    old, new = bodies
+    _assert_pair_like_whole_scans(old, new)
+    _assert_pair_like_whole_scans(new, old)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_SCANNER_BODY, st.data())
+def test_bodies_with_a_span_deleted_build_like_whole_scans(body, data):
+    # a deletion may leave brackets unbalanced or a literal open
+    old = "{\n" + body + "\n}"
+    start = data.draw(st.integers(1, len(old) - 1))
+    end = data.draw(st.integers(start, len(old) - 1))
+    new = old[:start] + old[end:]
+    _assert_pair_like_whole_scans(old, new)
+    _assert_pair_like_whole_scans(new, old)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("workload", ["corpus-typical", "rewrite-heavy"])
+def test_benchmark_pairs_build_like_whole_scans(workload, seed, tmp_path):
+    workloads.build(workload, seed, "full", tmp_path)
+    checked = 0
+    for line in (tmp_path / "corpus.jsonl").read_text(encoding="utf-8").splitlines():
+        for pair in json.loads(line)["files"]:
+            old_src, new_src = pair["content_old"], pair["content_new"]
+            if not (old_src and new_src and pair["path_new"].endswith(".java")):
+                continue
+            try:
+                checked += _assert_diff_pairs_like_whole_scans(old_src, new_src)
+            except ParseError:
+                continue  # the Java 16+ commits
+    assert checked >= (4 if workload == "rewrite-heavy" else 20)
+
+
+def test_one_statement_edit_in_a_long_body_lexes_only_its_segment(monkeypatch):
+    body = [f"    v{k} = combine(v{k - 1}, {k});" for k in range(1, 301)]
+    old_src = "class Long {\n  void run() {\n" + "\n".join(body) + "\n  }\n}\n"
+    new_src = old_src.replace(body[150], body[150].replace(");", ") + 1;"))
+    old, new = parse_java(old_src), parse_java(new_src)
+    decoded: list[str] = []
+    decode = javafacts._decode
+
+    def spy(text, pos, endpos, line, lenient=False):
+        decoded.append(text[pos:endpos])
+        return decode(text, pos, endpos, line, lenient)
+
+    monkeypatch.setattr(javafacts, "_decode", spy)
+    (change,) = diff_facts(old, new).files[0].inline_changes
+    # the new body is lexed whole; of the old one only the edited segment
+    assert decoded == [new.classes[0].methods[0].body_text[1:-1], "\n" + body[150]]
+    assert [(o.text, n.text) for o, n in change.stmt_modified] == [
+        ("v151 = combine(v150, 151);", "v151 = combine(v150, 151) + 1;")
+    ]
+    monkeypatch.undo()
+    for method in (change.old, change.new):
+        assert method.body_statements == javafacts._body_statements(method.body_text, method.body_line)
