@@ -28,6 +28,7 @@ from condenser.corpus import (
     generate_remote,
     load_corpus,
     load_sft,
+    read_lines,
     run_pipeline,
 )
 from condenser.diffing import (
@@ -273,8 +274,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    candidates = Path(args.candidates).read_text(encoding="utf-8").splitlines()
-    references = Path(args.references).read_text(encoding="utf-8").splitlines()
+    candidates = read_lines(args.candidates)
+    references = read_lines(args.references)
     if len(candidates) != len(references):
         raise ConfigError(
             f"line counts differ: {len(candidates)} candidate(s) vs {len(references)} reference(s)"

@@ -55,6 +55,7 @@ __all__ = [
     "generate_remote",
     "load_corpus",
     "load_sft",
+    "read_lines",
     "run_pipeline",
 ]
 
@@ -124,6 +125,16 @@ def _file_pair(entry) -> FilePair:
     )
 
 
+def read_lines(path: str | Path) -> list[str]:
+    """The lines of a UTF-8 text file, split at "\n", "\r\n" and "\r" only:
+    a form feed, U+2028 or other str.splitlines() break stays inside its
+    line. No empty line follows a final newline; an empty file has none."""
+    lines = Path(path).read_text(encoding="utf-8").split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return lines
+
+
 def load_corpus(path: str | Path, skipped: list[tuple[int, str]] | None = None) -> list[CommitSample]:
     """Load a JSONL corpus; invalid records are skipped with a logged
     diagnostic, duplicates of a (repo, hash) pair keep the first occurrence.
@@ -133,7 +144,7 @@ def load_corpus(path: str | Path, skipped: list[tuple[int, str]] | None = None) 
     seen: set[tuple[str, str]] = set()
     skipped = [] if skipped is None else skipped
     total = 0
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, raw in enumerate(read_lines(path), start=1):
         if not raw.strip():
             continue
         total += 1
@@ -309,7 +320,7 @@ def export_sft(
 
 def load_sft(path: str | Path) -> list[SftRecord]:
     records = []
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
+    for raw in read_lines(path):
         if not raw.strip():
             continue
         data = json.loads(raw)

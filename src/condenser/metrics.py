@@ -5,10 +5,12 @@ ROUGE-L with beta = 1.2, and exact-match METEOR (alpha 0.9, beta 3,
 gamma 0.5, no stemming or synonymy). Scores are percentages in [0, 100];
 corpus scores are arithmetic means of sentence scores.
 
-BLEU and ROUGE-L are always exact.  METEOR is exact (maximum matches, then
-minimum chunks) unless its chunk search hits _METEOR_SEARCH_CAP; such pairs
-score with an upper bound on chunks, and MetricReport.meteor_capped counts
-them (`eval` prints a warning on stderr when it is non-zero).
+BLEU counts clipped matches from one table of the reference's n-gram counts,
+which each matched candidate n-gram spends.  BLEU and ROUGE-L are always
+exact.  METEOR is exact (maximum matches, then minimum chunks) unless its
+chunk search hits _METEOR_SEARCH_CAP; such pairs score with an upper bound
+on chunks, and MetricReport.meteor_capped counts them (`eval` prints a
+warning on stderr when it is non-zero).
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 
 from condenser.sequences import TOKEN_RE, lcs_length
 
@@ -101,10 +104,6 @@ def tokenize_message(text: str) -> TokenSeq:
     return TokenSeq(tokens=tuple(t.lower() for t in TOKEN_RE.findall(text)))
 
 
-def _ngrams(tokens: tuple[str, ...], n: int) -> Counter:
-    return Counter(tokens[i : i + n] for i in range(len(tokens) - n + 1))
-
-
 def bleu_norm(candidate: TokenSeq, reference: TokenSeq) -> float:
     """Case-insensitive sentence BLEU-4.
 
@@ -112,17 +111,27 @@ def bleu_norm(candidate: TokenSeq, reference: TokenSeq) -> float:
     numerator and denominator get +1 smoothing for n >= 2 (unigram precision
     stays raw, so zero unigram overlap scores 0). Brevity penalty
     exp(1 - r/c) applies when the candidate is shorter than the reference.
+    One table counts the reference's n-grams, n = 1..4; a candidate n-gram
+    matches while its count is positive and spends one, which clips it.
     """
     if len(reference) == 0:
         raise EmptyReference("reference must be non-empty")
     c, r = len(candidate), len(reference)
     if c == 0:
         return 0.0
+    cand, ref = candidate.tokens, reference.tokens
+    unspent = {}
+    for gram in chain(ref, zip(ref, ref[1:]), zip(ref, ref[1:], ref[2:]), zip(ref, ref[1:], ref[2:], ref[3:])):
+        unspent[gram] = unspent.get(gram, 0) + 1
+    cand_grams = (cand, zip(cand, cand[1:]), zip(cand, cand[1:], cand[2:]), zip(cand, cand[1:], cand[2:], cand[3:]))
     log_sum = 0.0
-    for n in range(1, 5):
-        cand_counts = _ngrams(candidate.tokens, n)
-        ref_counts = _ngrams(reference.tokens, n)
-        matched = sum(min(count, ref_counts[gram]) for gram, count in cand_counts.items())
+    for n, grams in enumerate(cand_grams, start=1):
+        matched = 0
+        for gram in grams:
+            count = unspent.get(gram)
+            if count:
+                unspent[gram] = count - 1
+                matched += 1
         total = max(c - n + 1, 0)
         if n == 1:
             if matched == 0:
@@ -172,6 +181,10 @@ def _meteor_search(candidate: tuple[str, ...], reference: tuple[str, ...]) -> tu
     0 or the bigram (candidate[k-1], candidate[k]) never occurs adjacent in
     the reference.  Deterministic; `capped` is True when the search stopped
     after _METEOR_SEARCH_CAP nodes with part of the tree unexplored.
+
+    No search runs when every shared token occurs once on each side: the
+    alignment is then forced, the bigram test is exactly the chunk rule, and
+    starts[0] is the minimum chunk count.
     """
     nc, nr = len(candidate), len(reference)
     cand_counts = Counter(candidate)
@@ -184,15 +197,16 @@ def _meteor_search(candidate: tuple[str, ...], reference: tuple[str, ...]) -> tu
     suffix_counts: Counter = Counter()
     for k in range(nc - 1, -1, -1):
         token = candidate[k]
+        in_ref = ref_counts[token]
         suffix_counts[token] += 1
-        remaining_possible[k] = remaining_possible[k + 1] + (suffix_counts[token] <= ref_counts[token])
-        must_start = cand_counts[token] <= ref_counts[token] and (
-            k == 0 or (candidate[k - 1], token) not in ref_bigrams
-        )
+        remaining_possible[k] = remaining_possible[k + 1] + (suffix_counts[token] <= in_ref)
+        must_start = cand_counts[token] <= in_ref and (k == 0 or (candidate[k - 1], token) not in ref_bigrams)
         starts[k] = starts[k + 1] + must_start
     target = remaining_possible[0]
     if target == 0:
         return 0, 0, False
+    if all(cand_counts[t] + ref_counts[t] == 2 for t in cand_counts if t in ref_counts):
+        return target, starts[0], False
 
     best = _greedy_chunks(candidate, reference, target)
     ref_positions: dict[str, list[int]] = {}

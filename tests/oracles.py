@@ -2,12 +2,12 @@
 
 Everything here is written straight from first principles (exhaustive
 enumeration, literal formulas with exact fractions) and shares no code with
-the package. Only usable for short inputs.  The exception is the last five
+the package. Only usable for short inputs.  The exception is the last six
 sections: the package's previous Java lexer and comment-attachment resolver,
 its previous eager declaration parser, its previous whole-file comment
 attachment and elicitation, its previous statement diff and ROUGE-L LCS,
-and its previous METEOR chunk search, kept as the reference their rewrites
-must reproduce.
+its previous METEOR chunk search and its previous Counter-based BLEU, kept
+as the reference their rewrites must reproduce.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from fractions import Fraction
 
 from condenser.changeset import StructuralDiff
 from condenser.comments import ElicitedComment, categorize_comment, normalize_comment_text
+from condenser.metrics import EmptyReference, TokenSeq
 from condenser.javafacts import (
     AnnotationFacts,
     ClassFacts,
@@ -1739,3 +1740,44 @@ def greedy_chunks_oracle(candidate: tuple[str, ...], reference: tuple[str, ...],
         matched += best_len
         chunks += 1
     return chunks if matched >= target else chunks + (target - matched)
+
+
+# --- BLEU: the Counter-based original -----------------------------------------
+#
+# The previous bleu_norm, verbatim: two Counters of tuple slices per order.
+# Its float arithmetic is the reference the one-table rewrite must reproduce
+# bit for bit, so compare with ==.
+
+
+def _ngrams(tokens: tuple[str, ...], n: int) -> Counter:
+    return Counter(tokens[i : i + n] for i in range(len(tokens) - n + 1))
+
+
+def bleu_counter_oracle(candidate: TokenSeq, reference: TokenSeq) -> float:
+    """Case-insensitive sentence BLEU-4.
+
+    Modified n-gram precisions for n=1..4, clipped against the reference;
+    numerator and denominator get +1 smoothing for n >= 2 (unigram precision
+    stays raw, so zero unigram overlap scores 0). Brevity penalty
+    exp(1 - r/c) applies when the candidate is shorter than the reference.
+    """
+    if len(reference) == 0:
+        raise EmptyReference("reference must be non-empty")
+    c, r = len(candidate), len(reference)
+    if c == 0:
+        return 0.0
+    log_sum = 0.0
+    for n in range(1, 5):
+        cand_counts = _ngrams(candidate.tokens, n)
+        ref_counts = _ngrams(reference.tokens, n)
+        matched = sum(min(count, ref_counts[gram]) for gram, count in cand_counts.items())
+        total = max(c - n + 1, 0)
+        if n == 1:
+            if matched == 0:
+                return 0.0
+            p = matched / total
+        else:
+            p = (matched + 1) / (total + 1)
+        log_sum += 0.25 * math.log(p)
+    bp = math.exp(1 - r / c) if c < r else 1.0
+    return 100.0 * bp * math.exp(log_sum)

@@ -427,6 +427,24 @@ def test_eval_misaligned_files_exit_2(capsys, tmp_path):
     assert "error" in err
 
 
+def test_eval_splits_lines_at_newlines_only(capsys, tmp_path):
+    # a form feed, U+2028 or U+001C inside a message separates words, not messages
+    files = {
+        "cand.txt": "add a\ftest\nfix bug\u2028now\n",
+        "ref.txt": "add a test\nfix the\x1cbug\n",
+        "plain_cand.txt": "add a test\nfix bug now\n",
+        "plain_ref.txt": "add a test\nfix the bug\n",
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    code, out, err = run_cli(capsys, "eval", "--candidates", str(tmp_path / "cand.txt"),
+                             "--references", str(tmp_path / "ref.txt"))
+    assert (code, err) == (0, "")
+    plain = run_cli(capsys, "eval", "--candidates", str(tmp_path / "plain_cand.txt"),
+                    "--references", str(tmp_path / "plain_ref.txt"))
+    assert plain == (0, out, "")
+
+
 def test_condense_with_unparseable_file_exits_1_with_partial_output(capsys, tmp_path):
     old_dir = tmp_path / "old"
     new_dir = tmp_path / "new"

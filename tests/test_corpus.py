@@ -9,7 +9,7 @@ import subprocess
 import sys
 import threading
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import pytest
@@ -44,6 +44,17 @@ def test_load_single_record(tmp_path):
     assert len(samples) == 1
     assert samples[0].repo == COMMITS[0]["repo"]
     assert samples[0].file_pairs[0].status == "modified"
+
+
+def test_record_holding_a_line_separator_loads_whole(tmp_path):
+    # valid JSON: U+2028 needs no escape, but str.splitlines() breaks there
+    record = dict(COMMITS[0], message="Fix the parser\u2028and the lexer")
+    path = tmp_path / "ls.jsonl"
+    path.write_text(json.dumps(record, ensure_ascii=False) + "\n", encoding="utf-8")
+    skipped = []
+    samples = load_corpus(path, skipped)
+    assert skipped == []
+    assert [s.message for s in samples] == ["Fix the parser\u2028and the lexer"]
 
 
 def test_duplicate_repo_hash_skipped(tmp_path, caplog):
@@ -223,6 +234,13 @@ def test_export_round_trip_byte_identical(tmp_path, corpus_path):
     # re-export from reloaded data is byte-identical
     export_sft(pairs, out2)
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_sft_record_holding_line_separators_loads_whole(tmp_path):
+    record = SftRecord(prompt="a\u2028b\u2029c", target="fix\x85it", repo="r", hash="h")
+    path = tmp_path / "sft.jsonl"
+    path.write_text(json.dumps(asdict(record), ensure_ascii=False) + "\n", encoding="utf-8")
+    assert load_sft(path) == [record]
 
 
 def test_export_rejects_templates_over_its_budget(tmp_path, corpus_path):

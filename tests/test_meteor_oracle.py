@@ -4,16 +4,20 @@ exhaustive enumeration and the recursive originals kept in oracles.py.
 Vocabularies of two to four words make duplicates common, which is where
 the chunk search has choices to make and where the original hit its node
 cap.  Where the original stopped at its cap its chunk count is only an upper
-bound, so there the search may find fewer chunks but never more.
+bound, so there the search may find fewer chunks but never more.  Forced
+pairs, where every shared word occurs once on each side, are scored from the
+search's lower bound alone; they are checked apart, up to 128 tokens.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from condenser import metrics
 from condenser.metrics import _greedy_chunks, _meteor_search, meteor_alignment
 from oracles import greedy_chunks_oracle, meteor_alignment_oracle, meteor_search_oracle
 
@@ -56,3 +60,52 @@ def test_greedy_chunks_match_the_original(pair):
     target = sum(min(count, ref_counts[token]) for token, count in Counter(candidate).items())
     assert _greedy_chunks(candidate, reference, target) == greedy_chunks_oracle(candidate, reference, target)
 
+
+class _GreedyRan(Exception):
+    pass
+
+
+def _refuse_greedy(*args):
+    raise _GreedyRan(args)
+
+
+@st.composite
+def _forced_pairs(draw):
+    """Two orders of the same distinct words, each side with repeatable
+    words of its own inserted, at most 128 tokens a side."""
+    shared = [f"w{i}" for i in range(draw(st.integers(0, 100)))]
+    sides = []
+    for own in (("x", "y"), ("p", "q")):
+        tokens = list(draw(st.permutations(shared)))
+        inserts = draw(st.lists(st.tuples(st.integers(0, 128), st.sampled_from(own)), max_size=128 - len(tokens)))
+        for position, word in inserts:
+            tokens.insert(position % (len(tokens) + 1), word)
+        sides.append(tuple(tokens))
+    return tuple(sides)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_forced_pairs())
+def test_forced_pairs_match_the_original_without_a_search(pair):
+    candidate, reference = pair
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(metrics, "_greedy_chunks", _refuse_greedy)
+        result = _meteor_search(candidate, reference)
+    assert result == meteor_search_oracle(candidate, reference)
+    assert not result[2]
+
+
+@pytest.mark.parametrize(
+    "candidate,reference",
+    [
+        (("a", "b", "a"), ("a", "a", "b")),
+        # repeated in the reference only: both candidate bigrams occur there,
+        # yet no alignment makes one chunk
+        (("a", "b", "c"), ("a", "b", "b", "c")),
+    ],
+)
+def test_a_repeated_shared_token_still_runs_the_search(candidate, reference, monkeypatch):
+    assert _meteor_search(candidate, reference) == meteor_search_oracle(candidate, reference)
+    monkeypatch.setattr(metrics, "_greedy_chunks", _refuse_greedy)
+    with pytest.raises(_GreedyRan):
+        _meteor_search(candidate, reference)
