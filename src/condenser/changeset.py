@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 from condenser.config import PipelineConfig
 from condenser.diffing import FilePair
@@ -125,7 +125,7 @@ class MethodInlineChange:
 @dataclass(frozen=True)
 class FileDiff:
     path: str
-    status: str  # added | deleted | modified | renamed | skipped
+    status: str  # added | deleted | modified | renamed
     is_java: bool = True
     package_name: str | None = None
     single_class: bool = False
@@ -783,15 +783,19 @@ def _is_association_type(type_text: str) -> bool:
     return simple not in PRIMITIVE_TYPES and simple not in _JDK_VALUE_TYPES
 
 
-def _collect_touched(diff: StructuralDiff) -> list[_TouchedMethod]:
+def _collect_touched(diff: StructuralDiff, field_names: dict[str, frozenset[str]]) -> list[_TouchedMethod]:
+    """Every added, removed and inline-changed method; its owner's field
+    names come from the full new facts where known (field_names)."""
     touched: list[_TouchedMethod] = []
     for fd in diff.files:
         for cname, m in fd.method_added:
-            touched.append(_TouchedMethod(cname, m, _fields_of(fd, cname, new_side=True), "added"))
+            owner_fields = field_names.get(cname) or _fields_of(fd, cname, new_side=True)
+            touched.append(_TouchedMethod(cname, m, owner_fields, "added"))
         for cname, m in fd.method_removed:
-            touched.append(_TouchedMethod(cname, m, _fields_of(fd, cname, new_side=False), "removed"))
+            owner_fields = field_names.get(cname) or _fields_of(fd, cname, new_side=False)
+            touched.append(_TouchedMethod(cname, m, owner_fields, "removed"))
         for ic in fd.inline_changes:
-            touched.append(_TouchedMethod(ic.class_name, ic.new, frozenset(), "inline"))
+            touched.append(_TouchedMethod(ic.class_name, ic.new, field_names.get(ic.class_name, frozenset()), "inline"))
     return touched
 
 
@@ -833,12 +837,7 @@ def classify_change_explained(
     if diff.is_empty():
         return ChangeType.of("Ty11"), "unclassified"
 
-    touched = _collect_touched(diff)
-    # resolve owner field sets from full facts where available
-    field_names = _field_names_by_class(all_new_facts)
-    touched = [
-        replace(t, owner_fields=field_names.get(t.class_name) or t.owner_fields) for t in touched
-    ]
+    touched = _collect_touched(diff, _field_names_by_class(all_new_facts))
 
     total_stmt_changes = sum(ic.statement_change_count() for fd in diff.files for ic in fd.inline_changes)
     signature_changes = any(

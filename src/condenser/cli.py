@@ -19,9 +19,7 @@ from pathlib import Path
 from condenser import corpus as corpus_mod
 from condenser.config import ConfigError, PipelineConfig, load_config, parse_settings
 from condenser.corpus import (
-    CommitSample,
     CorpusFormatError,
-    EndpointConfig,
     EndpointError,
     condense_commit,
     export_sft,
@@ -227,15 +225,11 @@ def _cmd_export_sft(args: argparse.Namespace) -> int:
 def _cmd_generate(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     records = load_sft(args.sft)
-    knobs = {f.name for f in fields(PipelineConfig)}
-    endpoint = EndpointConfig(
-        url=args.endpoint,
-        api_key=os.environ.get(ENV_API_KEY),
-        **{f.name: getattr(cfg, f.name) for f in fields(EndpointConfig) if f.name in knobs},
-    )
+    api_key = os.environ.get(ENV_API_KEY)
+
     def work(record):
         try:
-            return record, generate_remote(record, endpoint), None
+            return record, generate_remote(record, args.endpoint, cfg, api_key), None
         except (EndpointError, TimeoutError) as exc:
             return record, None, exc
 

@@ -14,6 +14,8 @@ from dataclasses import dataclass, field, fields, replace
 from importlib import resources
 from pathlib import Path
 
+from condenser.sequences import split_lines
+
 DEFAULT_BUDGET = 1024
 DEFAULT_TARGET_TOKENS = 128
 
@@ -25,11 +27,11 @@ class ConfigError(Exception):
 def _parse_stoplist(text: str) -> frozenset[str]:
     """One lowercase word per line; '#' starts a comment."""
     words: set[str] = set()
-    for raw in text.splitlines():
+    for raw in split_lines(text):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if " " in line or "\t" in line:
+        if any(ch.isspace() for ch in line):
             raise ConfigError(f"stoplist entries must be single words, got {line!r}")
         words.add(line.lower())
     return frozenset(words)
@@ -102,7 +104,7 @@ def parse_settings(settings: Iterable[tuple[str, str, str]]) -> dict[str, object
 
 
 def _file_settings(path: str | Path) -> Iterable[tuple[str, str, str]]:
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, raw in enumerate(split_lines(Path(path).read_text(encoding="utf-8")), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -38,6 +38,7 @@ from condenser.identifiers import (
 )
 from condenser.javafacts import ParseError, SourceFacts, parse_java
 from condenser.metrics import tokenize_message
+from condenser.sequences import split_lines
 from condenser.templater import BudgetError, CondensedTemplate, render
 
 log = logging.getLogger(__name__)
@@ -45,7 +46,6 @@ log = logging.getLogger(__name__)
 __all__ = [
     "CommitSample",
     "CorpusFormatError",
-    "EndpointConfig",
     "EndpointError",
     "GenerationResponse",
     "SftRecord",
@@ -91,19 +91,6 @@ class SftRecord:
 
 
 @dataclass(frozen=True)
-class EndpointConfig:
-    url: str
-    max_new_tokens: int = 128
-    temperature: float = 0.0
-    attempts: int = 3
-    backoff_base: float = 0.5
-    timeout: float = 30.0
-    prompt_field: str = "prompt"
-    completion_field: str = "completion"
-    api_key: str | None = None
-
-
-@dataclass(frozen=True)
 class GenerationResponse:
     text: str
     latency: float  # seconds for the successful request
@@ -126,13 +113,8 @@ def _file_pair(entry) -> FilePair:
 
 
 def read_lines(path: str | Path) -> list[str]:
-    """The lines of a UTF-8 text file, split at "\n", "\r\n" and "\r" only:
-    a form feed, U+2028 or other str.splitlines() break stays inside its
-    line. No empty line follows a final newline; an empty file has none."""
-    lines = Path(path).read_text(encoding="utf-8").split("\n")
-    if lines[-1] == "":
-        lines.pop()
-    return lines
+    """The lines of a UTF-8 text file, as sequences.split_lines splits them."""
+    return split_lines(Path(path).read_text(encoding="utf-8"))
 
 
 def load_corpus(path: str | Path, skipped: list[tuple[int, str]] | None = None) -> list[CommitSample]:
@@ -328,22 +310,26 @@ def load_sft(path: str | Path) -> list[SftRecord]:
     return records
 
 
-def generate_remote(record: SftRecord, endpoint: EndpointConfig) -> GenerationResponse:
-    """Request a generated message for one record from an external endpoint.
+def generate_remote(
+    record: SftRecord, url: str, config: PipelineConfig | None = None, api_key: str | None = None
+) -> GenerationResponse:
+    """Request a generated message for one record from the endpoint at url.
 
-    Retries 5xx responses, connection failures and timeouts with exponential
-    backoff up to endpoint.attempts total attempts, then surfaces the last
-    failure (EndpointError or TimeoutError). Generated text is returned
-    verbatim; nothing is ever fabricated on failure.
+    The generation settings, retry policy and JSON field names come from
+    config. Retries 5xx responses, connection failures and timeouts with
+    exponential backoff up to config.attempts total attempts, then surfaces
+    the last failure (EndpointError or TimeoutError). Generated text is
+    returned verbatim; nothing is ever fabricated on failure.
     """
+    config = config or PipelineConfig()
     payload = {
-        endpoint.prompt_field: record.prompt,
-        "max_new_tokens": endpoint.max_new_tokens,
-        "temperature": endpoint.temperature,
+        config.prompt_field: record.prompt,
+        "max_new_tokens": config.max_new_tokens,
+        "temperature": config.temperature,
     }
     headers = {"Content-Type": "application/json"}
-    if endpoint.api_key:
-        headers["Authorization"] = f"Bearer {endpoint.api_key}"
+    if api_key:
+        headers["Authorization"] = f"Bearer {api_key}"
 
     import requests  # imported here: nothing else needs it, and it dominates import time
 
@@ -351,28 +337,26 @@ def generate_remote(record: SftRecord, endpoint: EndpointConfig) -> GenerationRe
     timed_out = False
     session = requests.Session()
     try:
-        for attempt in range(1, endpoint.attempts + 1):
+        for attempt in range(1, config.attempts + 1):
             if attempt > 1:
-                time.sleep(endpoint.backoff_base * (2 ** (attempt - 2)))
+                time.sleep(config.backoff_base * (2 ** (attempt - 2)))
             started = time.monotonic()
             try:
-                response = session.post(
-                    endpoint.url, json=payload, headers=headers, timeout=endpoint.timeout
-                )
+                response = session.post(url, json=payload, headers=headers, timeout=config.timeout)
             except requests.exceptions.Timeout:
                 timed_out = True
-                log.warning("attempt %d/%d timed out", attempt, endpoint.attempts)
+                log.warning("attempt %d/%d timed out", attempt, config.attempts)
                 continue
             except requests.exceptions.ConnectionError as exc:
                 last_status = 0
                 timed_out = False
-                log.warning("attempt %d/%d failed to connect: %s", attempt, endpoint.attempts, exc)
+                log.warning("attempt %d/%d failed to connect: %s", attempt, config.attempts, exc)
                 continue
             latency = time.monotonic() - started
             if response.status_code >= 500:
                 last_status = response.status_code
                 timed_out = False
-                log.warning("attempt %d/%d got status %d", attempt, endpoint.attempts, response.status_code)
+                log.warning("attempt %d/%d got status %d", attempt, config.attempts, response.status_code)
                 continue
             if response.status_code >= 400:
                 raise EndpointError(response.status_code, attempt)
@@ -380,12 +364,12 @@ def generate_remote(record: SftRecord, endpoint: EndpointConfig) -> GenerationRe
                 body = response.json()
             except ValueError:
                 raise EndpointError(response.status_code, attempt) from None
-            text = body.get(endpoint.completion_field) if isinstance(body, dict) else None
+            text = body.get(config.completion_field) if isinstance(body, dict) else None
             if not isinstance(text, str):
                 raise EndpointError(response.status_code, attempt)
-            return GenerationResponse(text=text, latency=latency, endpoint=endpoint.url)
+            return GenerationResponse(text=text, latency=latency, endpoint=url)
     finally:
         session.close()
     if timed_out:
-        raise TimeoutError(f"endpoint {endpoint.url} timed out after {endpoint.attempts} attempt(s)")
-    raise EndpointError(last_status or 0, endpoint.attempts)
+        raise TimeoutError(f"endpoint {url} timed out after {config.attempts} attempt(s)")
+    raise EndpointError(last_status or 0, config.attempts)

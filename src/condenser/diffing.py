@@ -11,6 +11,8 @@ import logging
 import re
 from dataclasses import dataclass
 
+from condenser.sequences import split_lines
+
 log = logging.getLogger(__name__)
 
 __all__ = [
@@ -128,7 +130,7 @@ def parse_unified_diff(text: str) -> UnifiedDiff:
     is_binary=True and no hunks; a diagnostic is logged.
     """
     sections: list[FileSection] = []
-    lines = text.splitlines()
+    lines = split_lines(text)
     i = 0
     n = len(lines)
 
@@ -272,7 +274,7 @@ def reconstruct_pairs(
 
 def apply_hunks(content_old: str, hunks: tuple[Hunk, ...]) -> str:
     """Apply hunks to old content; the patch-consistency check uses this."""
-    old_lines = content_old.splitlines()
+    old_lines = split_lines(content_old)
     out: list[str] = []
     cursor = 0  # 0-based index into old_lines
     for hunk in hunks:

@@ -656,7 +656,8 @@ class _Parser:
             if self.at(";"):
                 self.take()
                 continue
-            classes.append(self.parse_type_decl(prefix=""))
+            mods, annos, first = self.parse_modifiers_and_annotations("class")
+            classes.append(self.parse_type_decl("", mods, annos, first))
         return package, imports, classes
 
     def read_dotted_name(self, what: str) -> str:
@@ -695,8 +696,11 @@ class _Parser:
                 first = k
         return mods, annos, first
 
-    def parse_type_decl(self, prefix: str) -> ClassFacts:
-        mods, annos, first = self.parse_modifiers_and_annotations("class")
+    def parse_type_decl(
+        self, prefix: str, mods: set[str], annos: list[AnnotationFacts], first: int | None
+    ) -> ClassFacts:
+        """The caller has read the declaration's modifiers and annotations;
+        first is their first token, if any."""
         t = self.peek()
         if t is None:
             raise ParseError(self.here(), "expected type declaration")
@@ -863,15 +867,7 @@ class _Parser:
             raise ParseError(self.here(), f"unexpected end of {qname} body")
         if self.texts[t] in ("class", "interface", "enum") or (self.texts[t] == "@" and self.at("interface", 1)):
             # the annotations above were parsed with a method target; retarget
-            retargeted = tuple(replace(a, target="class") for a in annos)
-            inner = self.parse_type_decl(prefix=qname)
-            inner = replace(
-                inner,
-                modifiers=inner.modifiers | mods,
-                annotations=retargeted + inner.annotations,
-                byte_range=(self.starts[first], inner.byte_range[1]) if first is not None else inner.byte_range,
-            )
-            inners.append(inner)
+            inners.append(self.parse_type_decl(qname, mods, [replace(a, target="class") for a in annos], first))
             return
         if self.texts[t] == "<":  # generic method type parameters
             self.skip_generics()

@@ -1,10 +1,12 @@
-"""Sequence helpers shared by the diff, the renderer and the metrics.
+"""Sequence helpers shared by the readers, the diff, the renderer and the
+metrics.
 
-One word-or-punctuation tokenizer, and one longest-common-subsequence
-kernel: the bit-parallel LCS of Allison & Dix (1986) in the form of Hyyrö
-(2004). Each step of the kernel is a few operations on one Python int whose
-bits stand for the positions of the second sequence, so a row of the LCS
-table costs O(len(b) / word size) instead of O(len(b)) interpreted steps.
+One line splitter, one word-or-punctuation tokenizer, and one
+longest-common-subsequence kernel: the bit-parallel LCS of Allison & Dix
+(1986) in the form of Hyyrö (2004). Each step of the kernel is a few
+operations on one Python int whose bits stand for the positions of the
+second sequence, so a row of the LCS table costs O(len(b) / word size)
+instead of O(len(b)) interpreted steps.
 """
 
 from __future__ import annotations
@@ -12,10 +14,23 @@ from __future__ import annotations
 import re
 from collections.abc import Hashable, Sequence
 
-__all__ = ["TOKEN_RE", "lcs_length", "lcs_rows"]
+__all__ = ["TOKEN_RE", "lcs_length", "lcs_rows", "split_lines"]
 
 # word runs plus standalone punctuation marks
 TOKEN_RE = re.compile(r"\w+|[^\w\s]")
+
+_LINE_END_RE = re.compile(r"\r\n|\r|\n")
+
+
+def split_lines(text: str) -> list[str]:
+    """The lines of text, split at "\\r\\n", "\\r" and "\\n" only, the Java
+    line terminators (JLS 3.4): a form feed, U+2028 or any other break that
+    str.splitlines() honours stays inside its line. As with splitlines(), no
+    empty line follows a final terminator and an empty text has none."""
+    lines = _LINE_END_RE.split(text)
+    if lines[-1] == "":
+        lines.pop()
+    return lines
 
 
 def lcs_rows(a: Sequence[Hashable], b: Sequence[Hashable]) -> list[int]:

@@ -7,13 +7,15 @@ section, and an optional identifiers section.
 
 All sub-template wordings live in data/templates.txt; golden tests pin them.
 When a rendering exceeds the budget, whole lines are dropped in a fixed
-priority order (least informative first); the header, method add/remove
-lines and the end marker are only ever dropped if literally nothing else is
-left to cut.
+priority order (least informative first); method add/remove lines are
+dropped only if literally nothing else is left to cut, and the header and
+the end marker never are. A section header appears only while its section
+keeps a line.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import asdict, dataclass
 from importlib import resources
 
@@ -22,7 +24,7 @@ from condenser.comments import ElicitedComment
 from condenser.diffing import CommitInput
 from condenser.identifiers import CATEGORY_ORDER, EmphasizedIdentifier
 from condenser.javafacts import sort_modifiers
-from condenser.sequences import TOKEN_RE
+from condenser.sequences import TOKEN_RE, split_lines
 
 __all__ = [
     "BudgetError",
@@ -41,7 +43,7 @@ class BudgetError(Exception):
 def _load_templates() -> dict[str, str]:
     text = resources.files("condenser").joinpath("data/templates.txt").read_text(encoding="utf-8")
     out: dict[str, str] = {}
-    for raw in text.splitlines():
+    for raw in split_lines(text):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -103,7 +105,7 @@ def _simple(name: str) -> str:
     return name.rsplit(".", 1)[-1]
 
 
-def _method_lines(kind: str, cname: str, m, lines: list[_Line]) -> None:
+def _method_lines(kind: str, m, lines: list[_Line]) -> None:
     # kind is 'added' or 'removed'
     if m.is_constructor:
         key = f"constructor_{kind}" + ("_params" if m.parameters else "")
@@ -151,41 +153,6 @@ def _inline_lines(ic: MethodInlineChange, lines: list[_Line]) -> None:
         lines.append(_Line(_fmt("stmt_moved", method=m, kind=new_s.kind, text=new_s.text), "summary", _DROP_INLINE_DETAIL))
 
 
-def _class_order(fd: FileDiff) -> list[str]:
-    touched: list[str] = []
-
-    def note(name: str) -> None:
-        if name not in touched:
-            touched.append(name)
-
-    for old_name, new_name in fd.class_renamed:
-        note(new_name)
-    for name in fd.class_removed:
-        note(name)
-    for name in fd.class_added:
-        note(name)
-    for cname, _f in fd.field_removed:
-        note(cname)
-    for cname, _m in fd.method_removed:
-        note(cname)
-    for cname, _f in fd.field_added:
-        note(cname)
-    for cname, _m in fd.method_added:
-        note(cname)
-    for cname, _fname, _o, _n in fd.field_retyped:
-        note(cname)
-    for cname, _k, _t in fd.supertype_removed + fd.supertype_added:
-        note(cname)
-    for ac in fd.annotation_changes:
-        note(ac.owner)
-    for ic in fd.inline_changes:
-        note(ic.class_name)
-    # source order wins where known; anything else keeps record order
-    ordered = [name for name in fd.class_order if name in touched]
-    ordered.extend(name for name in touched if name not in ordered)
-    return ordered
-
-
 def _file_lines(fd: FileDiff, prev_package: str | None, lines: list[_Line]) -> str | None:
     """Append one file's summary lines; returns the package emitted."""
     if fd.package_name and fd.package_name != prev_package:
@@ -211,10 +178,38 @@ def _file_lines(fd: FileDiff, prev_package: str | None, lines: list[_Line]) -> s
         lines.append(_Line(_fmt("fallback_other_change", file=fd.path), "summary", _DROP_FALLBACK_STMT))
         return fd.package_name or prev_package
 
+    # each touched class's lines, classes in the order they are first touched
     renamed_to = {n: o for o, n in fd.class_renamed}
+    by_class: dict[str, list[_Line]] = {name: [] for name in (*renamed_to, *fd.class_removed, *fd.class_added)}
+
+    def add(cname: str, key: str, **fields) -> None:
+        by_class.setdefault(cname, []).append(_Line(_fmt(key, **fields), "summary", _DROP_IN_CLASS))
+
+    for cname, f in fd.field_removed:
+        add(cname, "field_removed", field=f.name, type=f.type_text)
+    for cname, m in fd.method_removed:
+        _method_lines("removed", m, by_class.setdefault(cname, []))
+    for cname, f in fd.field_added:
+        add(cname, "field_added", field=f.name, type=f.type_text)
+    for cname, m in fd.method_added:
+        _method_lines("added", m, by_class.setdefault(cname, []))
+    for cname, fname, old_t, new_t in fd.field_retyped:
+        add(cname, "field_retyped", field=fname, old_type=old_t, new_type=new_t)
+    for cname, kind, t in fd.supertype_removed:
+        add(cname, f"supertype_removed_{kind}", cls=_simple(cname), type=t)
+    for cname, kind, t in fd.supertype_added:
+        add(cname, f"supertype_added_{kind}", cls=_simple(cname), type=t)
+    for ac in fd.annotation_changes:
+        key = "class_annotation_added" if ac.origin == "added" else "class_annotation_removed"
+        add(ac.owner, key, name=ac.name, target=ac.target)
+    for ic in fd.inline_changes:
+        _inline_lines(ic, by_class.setdefault(ic.class_name, []))
+
+    # source order wins where known; anything else keeps first-touch order
+    listed = set(fd.class_order)
     added = set(fd.class_added)
     removed = set(fd.class_removed)
-    for cname in _class_order(fd):
+    for cname in [n for n in fd.class_order if n in by_class] + [n for n in by_class if n not in listed]:
         simple = _simple(cname)
         if cname in renamed_to:
             lines.append(_Line(_fmt("class_renamed", old_cls=_simple(renamed_to[cname]), cls=simple), "summary", _DROP_IN_CLASS))
@@ -224,35 +219,7 @@ def _file_lines(fd: FileDiff, prev_package: str | None, lines: list[_Line]) -> s
             lines.append(_Line(_fmt("class_removed", cls=simple), "summary", _DROP_IN_CLASS))
         elif not fd.single_class:
             lines.append(_Line(_fmt("class_context", cls=simple), "summary", _DROP_IN_CLASS))
-
-        for owner, f in fd.field_removed:
-            if owner == cname:
-                lines.append(_Line(_fmt("field_removed", field=f.name, type=f.type_text), "summary", _DROP_IN_CLASS))
-        for owner, m in fd.method_removed:
-            if owner == cname:
-                _method_lines("removed", cname, m, lines)
-        for owner, f in fd.field_added:
-            if owner == cname:
-                lines.append(_Line(_fmt("field_added", field=f.name, type=f.type_text), "summary", _DROP_IN_CLASS))
-        for owner, m in fd.method_added:
-            if owner == cname:
-                _method_lines("added", cname, m, lines)
-        for owner, fname, old_t, new_t in fd.field_retyped:
-            if owner == cname:
-                lines.append(_Line(_fmt("field_retyped", field=fname, old_type=old_t, new_type=new_t), "summary", _DROP_IN_CLASS))
-        for owner, kind, t in fd.supertype_removed:
-            if owner == cname:
-                lines.append(_Line(_fmt(f"supertype_removed_{kind}", cls=simple, type=t), "summary", _DROP_IN_CLASS))
-        for owner, kind, t in fd.supertype_added:
-            if owner == cname:
-                lines.append(_Line(_fmt(f"supertype_added_{kind}", cls=simple, type=t), "summary", _DROP_IN_CLASS))
-        for ac in fd.annotation_changes:
-            if ac.owner == cname:
-                key = "class_annotation_added" if ac.origin == "added" else "class_annotation_removed"
-                lines.append(_Line(_fmt(key, name=ac.name, target=ac.target), "summary", _DROP_IN_CLASS))
-        for ic in fd.inline_changes:
-            if ic.class_name == cname:
-                _inline_lines(ic, lines)
+        lines.extend(by_class[cname])
     return fd.package_name or prev_package
 
 
@@ -281,7 +248,6 @@ def _build_lines(
         prev_package = _file_lines(fd, prev_package, lines)
     lines.append(_Line(END_MARKER, "summary", _PROTECTED))
 
-    comment_lines: list[_Line] = []
     for origin, key in (("added", "comment_added"), ("removed", "comment_removed"), ("context", "comment_context")):
         for c in comments:
             if c.origin != origin:
@@ -289,26 +255,23 @@ def _build_lines(
             drop = _DROP_CONTEXT_COMMENT if origin == "context" else (
                 _DROP_GENERAL_COMMENT if c.category == "general" else _DROP_OTHER_COMMENT
             )
-            comment_lines.append(_Line(_fmt(key, category=c.category, text=c.text), "comments", drop))
-
+            lines.append(_Line(_fmt(key, category=c.category, text=c.text), "comments", drop))
     for a in annotations:
         key = "annotation_added" if a.origin == "added" else "annotation_removed"
-        comment_lines.append(_Line(_fmt(key, name=a.name, target=a.target), "comments", _DROP_OTHER_COMMENT))
-    if comment_lines:
-        lines.append(_Line(TEMPLATES["comments_header"], "comments", _PROTECTED))
-        lines.extend(comment_lines)
+        lines.append(_Line(_fmt(key, name=a.name, target=a.target), "comments", _DROP_OTHER_COMMENT))
 
-    id_lines: list[_Line] = []
     for category in CATEGORY_ORDER:
         items = [_identifier_item(e) for e in identifiers if e.category == category]
         if not items:
             continue
         drop = _DROP_MINOR_IDENTIFIER if category in ("TypeName", "Other") else _DROP_MAJOR_IDENTIFIER
-        id_lines.append(_Line(_fmt("identifier_line", category=category, items=", ".join(items)), "identifiers", drop))
-    if id_lines:
-        lines.append(_Line(TEMPLATES["identifiers_header"], "identifiers", _PROTECTED))
-        lines.extend(id_lines)
+        lines.append(_Line(_fmt("identifier_line", category=category, items=", ".join(items)), "identifiers", drop))
     return header, lines
+
+
+# the header line each optional section opens with while it keeps a line
+_SECTION_HEADERS = {"comments": TEMPLATES["comments_header"], "identifiers": TEMPLATES["identifiers_header"]}
+_SECTION_HEADER_TOKENS = {section: count_tokens(text) for section, text in _SECTION_HEADERS.items()}
 
 
 def render(
@@ -343,69 +306,40 @@ def render(
         if lines[i].drop_class == _PROTECTED and lines[i].text != END_MARKER
     ]
 
-    def is_section_header(line: _Line) -> bool:
-        return (line.section == "comments" and line.text == TEMPLATES["comments_header"]) or (
-            line.section == "identifiers" and line.text == TEMPLATES["identifiers_header"]
-        )
-
-    # incremental token accounting: per-line counts are computed once, and a
-    # section header only costs tokens while its section still has body lines
+    # no token spans the "\n" that joins two lines, so the running total is
+    # exact; a section header counts while its section keeps a line
     line_tokens = [count_tokens(l.text) for l in lines]
+    live = Counter(l.section for l in lines)
+    total = header_tokens + sum(line_tokens)
+    total += sum(n for section, n in _SECTION_HEADER_TOKENS.items() if live[section])
     alive = [True] * len(lines)
-    body_alive = {"comments": 0, "identifiers": 0}
-    header_of = {"comments": None, "identifiers": None}
-    total = header_tokens
-    for i, line in enumerate(lines):
-        if is_section_header(line):
-            header_of[line.section] = i
-        else:
-            total += line_tokens[i]
-            if line.section in body_alive:
-                body_alive[line.section] += 1
-    for section, h in header_of.items():
-        if h is not None and body_alive[section] > 0:
-            total += line_tokens[h]
-
     for i in drop_queue:
         if total <= budget:
             break
-        if not alive[i]:
-            continue
         alive[i] = False
-        line = lines[i]
-        if is_section_header(line):
-            if body_alive[line.section] > 0:
-                total -= line_tokens[i]
-            continue
         total -= line_tokens[i]
-        if line.section in body_alive:
-            body_alive[line.section] -= 1
-            h = header_of[line.section]
-            if body_alive[line.section] == 0 and h is not None and alive[h]:
-                total -= line_tokens[h]
+        section = lines[i].section
+        live[section] -= 1
+        if not live[section]:
+            total -= _SECTION_HEADER_TOKENS[section]  # never "summary": the end marker stays
     if total > budget:
         raise BudgetError(f"cannot fit template into {budget} tokens")
-    # a section header is kept only while its section has a live body line
-    kept = [
-        l for i, l in enumerate(lines) if alive[i] and not (is_section_header(l) and body_alive[l.section] == 0)
-    ]
 
-    summary_text = "\n".join(l.text for l in kept if l.section == "summary")
-    comments_text = "\n".join(l.text for l in kept if l.section == "comments")
-    identifiers_text = "\n".join(l.text for l in kept if l.section == "identifiers")
-    parts = [header, summary_text]
-    if comments_text:
-        parts.append(comments_text)
-    if identifiers_text:
-        parts.append(identifiers_text)
-    full_text = "\n".join(parts)
+    kept: dict[str, list[str]] = {"summary": [], "comments": [], "identifiers": []}
+    for line, keep in zip(lines, alive):
+        if keep:
+            kept[line.section].append(line.text)
+    for section, text in _SECTION_HEADERS.items():
+        if kept[section]:
+            kept[section].insert(0, text)
+    summary_text, comments_text, identifiers_text = ("\n".join(kept[s]) for s in kept)
     return CondensedTemplate(
         header=header,
         summarized_changes=summary_text,
         comments_section=comments_text,
         identifiers_section=identifiers_text,
-        full_text=full_text,
-        token_count=count_tokens(full_text),
+        full_text="\n".join(part for part in (header, summary_text, comments_text, identifiers_text) if part),
+        token_count=total,
     )
 
 

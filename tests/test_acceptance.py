@@ -20,7 +20,6 @@ from condenser.changeset import classify_change_explained, diff_facts
 from condenser.comments import categorize_comment, elicit_comments
 from condenser.config import PipelineConfig
 from condenser.corpus import (
-    EndpointConfig,
     EndpointError,
     SftRecord,
     condense_commit,
@@ -299,20 +298,20 @@ def test_criterion_generation_client_contract():
     record = SftRecord(prompt="p", target="t", repo="r", hash="h")
     try:
         _ScriptedHandler.script[:] = [("sleep", 0.1, "ok")]
-        response = generate_remote(record, EndpointConfig(url=url, backoff_base=0.01))
+        response = generate_remote(record, url, PipelineConfig(backoff_base=0.01))
         assert response.text == "ok"
         assert response.latency >= 0.1
 
         _ScriptedHandler.script[:] = [("status", 500)] * 3
         _ScriptedHandler.calls.clear()
         with pytest.raises(EndpointError) as err:
-            generate_remote(record, EndpointConfig(url=url, attempts=3, backoff_base=0.01))
+            generate_remote(record, url, PipelineConfig(attempts=3, backoff_base=0.01))
         assert (err.value.status, err.value.attempts) == (500, 3)
         assert len(_ScriptedHandler.calls) == 3
 
         _ScriptedHandler.script[:] = [("sleep", 0.5, "late")]
         with pytest.raises(TimeoutError):
-            generate_remote(record, EndpointConfig(url=url, attempts=1, timeout=0.1, backoff_base=0.01))
+            generate_remote(record, url, PipelineConfig(attempts=1, timeout=0.1, backoff_base=0.01))
     finally:
         server.shutdown()
     _report("generation client contract (success, retry-then-fail, timeout)")

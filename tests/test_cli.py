@@ -9,8 +9,7 @@ from pathlib import Path
 import pytest
 
 from condenser.cli import _build_parser, _resolve_config, main
-from condenser.config import PipelineConfig
-from condenser.corpus import EndpointConfig
+from condenser.config import ConfigError, PipelineConfig, load_config, load_stoplist
 from grammar import check_template
 
 
@@ -196,15 +195,29 @@ def test_stoplist_is_a_config_key_and_a_flag(command, tmp_path):
     assert _resolved(base + ["--config", str(conf), "--stoplist", str(other)]).stoplist == frozenset({"baz"})
 
 
-def test_endpoint_config_defaults_match_pipeline_config():
-    knobs = {f.name: f.default for f in fields(PipelineConfig)}
-    shared = [f for f in fields(EndpointConfig) if f.name in knobs]
-    assert [f.name for f in shared] == [
-        "max_new_tokens", "temperature", "attempts", "backoff_base", "timeout",
-        "prompt_field", "completion_field",
-    ]
-    for f in shared:
-        assert f.default == knobs[f.name], f.name
+def test_config_comment_holding_a_form_feed_stays_one_line(tmp_path):
+    conf = tmp_path / "knobs.conf"
+    conf.write_text("budget = 100  # was 200\fbudget = 200\n", encoding="utf-8")
+    assert load_config(conf).budget == 100
+
+
+def test_stoplist_entry_holding_a_form_feed_is_one_bad_entry(tmp_path):
+    words = tmp_path / "words.txt"
+    words.write_text("foo\fbar\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match="single words"):
+        load_stoplist(words)
+
+
+def test_stoplist_entry_holding_a_no_break_space_exits_2(capsys, tmp_path, tree_pair):
+    old_dir, new_dir = tree_pair
+    words = tmp_path / "words.txt"
+    words.write_text("foo\u00a0bar\n", encoding="utf-8")
+    code, out, err = run_cli(
+        capsys, "condense", "--old-dir", str(old_dir), "--new-dir", str(new_dir),
+        "--repo", "r", "--hash", "h", "--stoplist", str(words),
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "--stoplist" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("line", ["budget = abc", "temperature = hot", "stoplist ="])

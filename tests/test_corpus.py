@@ -18,7 +18,6 @@ import condenser
 from condenser.config import PipelineConfig
 from condenser.corpus import (
     CorpusFormatError,
-    EndpointConfig,
     EndpointError,
     SftRecord,
     condense_commit,
@@ -317,7 +316,7 @@ RECORD = SftRecord(prompt="Repository: r ...", target="fix things", repo="r", ha
 def test_generate_success_echo(mock_endpoint):
     url, handler = mock_endpoint
     handler.script[:] = [("ok", "ok")]
-    response = generate_remote(RECORD, EndpointConfig(url=url, backoff_base=0.01))
+    response = generate_remote(RECORD, url, PipelineConfig(backoff_base=0.01))
     assert response.text == "ok"
     assert response.endpoint == url
     assert handler.calls[0]["body"]["prompt"] == RECORD.prompt
@@ -328,7 +327,7 @@ def test_generate_retries_then_fails_with_status(mock_endpoint):
     url, handler = mock_endpoint
     handler.script[:] = [("status", 500), ("status", 500), ("status", 500)]
     with pytest.raises(EndpointError) as err:
-        generate_remote(RECORD, EndpointConfig(url=url, attempts=3, backoff_base=0.01))
+        generate_remote(RECORD, url, PipelineConfig(attempts=3, backoff_base=0.01))
     assert err.value.status == 500
     assert err.value.attempts == 3
     assert len(handler.calls) == 3
@@ -337,7 +336,7 @@ def test_generate_retries_then_fails_with_status(mock_endpoint):
 def test_generate_recovers_after_transient_500(mock_endpoint):
     url, handler = mock_endpoint
     handler.script[:] = [("status", 500), ("ok", "second try")]
-    response = generate_remote(RECORD, EndpointConfig(url=url, attempts=3, backoff_base=0.01))
+    response = generate_remote(RECORD, url, PipelineConfig(attempts=3, backoff_base=0.01))
     assert response.text == "second try"
     assert len(handler.calls) == 2
 
@@ -345,15 +344,15 @@ def test_generate_recovers_after_transient_500(mock_endpoint):
 def test_generate_timeout_raises_timeout_error(mock_endpoint):
     url, handler = mock_endpoint
     handler.script[:] = [("sleep", 0.5, "late"), ("sleep", 0.5, "late")]
-    config = EndpointConfig(url=url, attempts=2, timeout=0.1, backoff_base=0.01)
+    config = PipelineConfig(attempts=2, timeout=0.1, backoff_base=0.01)
     with pytest.raises(TimeoutError):
-        generate_remote(RECORD, config)
+        generate_remote(RECORD, url, config)
 
 
 def test_generate_latency_reflects_slow_endpoint(mock_endpoint):
     url, handler = mock_endpoint
     handler.script[:] = [("sleep", 0.1, "slow ok")]
-    response = generate_remote(RECORD, EndpointConfig(url=url, timeout=5.0, backoff_base=0.01))
+    response = generate_remote(RECORD, url, PipelineConfig(timeout=5.0, backoff_base=0.01))
     assert response.text == "slow ok"
     assert response.latency >= 0.1
 
@@ -362,7 +361,7 @@ def test_generate_client_error_is_not_retried(mock_endpoint):
     url, handler = mock_endpoint
     handler.script[:] = [("status", 404)]
     with pytest.raises(EndpointError) as err:
-        generate_remote(RECORD, EndpointConfig(url=url, attempts=3, backoff_base=0.01))
+        generate_remote(RECORD, url, PipelineConfig(attempts=3, backoff_base=0.01))
     assert err.value.status == 404
     assert len(handler.calls) == 1
 
@@ -370,17 +369,16 @@ def test_generate_client_error_is_not_retried(mock_endpoint):
 def test_generate_sends_api_key_header(mock_endpoint):
     url, handler = mock_endpoint
     handler.script[:] = [("ok", "secured")]
-    config = EndpointConfig(url=url, api_key="sekret", backoff_base=0.01)
-    generate_remote(RECORD, config)
+    generate_remote(RECORD, url, PipelineConfig(backoff_base=0.01), api_key="sekret")
     assert handler.calls[0]["headers"].get("Authorization") == "Bearer sekret"
 
 
 def test_generate_custom_field_names(mock_endpoint):
     url, handler = mock_endpoint
     handler.script[:] = [("ok", "ignored")]  # completion field won't match
-    config = EndpointConfig(url=url, prompt_field="input_text", completion_field="missing_field", backoff_base=0.01)
+    config = PipelineConfig(prompt_field="input_text", completion_field="missing_field", backoff_base=0.01)
     with pytest.raises(EndpointError):
-        generate_remote(RECORD, config)
+        generate_remote(RECORD, url, config)
     assert "input_text" in handler.calls[0]["body"]
 
 

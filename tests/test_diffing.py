@@ -8,6 +8,7 @@ from condenser.diffing import (
     CommitInput,
     DiffFormatError,
     FilePair,
+    Hunk,
     MissingSnapshot,
     apply_hunks,
     parse_unified_diff,
@@ -225,3 +226,30 @@ def test_blank_context_lines_survive():
     hunk = diff.file_sections[0].hunks[0]
     assert hunk.old_len == 3 and hunk.new_len == 3
     assert apply_hunks("class A {\n\n}\n", (hunk,)) == "class A {\n\n} // done\n"
+
+
+FORM_FEED_OLD = "class A {\n  int x;\f int y;\n  void m() { }\n}\n"
+FORM_FEED_NEW = "class A {\n  int x;\f int y;\n  void m() { n(); }\n}\n"
+
+
+def test_form_feed_stays_inside_its_hunk_line():
+    # a form feed is whitespace inside a Java line (JLS 3.6), not a line end
+    text = (
+        "--- a/A.java\n"
+        "+++ b/A.java\n"
+        "@@ -1,4 +1,4 @@\n"
+        " class A {\n"
+        "   int x;\f int y;\n"
+        "-  void m() { }\n"
+        "+  void m() { n(); }\n"
+        " }\n"
+    )
+    [section] = parse_unified_diff(text).file_sections
+    [hunk] = section.hunks
+    assert hunk.lines == (" class A {", "   int x;\f int y;", "-  void m() { }", "+  void m() { n(); }", " }")
+    assert apply_hunks(FORM_FEED_OLD, section.hunks) == FORM_FEED_NEW
+
+
+def test_apply_hunks_keeps_a_form_feed_inside_its_line():
+    hunk = Hunk(3, 1, 3, 1, ("-  void m() { }", "+  void m() { n(); }"))
+    assert apply_hunks(FORM_FEED_OLD, (hunk,)) == FORM_FEED_NEW

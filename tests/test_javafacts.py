@@ -220,6 +220,16 @@ def test_doc_comment_attaches_through_annotations():
     assert [(c.attachment, c.text) for c in facts.comments] == [("class:Svc", " class doc "), ("method:Svc.run", " method doc ")]
 
 
+def test_doc_comment_attaches_through_annotations_to_inner_class():
+    src = 'class Outer {\n  /** Doc. */\n  @Deprecated\n  @SuppressWarnings("x")\n  static class Inner { }\n}'
+    facts = parse_java(src)
+    assert [(c.attachment, c.text) for c in facts.comments] == [("class:Outer.Inner", " Doc. ")]
+    [inner] = facts.classes[0].inner_classes
+    assert inner.modifiers == {"static"}
+    assert [(a.name, a.target) for a in inner.annotations] == [("Deprecated", "class"), ("SuppressWarnings", "class")]
+    assert src[inner.byte_range[0] : inner.byte_range[1]].startswith("@Deprecated")
+
+
 def test_array_types_render_tight():
     facts = parse_java("class C { int[] grid; String names[]; void f(byte[] raw) { } }")
     cls = facts.classes[0]

@@ -20,8 +20,9 @@ from condenser.templater import (
     render,
     template_to_dict,
 )
+import workloads
 from grammar import check_template
-from oracles import count_tokens_oracle
+from oracles import count_tokens_oracle, render_oracle
 
 
 def render_single_file(old_src: str, new_src: str, repo="r", commit_hash="h", budget=1024, path="F.java"):
@@ -497,3 +498,40 @@ def test_corpus_templates_pass_grammar(corpus_path):
         result = condense_commit(sample.commit_input(), cfg)
         problems = check_template(result.template.full_text)
         assert problems == [], f"{sample.repo}@{sample.hash}: {problems}\n{result.template.full_text}"
+
+
+# --- one-pass renderer against the two-pass original -------------------------------
+
+ORACLE_BUDGETS = (64, 96, 128, 192, 256, 384, 512, 768, 1024, 1536, 2048, 3072, 4096)
+
+
+def _render_or_error(render_fn, commit, r, budget):
+    try:
+        return render_fn(
+            commit, r.diff, r.change_type, list(r.comments), list(r.annotations), list(r.identifiers), budget=budget
+        )
+    except BudgetError as exc:
+        return f"BudgetError: {exc}"
+
+
+def test_render_matches_two_pass_oracle(corpus_path, tmp_path):
+    samples = load_corpus(corpus_path)
+    for seed in (1, 2, 3):
+        for workload in ("corpus-typical", "rewrite-heavy"):
+            out = tmp_path / f"{workload}-{seed}"
+            workloads.build(workload, seed, "full", out)
+            samples += load_corpus(out / "corpus.jsonl")
+    cases = truncated = 0
+    for sample in samples:
+        commit = sample.commit_input()
+        r = condense_commit(commit)
+        whole = render_oracle(
+            commit, r.diff, r.change_type, list(r.comments), list(r.annotations), list(r.identifiers), budget=10**9
+        )
+        for budget in ORACLE_BUDGETS:
+            expected = _render_or_error(render_oracle, commit, r, budget)
+            assert _render_or_error(render, commit, r, budget) == expected, (sample.repo, sample.hash, budget)
+            cases += 1
+            truncated += expected != whole
+    assert cases == 152 * len(ORACLE_BUDGETS)
+    assert truncated > 500
