@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass
 
 from condenser.config import PipelineConfig
@@ -172,23 +173,14 @@ class StructuralDiff:
 # ---------------------------------------------------------------------------
 
 
-def _annotation_multiset(annos) -> dict[tuple[str, str | None], int]:
-    counts: dict[tuple[str, str | None], int] = {}
-    for a in annos:
-        counts[a.key()] = counts.get(a.key(), 0) + 1
-    return counts
-
-
 def _diff_annotations(old_annos, new_annos, target: str) -> list[AnnotationChange]:
-    old_counts = _annotation_multiset(old_annos)
-    new_counts = _annotation_multiset(new_annos)
+    old_counts, new_counts = Counter(old_annos), Counter(new_annos)
     changes: list[AnnotationChange] = []
-    for key in sorted(set(old_counts) | set(new_counts), key=lambda k: (k[0], k[1] or "")):
-        name, args = key
-        delta = new_counts.get(key, 0) - old_counts.get(key, 0)
+    for a in sorted(old_counts.keys() | new_counts.keys(), key=lambda a: (a.name, a.argument_text or "")):
+        delta = new_counts[a] - old_counts[a]
         origin = "added" if delta > 0 else "removed"
         for _ in range(abs(delta)):
-            changes.append(AnnotationChange(target=target, name=name, argument_text=args, origin=origin))
+            changes.append(AnnotationChange(target=target, name=a.name, argument_text=a.argument_text, origin=origin))
     return changes
 
 

@@ -233,15 +233,12 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         except (EndpointError, TimeoutError) as exc:
             return record, None, exc
 
+    from concurrent.futures import ThreadPoolExecutor
+
     # the pool size caps in-flight requests; output keeps input order so
     # responses stay matched to their (repo, hash)
-    if cfg.jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            results = list(pool.map(work, records))
-    else:
-        results = [work(r) for r in records]
+    with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
+        results = list(pool.map(work, records))
 
     failures = 0
     chunks: list[str] = []

@@ -10,7 +10,7 @@ applies file values first, then flag overrides.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from importlib import resources
 from pathlib import Path
 
@@ -77,6 +77,8 @@ class PipelineConfig:
             raise ConfigError(f"budget must be >= 64, got {self.budget}")
         if self.target_tokens < 1:
             raise ConfigError(f"target_tokens must be >= 1, got {self.target_tokens}")
+        if self.jobs < 1:
+            raise ConfigError(f"jobs must be >= 1, got {self.jobs}")
         if self.attempts < 1:
             raise ConfigError("attempts must be >= 1")
         if not (0.0 <= self.modify_similarity <= 1.0):
@@ -114,8 +116,8 @@ def _file_settings(path: str | Path) -> Iterable[tuple[str, str, str]]:
         yield f"{path}:{lineno}", key, value
 
 
-def load_config(path: str | Path, base: PipelineConfig | None = None) -> PipelineConfig:
-    """Parse a key=value config file on top of a base configuration."""
-    cfg = replace(base or PipelineConfig(), **parse_settings(_file_settings(path)))
+def load_config(path: str | Path) -> PipelineConfig:
+    """Parse a key=value config file over the default configuration."""
+    cfg = PipelineConfig(**parse_settings(_file_settings(path)))
     cfg.validate()
     return cfg

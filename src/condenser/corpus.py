@@ -94,7 +94,6 @@ class SftRecord:
 class GenerationResponse:
     text: str
     latency: float  # seconds for the successful request
-    endpoint: str
 
 
 def _file_pair(entry) -> FilePair:
@@ -180,7 +179,6 @@ def condense_commit(commit: CommitInput, config: PipelineConfig | None = None) -
     per_file: list[tuple[str | None, str | None, SourceFacts, SourceFacts]] = []
     skipped: list[tuple[str, str]] = []
     parse_failures: list[str] = []
-    old_facts_all: list[SourceFacts] = []
     new_facts_all: list[SourceFacts] = []
 
     for pair in commit.file_pairs:
@@ -197,7 +195,6 @@ def condense_commit(commit: CommitInput, config: PipelineConfig | None = None) -
             skipped.append((pair.path, pair.status))
             continue
         per_file.append((pair.path_old, pair.path_new, old_facts, new_facts))
-        old_facts_all.append(old_facts)
         new_facts_all.append(new_facts)
 
     diff = diff_commit_facts(per_file, config=config, skipped=skipped)
@@ -211,7 +208,7 @@ def condense_commit(commit: CommitInput, config: PipelineConfig | None = None) -
         comments.extend(elicit_comments(old_facts, new_facts, StructuralDiff(files=(file_diff,))))
         annotations.extend(elicit_annotations(file_diff))
 
-    identifiers = extract_identifiers(diff, old_facts_all, new_facts_all)
+    identifiers = extract_identifiers(diff)
     identifiers = apply_filter(
         identifiers,
         IdentifierFilter(stoplist=config.stoplist, min_length=config.min_identifier_length),
@@ -367,7 +364,7 @@ def generate_remote(
             text = body.get(config.completion_field) if isinstance(body, dict) else None
             if not isinstance(text, str):
                 raise EndpointError(response.status_code, attempt)
-            return GenerationResponse(text=text, latency=latency, endpoint=url)
+            return GenerationResponse(text=text, latency=latency)
     finally:
         session.close()
     if timed_out:

@@ -178,6 +178,8 @@ def parse_unified_diff(text: str) -> UnifiedDiff:
         if line.startswith("--- "):
             if i + 1 >= n or not lines[i + 1].startswith("+++ "):
                 raise DiffFormatError(i + 1, "'---' header without matching '+++'")
+            if have_header:  # a diff -u section ends at the next one's header
+                flush()
             old_p = _strip_prefix(line[4:])
             new_p = _strip_prefix(lines[i + 1][4:])
             if rename_old is not None:
@@ -188,7 +190,6 @@ def parse_unified_diff(text: str) -> UnifiedDiff:
                 raise DiffFormatError(i + 1, "'---' and '+++' are both /dev/null")
             current_old, current_new = old_p, new_p
             have_header = True
-            hunks = []
             i += 2
             continue
         if line.startswith("@@"):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import chain
 
 from condenser.changeset import StructuralDiff
 
@@ -74,80 +75,52 @@ def simple_type_names(type_text: str) -> list[str]:
     return out
 
 
-def extract_identifiers(
-    diff: StructuralDiff,
-    old_facts: list | None = None,
-    new_facts: list | None = None,
-) -> list[EmphasizedIdentifier]:
+def _simple(name: str) -> str:
+    """The last segment of a qualified name."""
+    return name.rsplit(".", 1)[-1]
+
+
+def extract_identifiers(diff: StructuralDiff) -> list[EmphasizedIdentifier]:
     """Identifiers touched by the diff, deduplicated by (raw, category) and
     ordered by category rank then first occurrence."""
-    collected: list[tuple[str, str]] = []
+    found: dict[str, dict[str, None]] = {c: {} for c in CATEGORY_ORDER}
+    methods, classes, fields, types, other = found.values()  # in CATEGORY_ORDER
 
-    def add(raw: str, category: str) -> None:
-        if raw:
-            collected.append((raw, category))
+    def add_types(*type_texts: str) -> None:
+        for text in type_texts:
+            types.update(dict.fromkeys(simple_type_names(text)))
 
-    method_annotations: list[str] = []
     for fd in diff.files:
-        for cname, m in fd.method_added:
-            add(m.name, "MethodName")
-            add(cname.rsplit(".", 1)[-1], "ClassName")
-            for ptype, _pname in m.parameters:
-                for t in simple_type_names(ptype):
-                    add(t, "TypeName")
-            method_annotations.extend(a.name for a in m.annotations)
-        for cname, m in fd.method_removed:
-            add(m.name, "MethodName")
-            add(cname.rsplit(".", 1)[-1], "ClassName")
-            for ptype, _pname in m.parameters:
-                for t in simple_type_names(ptype):
-                    add(t, "TypeName")
-            method_annotations.extend(a.name for a in m.annotations)
+        for cname, m in fd.method_added + fd.method_removed:
+            methods[m.name] = None
+            classes[_simple(cname)] = None
+            add_types(*(ptype for ptype, _pname in m.parameters))
         for ic in fd.inline_changes:
-            add(ic.method_name, "MethodName")
-            add(ic.class_name.rsplit(".", 1)[-1], "ClassName")
+            methods[ic.method_name] = None
+            classes[_simple(ic.class_name)] = None
             for _name, old_t, new_t in ic.param_retyped:
-                for t in simple_type_names(old_t) + simple_type_names(new_t):
-                    add(t, "TypeName")
-            for ptype, _pname in ic.new.parameters:
-                for t in simple_type_names(ptype):
-                    add(t, "TypeName")
-        for name in fd.class_added + fd.class_removed:
-            add(name.rsplit(".", 1)[-1], "ClassName")
-        for old_name, new_name in fd.class_renamed:
-            add(old_name.rsplit(".", 1)[-1], "ClassName")
-            add(new_name.rsplit(".", 1)[-1], "ClassName")
-        for cname, f in list(fd.field_added) + list(fd.field_removed):
-            if f.is_enum_constant:
-                add(f.name, "Other")
-            else:
-                add(f.name, "FieldName")
-            add(cname.rsplit(".", 1)[-1], "ClassName")
-            for t in simple_type_names(f.type_text):
-                add(t, "TypeName")
-        for cname, fname, old_t, new_t in fd.field_retyped:
-            add(cname.rsplit(".", 1)[-1], "ClassName")
-            for t in simple_type_names(old_t) + simple_type_names(new_t):
-                add(t, "TypeName")
-        for ac in fd.annotation_changes:
-            add(ac.name, "Other")
+                add_types(old_t, new_t)
+            add_types(*(ptype for ptype, _pname in ic.new.parameters))
+        for name in chain(fd.class_added, fd.class_removed, *fd.class_renamed):
+            classes[_simple(name)] = None
+        for cname, f in fd.field_added + fd.field_removed:
+            (other if f.is_enum_constant else fields)[f.name] = None
+            classes[_simple(cname)] = None
+            add_types(f.type_text)
+        for cname, _fname, old_t, new_t in fd.field_retyped:
+            classes[_simple(cname)] = None
+            add_types(old_t, new_t)
+        other.update(dict.fromkeys(ac.name for ac in fd.annotation_changes))
         for ic in fd.inline_changes:
-            for name, _args in ic.annotation_added + ic.annotation_removed:
-                add(name, "Other")
-        for name in method_annotations:
-            add(name, "Other")
-        method_annotations.clear()
-
-    seen: set[tuple[str, str]] = set()
-    ordered: list[EmphasizedIdentifier] = []
-    for raw, category in collected:
-        key = (raw, category)
-        if key in seen:
-            continue
-        seen.add(key)
-        ordered.append(EmphasizedIdentifier(raw=raw, category=category, split=tuple(split_camel(raw))))
-    ordered.sort(key=lambda e: _CATEGORY_RANK[e.category])  # stable: keeps first-occurrence order
-    return ordered
+            other.update(dict.fromkeys(name for name, _args in ic.annotation_added + ic.annotation_removed))
+        # a file's method annotations come after its other Other names
+        for _cname, m in fd.method_added + fd.method_removed:
+            other.update(dict.fromkeys(a.name for a in m.annotations))
+    return [
+        EmphasizedIdentifier(raw=raw, category=category, split=tuple(split_camel(raw)))
+        for category, names in found.items()
+        for raw in names
+    ]
 
 
 def apply_filter(ids: list[EmphasizedIdentifier], flt: IdentifierFilter) -> list[EmphasizedIdentifier]:

@@ -52,7 +52,7 @@ from __future__ import annotations
 import logging
 import re
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
 
@@ -114,11 +114,6 @@ def sort_modifiers(modifiers) -> list[str]:
 class AnnotationFacts:
     name: str  # without the leading '@'
     argument_text: str | None
-    target: str  # 'class' | 'method' | 'field'
-    line: int
-
-    def key(self) -> tuple[str, str | None]:
-        return (self.name, self.argument_text)
 
 
 @dataclass(frozen=True)
@@ -143,7 +138,6 @@ class FieldFacts:
     type_text: str
     modifiers: frozenset[str]
     annotations: tuple[AnnotationFacts, ...]
-    initializer_text: str | None
     line: int
     is_enum_constant: bool = False
 
@@ -656,7 +650,7 @@ class _Parser:
             if self.at(";"):
                 self.take()
                 continue
-            mods, annos, first = self.parse_modifiers_and_annotations("class")
+            mods, annos, first = self.parse_modifiers_and_annotations()
             classes.append(self.parse_type_decl("", mods, annos, first))
         return package, imports, classes
 
@@ -667,17 +661,17 @@ class _Parser:
             parts.append(self.texts[self.take()])
         return ".".join(parts)
 
-    def parse_annotation(self, target: str) -> AnnotationFacts:
-        at = self.expect("@", "to start annotation")
+    def parse_annotation(self) -> AnnotationFacts:
+        self.expect("@", "to start annotation")
         name = self.read_dotted_name("after '@'")
         argument_text = None
         if self.at("("):
             s, e = self.skip_balanced("(", ")")
             inner = self.slice_tokens(s + 1, e - 1)
             argument_text = inner or None
-        return AnnotationFacts(name=name, argument_text=argument_text, target=target, line=self.line(at))
+        return AnnotationFacts(name=name, argument_text=argument_text)
 
-    def parse_modifiers_and_annotations(self, target: str) -> tuple[set[str], list[AnnotationFacts], int | None]:
+    def parse_modifiers_and_annotations(self) -> tuple[set[str], list[AnnotationFacts], int | None]:
         """Returns (modifiers, annotations, first) where first is the
         declaration's first modifier or annotation token, if any."""
         mods: set[str] = set()
@@ -686,7 +680,7 @@ class _Parser:
         while (k := self.peek()) is not None:
             text = self.texts[k]
             if text == "@" and not self.at("interface", 1):
-                annos.append(self.parse_annotation(target))
+                annos.append(self.parse_annotation())
             elif self.kinds[k] == "ident" and text in MODIFIER_WORDS:
                 mods.add(text)
                 self.take()
@@ -832,7 +826,7 @@ class _Parser:
                 return
             annos: list[AnnotationFacts] = []
             while self.at("@"):
-                annos.append(self.parse_annotation("field"))
+                annos.append(self.parse_annotation())
             name_tok = self.expect_ident("as enum constant")
             if self.at("("):
                 self.skip_balanced("(", ")")
@@ -844,7 +838,6 @@ class _Parser:
                     type_text=simple_name,
                     modifiers=frozenset({"public", "static", "final"}),
                     annotations=tuple(annos),
-                    initializer_text=None,
                     line=self.line(name_tok),
                     is_enum_constant=True,
                 )
@@ -861,13 +854,12 @@ class _Parser:
         methods: list[MethodFacts],
         inners: list[ClassFacts],
     ) -> None:
-        mods, annos, first = self.parse_modifiers_and_annotations("method")
+        mods, annos, first = self.parse_modifiers_and_annotations()
         t = self.peek()
         if t is None:
             raise ParseError(self.here(), f"unexpected end of {qname} body")
         if self.texts[t] in ("class", "interface", "enum") or (self.texts[t] == "@" and self.at("interface", 1)):
-            # the annotations above were parsed with a method target; retarget
-            inners.append(self.parse_type_decl(qname, mods, [replace(a, target="class") for a in annos], first))
+            inners.append(self.parse_type_decl(qname, mods, annos, first))
             return
         if self.texts[t] == "<":  # generic method type parameters
             self.skip_generics()
@@ -887,7 +879,6 @@ class _Parser:
             methods.append(self.parse_method_rest(name_tok, return_type, mods, annos, qname, first))
             return
         # field declarator list
-        field_annos = tuple(replace(a, target="field") for a in annos)
         while True:
             decl_name = self.texts[name_tok]
             decl_type = return_type
@@ -895,10 +886,8 @@ class _Parser:
                 self.take()
                 self.take()
                 decl_type += "[]"
-            initializer = None
             if self.at("="):
                 self.take()
-                start = self.pos
                 depth = 0
                 while True:
                     k = self.peek()
@@ -912,14 +901,12 @@ class _Parser:
                     elif depth == 0 and text in (",", ";"):
                         break
                     self.take()
-                initializer = self.slice_tokens(start, self.pos)
             fields.append(
                 FieldFacts(
                     name=decl_name,
                     type_text=decl_type,
                     modifiers=frozenset(mods),
-                    annotations=field_annos,
-                    initializer_text=initializer,
+                    annotations=tuple(annos),
                     line=self.line(name_tok),
                 )
             )
@@ -945,12 +932,12 @@ class _Parser:
         seen_param_names: set[str] = set()
         while not self.at(")"):
             while self.at("@"):
-                self.parse_annotation("method")  # parameter annotations dropped
+                self.parse_annotation()  # parameter annotations dropped
             if self.at("final"):
                 self.take()
             ptype = self.read_type_text(f"as parameter type of {qname}.{name}")
             while self.at("@"):
-                self.parse_annotation("method")  # type annotations on '...' dropped
+                self.parse_annotation()  # type annotations on '...' dropped
             if self.at("..."):
                 self.take()
                 ptype += "..."
@@ -1268,20 +1255,8 @@ def _scan_statements(
                 text = "if"
             if text not in _BARE_HEADERS and end < n and texts[end] == "(":
                 end = balanced_end(end)
-        elif text in ("case", "default") and _looks_like_switch_label(texts, i):
+        elif text in ("case", "default") and (end := _switch_label_end(texts, i)):
             kind = "branch"
-            end = i
-            depth = 0
-            while end < n:
-                tt = texts[end]
-                if tt in ("(", "["):
-                    depth += 1
-                elif tt in (")", "]"):
-                    depth -= 1
-                elif tt == ":" and depth == 0:
-                    end += 1
-                    break
-                end += 1
         elif text in _STMT_SIMPLE_KEYWORDS:
             kind = _STMT_SIMPLE_KEYWORDS[text]
             end = i
@@ -1338,7 +1313,9 @@ def _scan_statements(
     return stmts
 
 
-def _looks_like_switch_label(texts: list[str], i: int) -> bool:
+def _switch_label_end(texts: list[str], i: int) -> int:
+    """Just past the ':' that ends the switch label starting at i, or 0 when
+    no ':' outside brackets comes within 40 tokens and before a ';', '{' or '}'."""
     depth = 0
     for k in range(i, min(i + 40, len(texts))):
         tt = texts[k]
@@ -1347,10 +1324,10 @@ def _looks_like_switch_label(texts: list[str], i: int) -> bool:
         elif tt in (")", "]"):
             depth -= 1
         elif depth == 0 and tt == ":":
-            return True
+            return k + 1
         elif depth == 0 and tt in (";", "{", "}"):
-            return False
-    return False
+            return 0
+    return 0
 
 
 def _prev_is_expr(texts: list[str], i: int) -> bool:

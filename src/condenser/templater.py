@@ -22,7 +22,7 @@ from importlib import resources
 from condenser.changeset import AnnotationChange, ChangeType, FileDiff, MethodInlineChange, StructuralDiff
 from condenser.comments import ElicitedComment
 from condenser.diffing import CommitInput
-from condenser.identifiers import CATEGORY_ORDER, EmphasizedIdentifier
+from condenser.identifiers import CATEGORY_ORDER, EmphasizedIdentifier, _simple
 from condenser.javafacts import sort_modifiers
 from condenser.sequences import TOKEN_RE, split_lines
 
@@ -99,10 +99,6 @@ def _fmt(key: str, **kwargs) -> str:
 
 def _params_text(parameters) -> str:
     return "(" + ", ".join(f"{t} {n}" for t, n in parameters) + ")"
-
-
-def _simple(name: str) -> str:
-    return name.rsplit(".", 1)[-1]
 
 
 def _method_lines(kind: str, m, lines: list[_Line]) -> None:

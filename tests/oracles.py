@@ -2,13 +2,13 @@
 
 Everything here is written straight from first principles (exhaustive
 enumeration, literal formulas with exact fractions) and shares no code with
-the package. Only usable for short inputs.  The exception is the last seven
+the package. Only usable for short inputs.  The exception is the last eight
 sections: the package's previous Java lexer and comment-attachment resolver,
 its previous eager declaration parser, its previous whole-file comment
 attachment and elicitation, its previous statement diff and ROUGE-L LCS,
-its previous METEOR chunk search, its previous Counter-based BLEU and its
-previous two-pass template renderer, kept as the reference their rewrites
-must reproduce.
+its previous METEOR chunk search, its previous Counter-based BLEU, its
+previous two-pass template renderer and its previous identifier extraction,
+kept as the reference their rewrites must reproduce.
 """
 
 from __future__ import annotations
@@ -24,7 +24,13 @@ from fractions import Fraction
 from condenser.changeset import AnnotationChange, ChangeType, FileDiff, StructuralDiff
 from condenser.comments import ElicitedComment, categorize_comment, normalize_comment_text
 from condenser.diffing import CommitInput
-from condenser.identifiers import CATEGORY_ORDER, EmphasizedIdentifier
+from condenser.identifiers import (
+    _CATEGORY_RANK,
+    CATEGORY_ORDER,
+    EmphasizedIdentifier,
+    simple_type_names,
+    split_camel,
+)
 from condenser.metrics import EmptyReference, TokenSeq
 from condenser.javafacts import (
     AnnotationFacts,
@@ -221,8 +227,12 @@ def count_tokens_oracle(text: str) -> int:
 
 def apply_patch_oracle(content_old: str, hunks) -> str:
     """Apply hunks (old_start, old_len, new_start, new_len, lines) to the old
-    text, trusting only the hunk line records themselves."""
-    old_lines = content_old.splitlines()
+    text, trusting only the hunk line records themselves.  Lines end only at
+    CR LF, CR or LF, the Java line terminators (JLS 3.4), so a form feed
+    stays inside its line."""
+    old_lines = content_old.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if old_lines[-1] == "":  # no line follows a final terminator
+        old_lines.pop()
     new_lines: list[str] = []
     pos = 0
     for hunk in hunks:
@@ -520,10 +530,14 @@ def resolve_attachments_oracle(
 # token for token.  It shares the other fact types and ParseError with the
 # package.  Since the fact types lost their doc comments, no doc comment is
 # attached and EagerMethodFacts has none; every comment, inline ones
-# included, stays in SourceFacts.comments.  One fix is mirrored from the
-# package: parse_type_decl takes the modifiers and annotations its caller
-# read, so an annotated inner type's declaration starts at its first
-# modifier or annotation and its doc comment attaches to it.
+# included, stays in SourceFacts.comments.  Since the fact types lost an
+# annotation's target and line and a field's initializer text, which no stage
+# read, it builds the package's shapes: an annotation is its name and
+# arguments, and a field initializer is stepped over, not joined into text.
+# One fix is mirrored from the package: parse_type_decl takes the modifiers
+# and annotations its caller read, so an annotated inner type's declaration
+# starts at its first modifier or annotation and its doc comment attaches to
+# it.
 
 MODIFIER_WORDS = {
     "public", "protected", "private", "abstract", "static", "final",
@@ -683,7 +697,7 @@ class _Parser:
             if self.at(";"):
                 self.take()
                 continue
-            mods, annos, start_off, start_line = self.parse_modifiers_and_annotations("class")
+            mods, annos, start_off, start_line = self.parse_modifiers_and_annotations()
             classes.append(self.parse_type_decl("", mods, annos, start_off, start_line))
         return package, imports, classes
 
@@ -694,19 +708,17 @@ class _Parser:
             parts.append(self.take().text)
         return ".".join(parts)
 
-    def parse_annotation(self, target: str) -> AnnotationFacts:
-        at = self.expect("@", "to start annotation")
+    def parse_annotation(self) -> AnnotationFacts:
+        self.expect("@", "to start annotation")
         name = self.read_dotted_name("after '@'")
         argument_text = None
         if self.at("("):
             s, e = self.skip_balanced("(", ")")
             inner = self.slice_tokens(s + 1, e - 1)
             argument_text = inner or None
-        return AnnotationFacts(name=name, argument_text=argument_text, target=target, line=at.line)
+        return AnnotationFacts(name=name, argument_text=argument_text)
 
-    def parse_modifiers_and_annotations(
-        self, target: str
-    ) -> tuple[set[str], list[AnnotationFacts], int | None, int | None]:
+    def parse_modifiers_and_annotations(self) -> tuple[set[str], list[AnnotationFacts], int | None, int | None]:
         """Returns (modifiers, annotations, start offset, start line) where
         start marks the declaration's first modifier or annotation token."""
         mods: set[str] = set()
@@ -720,7 +732,7 @@ class _Parser:
             if t.text == "@" and not self.at("interface", 1):
                 if start is None:
                     start, start_line = t.start, t.line
-                annos.append(self.parse_annotation(target))
+                annos.append(self.parse_annotation())
                 continue
             if t.kind == "ident" and t.text in MODIFIER_WORDS:
                 if start is None:
@@ -871,7 +883,7 @@ class _Parser:
                 return
             annos: list[AnnotationFacts] = []
             while self.at("@"):
-                annos.append(self.parse_annotation("field"))
+                annos.append(self.parse_annotation())
             name_tok = self.expect_ident("as enum constant")
             if self.at("("):
                 self.skip_balanced("(", ")")
@@ -883,7 +895,6 @@ class _Parser:
                     type_text=simple_name,
                     modifiers=frozenset({"public", "static", "final"}),
                     annotations=tuple(annos),
-                    initializer_text=None,
                     line=name_tok.line,
                     is_enum_constant=True,
                 )
@@ -900,16 +911,12 @@ class _Parser:
         methods: list[MethodFacts],
         inners: list[ClassFacts],
     ) -> None:
-        mods, annos, start_off, start_line = self.parse_modifiers_and_annotations("method")
+        mods, annos, start_off, start_line = self.parse_modifiers_and_annotations()
         t = self.peek()
         if t is None:
             raise ParseError(self.toks[-1].line, f"unexpected end of {qname} body")
         if t.text in ("class", "interface", "enum") or (t.text == "@" and self.at("interface", 1)):
-            # the annotations above were parsed with a method target; retarget
-            retargeted = [
-                AnnotationFacts(a.name, a.argument_text, "class", a.line) for a in annos
-            ]
-            inners.append(self.parse_type_decl(qname, mods, retargeted, start_off, start_line))
+            inners.append(self.parse_type_decl(qname, mods, annos, start_off, start_line))
             return
         if t.text == "<":  # generic method type parameters
             self.skip_generics()
@@ -929,7 +936,6 @@ class _Parser:
             methods.append(self.parse_method_rest(name_tok, return_type, mods, annos, qname, start_off, start_line))
             return
         # field declarator list
-        field_annos = [AnnotationFacts(a.name, a.argument_text, "field", a.line) for a in annos]
         while True:
             decl_name = name_tok.text
             decl_type = return_type
@@ -937,10 +943,8 @@ class _Parser:
                 self.take()
                 self.take()
                 decl_type += "[]"
-            initializer = None
             if self.at("="):
                 self.take()
-                start = self.pos
                 depth = 0
                 while True:
                     tok = self.peek()
@@ -953,14 +957,12 @@ class _Parser:
                     elif depth == 0 and tok.text in (",", ";"):
                         break
                     self.take()
-                initializer = self.slice_tokens(start, self.pos)
             fields.append(
                 FieldFacts(
                     name=decl_name,
                     type_text=decl_type,
                     modifiers=frozenset(mods),
-                    annotations=tuple(field_annos),
-                    initializer_text=initializer,
+                    annotations=tuple(annos),
                     line=name_tok.line,
                 )
             )
@@ -986,12 +988,12 @@ class _Parser:
         seen_param_names: set[str] = set()
         while not self.at(")"):
             while self.at("@"):
-                self.parse_annotation("method")  # parameter annotations dropped
+                self.parse_annotation()  # parameter annotations dropped
             if self.at("final"):
                 self.take()
             ptype = self.read_type_text(f"as parameter type of {qname}.{name_tok.text}")
             while self.at("@"):
-                self.parse_annotation("method")  # type annotations on '...' dropped
+                self.parse_annotation()  # type annotations on '...' dropped
             if self.at("..."):
                 self.take()
                 ptype += "..."
@@ -2084,3 +2086,88 @@ def render_oracle(
         full_text=full_text,
         token_count=count_tokens(full_text),
     )
+
+
+# --- identifier extraction: the collect-then-sort original ------------------
+#
+# The package's previous extract_identifiers, kept verbatim as the reference
+# its one-pass rewrite must reproduce; only its name changed.  It collects
+# every (raw, category) pair, deduplicates them with a seen set, sorts them
+# stably by category rank, and defers each file's method annotations to the
+# end of that file.  Its two fact-list parameters were never read.
+
+
+def extract_identifiers_oracle(
+    diff: StructuralDiff,
+    old_facts: list | None = None,
+    new_facts: list | None = None,
+) -> list[EmphasizedIdentifier]:
+    """Identifiers touched by the diff, deduplicated by (raw, category) and
+    ordered by category rank then first occurrence."""
+    collected: list[tuple[str, str]] = []
+
+    def add(raw: str, category: str) -> None:
+        if raw:
+            collected.append((raw, category))
+
+    method_annotations: list[str] = []
+    for fd in diff.files:
+        for cname, m in fd.method_added:
+            add(m.name, "MethodName")
+            add(cname.rsplit(".", 1)[-1], "ClassName")
+            for ptype, _pname in m.parameters:
+                for t in simple_type_names(ptype):
+                    add(t, "TypeName")
+            method_annotations.extend(a.name for a in m.annotations)
+        for cname, m in fd.method_removed:
+            add(m.name, "MethodName")
+            add(cname.rsplit(".", 1)[-1], "ClassName")
+            for ptype, _pname in m.parameters:
+                for t in simple_type_names(ptype):
+                    add(t, "TypeName")
+            method_annotations.extend(a.name for a in m.annotations)
+        for ic in fd.inline_changes:
+            add(ic.method_name, "MethodName")
+            add(ic.class_name.rsplit(".", 1)[-1], "ClassName")
+            for _name, old_t, new_t in ic.param_retyped:
+                for t in simple_type_names(old_t) + simple_type_names(new_t):
+                    add(t, "TypeName")
+            for ptype, _pname in ic.new.parameters:
+                for t in simple_type_names(ptype):
+                    add(t, "TypeName")
+        for name in fd.class_added + fd.class_removed:
+            add(name.rsplit(".", 1)[-1], "ClassName")
+        for old_name, new_name in fd.class_renamed:
+            add(old_name.rsplit(".", 1)[-1], "ClassName")
+            add(new_name.rsplit(".", 1)[-1], "ClassName")
+        for cname, f in list(fd.field_added) + list(fd.field_removed):
+            if f.is_enum_constant:
+                add(f.name, "Other")
+            else:
+                add(f.name, "FieldName")
+            add(cname.rsplit(".", 1)[-1], "ClassName")
+            for t in simple_type_names(f.type_text):
+                add(t, "TypeName")
+        for cname, fname, old_t, new_t in fd.field_retyped:
+            add(cname.rsplit(".", 1)[-1], "ClassName")
+            for t in simple_type_names(old_t) + simple_type_names(new_t):
+                add(t, "TypeName")
+        for ac in fd.annotation_changes:
+            add(ac.name, "Other")
+        for ic in fd.inline_changes:
+            for name, _args in ic.annotation_added + ic.annotation_removed:
+                add(name, "Other")
+        for name in method_annotations:
+            add(name, "Other")
+        method_annotations.clear()
+
+    seen: set[tuple[str, str]] = set()
+    ordered: list[EmphasizedIdentifier] = []
+    for raw, category in collected:
+        key = (raw, category)
+        if key in seen:
+            continue
+        seen.add(key)
+        ordered.append(EmphasizedIdentifier(raw=raw, category=category, split=tuple(split_camel(raw))))
+    ordered.sort(key=lambda e: _CATEGORY_RANK[e.category])  # stable: keeps first-occurrence order
+    return ordered

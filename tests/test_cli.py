@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import fields
 from pathlib import Path
 
@@ -101,6 +102,35 @@ def test_condense_from_diff_and_snapshots(capsys, tmp_path, tree_pair):
     )
     assert code == 0
     assert "Add a method stop with return type void" in out
+
+
+def test_condense_reads_every_section_of_a_recursive_diff_u(capsys, tmp_path):
+    old_dir, new_dir = tmp_path / "a", tmp_path / "b"
+    old_dir.mkdir()
+    new_dir.mkdir()
+    for name in ("A", "B"):
+        (old_dir / f"{name}.java").write_text(f"class {name} {{ }}\n", encoding="utf-8")
+        (new_dir / f"{name}.java").write_text(f"class {name} {{ void run{name}() {{ }} }}\n", encoding="utf-8")
+    # `diff -ruN a b` output: no `diff --git` line between the sections
+    diff_text = "".join(
+        f"diff -ruN a/{name}.java b/{name}.java\n"
+        f"--- a/{name}.java\t2024-01-01 00:00:00.000000000 +0000\n"
+        f"+++ b/{name}.java\t2024-01-02 00:00:00.000000000 +0000\n"
+        "@@ -1 +1 @@\n"
+        f"-class {name} {{ }}\n"
+        f"+class {name} {{ void run{name}() {{ }} }}\n"
+        for name in ("A", "B")
+    )
+    diff_file = tmp_path / "change.diff"
+    diff_file.write_text(diff_text, encoding="utf-8")
+    code, out, err = run_cli(
+        capsys, "condense", "--diff", str(diff_file),
+        "--old-dir", str(old_dir), "--new-dir", str(new_dir),
+        "--repo", "r", "--hash", "h",
+    )
+    assert (code, err) == (0, "")
+    assert "change in A.java" in out and "change in B.java" in out
+    assert "runA" in out and "runB" in out
 
 
 def test_condense_missing_inputs_is_usage_error(capsys):
@@ -251,6 +281,20 @@ def test_out_of_range_knob_exits_2(capsys, tmp_path, corpus_path, argv):
     assert code == 2
     assert out == ""
     assert argv[1].lstrip("-").replace("-", "_") in err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_exits_2(capsys, corpus_path, jobs):
+    code, out, err = run_cli(capsys, "corpus", "stats", "--corpus", str(corpus_path), "--jobs", jobs)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "jobs" in err
+
+
+def test_readme_configuration_table_names_every_knob():
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Configuration", 1)[1].split("\n#", 1)[0]
+    rows = [line.split("|")[1] for line in section.splitlines() if line.startswith("| `")]
+    assert {key for row in rows for key in re.findall(r"`(\w+)`", row)} == {f.name for f in fields(PipelineConfig)}
 
 
 def test_corpus_run_jsonl(capsys, corpus_path):

@@ -318,7 +318,6 @@ def test_generate_success_echo(mock_endpoint):
     handler.script[:] = [("ok", "ok")]
     response = generate_remote(RECORD, url, PipelineConfig(backoff_base=0.01))
     assert response.text == "ok"
-    assert response.endpoint == url
     assert handler.calls[0]["body"]["prompt"] == RECORD.prompt
     assert handler.calls[0]["body"]["max_new_tokens"] == 128
 

@@ -43,7 +43,7 @@ diff --git a/src/A.java b/src/A.java
  package p;
 -class A { int x; }
 +class A { long x; }
- // end
+ // end\fof A
 diff --git a/src/B.java b/src/B.java
 --- a/src/B.java
 +++ b/src/B.java
@@ -79,6 +79,30 @@ def test_two_file_diff_sections_and_counts():
             news = sum(1 for l in hunk.lines if l[0] in " +")
             assert olds == hunk.old_len
             assert news == hunk.new_len
+
+
+def test_diff_u_sections_without_git_headers_are_all_kept():
+    # `diff -ruN a b` (or concatenated `diff -u` runs): each section opens
+    # with its `---` header and no `diff --git` line
+    text = (
+        "diff -ruN a/A.java b/A.java\n"
+        "--- a/A.java\t2024-01-01 00:00:00\n"
+        "+++ b/A.java\t2024-01-02 00:00:00\n"
+        "@@ -1 +1 @@\n"
+        "-class A { }\n"
+        "+class A { int x; }\n"
+        "--- a/B.java\n"
+        "+++ b/B.java\n"
+        "@@ -1,2 +1,2 @@\n"
+        " class B {\n"
+        "-}\n"
+        "+int y; }\n"
+    )
+    sections = parse_unified_diff(text).file_sections
+    assert [(s.path_old, s.path_new, [h.lines for h in s.hunks]) for s in sections] == [
+        ("A.java", "A.java", [("-class A { }", "+class A { int x; }")]),
+        ("B.java", "B.java", [(" class B {", "-}", "+int y; }")]),
+    ]
 
 
 def test_count_mismatch_is_diff_format_error():
@@ -151,11 +175,11 @@ def test_missing_snapshot_raises():
 
 def test_patch_consistency_for_modified_pairs():
     old_contents = {
-        "src/A.java": "package p;\nclass A { int x; }\n// end\n",
+        "src/A.java": "package p;\nclass A { int x; }\n// end\fof A\n",
         "src/B.java": "// head\nclass B {\n}\n",
     }
     new_contents = {
-        "src/A.java": "package p;\nclass A { long x; }\n// end\n",
+        "src/A.java": "package p;\nclass A { long x; }\n// end\fof A\n",
         "src/B.java": "// head\nclass B {\n    int y;\n}\n",
     }
     diff = parse_unified_diff(TWO_FILE_DIFF)

@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import random
 import string
+from collections import Counter
 
 import pytest
 
-from condenser.changeset import diff_facts
+import workloads
+from condenser.changeset import StructuralDiff, diff_facts
 from condenser.config import PipelineConfig
+from condenser.corpus import condense_commit, load_corpus
 from condenser.identifiers import (
     CATEGORY_ORDER,
     EmphasizedIdentifier,
@@ -20,6 +23,7 @@ from condenser.identifiers import (
     split_camel,
 )
 from condenser.javafacts import parse_java
+from oracles import extract_identifiers_oracle
 
 
 # --- split_camel golden set ----------------------------------------------------
@@ -114,14 +118,14 @@ def test_simple_type_names_drop_packages_and_arrays():
 def test_empty_diff_yields_no_identifiers():
     facts = parse_java("class C { int x; }")
     diff = diff_facts(facts, facts, "F.java", "F.java")
-    assert extract_identifiers(diff, [facts], [facts]) == []
+    assert extract_identifiers(diff) == []
 
 
 def test_constructor_change_contributes_class_name():
     old = parse_java("class RequestParams { RequestParams(String p) { use(p); } }")
     new = parse_java("class RequestParams { RequestParams(String... p) { use(p); } }")
     diff = diff_facts(old, new, "F.java", "F.java")
-    ids = extract_identifiers(diff, [old], [new])
+    ids = extract_identifiers(diff)
     assert ("RequestParams", "ClassName") in {(e.raw, e.category) for e in ids}
 
 
@@ -135,7 +139,7 @@ def test_one_method_one_field_one_annotation_in_category_order():
         "}"
     )
     diff = diff_facts(old, new, "F.java", "F.java")
-    ids = extract_identifiers(diff, [old], [new])
+    ids = extract_identifiers(diff)
     cats = [e.category for e in ids]
     assert cats == sorted(cats, key=CATEGORY_ORDER.index)
     as_pairs = {(e.raw, e.category) for e in ids}
@@ -148,7 +152,7 @@ def test_enum_constants_categorized_as_other():
     old = parse_java("enum Mode { FAST }")
     new = parse_java("enum Mode { FAST, SLOW_START }")
     diff = diff_facts(old, new, "F.java", "F.java")
-    ids = extract_identifiers(diff, [old], [new])
+    ids = extract_identifiers(diff)
     assert ("SLOW_START", "Other") in {(e.raw, e.category) for e in ids}
 
 
@@ -156,7 +160,7 @@ def test_deduplicated_by_raw_and_category():
     old = parse_java("class C { }")
     new = parse_java("class C { Service a; Service b; }")
     diff = diff_facts(old, new, "F.java", "F.java")
-    ids = extract_identifiers(diff, [old], [new])
+    ids = extract_identifiers(diff)
     type_names = [e.raw for e in ids if e.category == "TypeName"]
     assert type_names == ["Service"]
 
@@ -165,9 +169,52 @@ def test_order_is_stable_by_first_occurrence_within_category():
     old = parse_java("class C { }")
     new = parse_java("class C { void zebra() { } void apple() { } }")
     diff = diff_facts(old, new, "F.java", "F.java")
-    ids = extract_identifiers(diff, [old], [new])
+    ids = extract_identifiers(diff)
     methods = [e.raw for e in ids if e.category == "MethodName"]
     assert methods == ["zebra", "apple"]  # declaration order, not alphabetical
+
+
+def test_extraction_matches_collect_then_sort_oracle(corpus_path, tmp_path):
+    samples = load_corpus(corpus_path)
+    for seed in (1, 2, 3):
+        for workload in ("corpus-typical", "rewrite-heavy"):
+            out = tmp_path / f"{workload}-{seed}"
+            workloads.build(workload, seed, "full", out)
+            samples += load_corpus(out / "corpus.jsonl")
+    assert len(samples) == 152
+    seen: Counter = Counter()
+    for sample in samples:
+        diff = condense_commit(sample.commit_input()).diff
+        ids = extract_identifiers(diff)
+        assert ids == extract_identifiers_oracle(diff), (sample.repo, sample.hash)
+        seen.update(e.category for e in ids)
+        for fd in diff.files:
+            seen["enum constant"] += any(f.is_enum_constant for _c, f in fd.field_added + fd.field_removed)
+            seen["annotation change"] += bool(fd.annotation_changes)
+            seen["method annotation"] += any(m.annotations for _c, m in fd.method_added + fd.method_removed)
+    assert all(seen.values())
+
+
+def test_other_names_keep_their_order_within_and_across_files():
+    old_a = parse_java(
+        "class C {\n  @Deprecated int f;\n  @Before void kept() { }\n}\nenum Mode { FAST }\n"
+    )
+    new_a = parse_java(
+        "class C {\n  @Nullable int f;\n  @After void kept() { }\n  @Test void added() { }\n}\n"
+        "enum Mode { FAST, SLOW }\n"
+    )
+    old_b = parse_java("class D { }\nenum Level { LOW }\n")
+    new_b = parse_java("class D {\n  @Override public String run() { return null; }\n}\nenum Level { LOW, HIGH }\n")
+    diff = StructuralDiff(
+        diff_facts(old_a, new_a, "A.java", "A.java").files + diff_facts(old_b, new_b, "B.java", "B.java").files
+    )
+    ids = extract_identifiers(diff)
+    assert ids == extract_identifiers_oracle(diff)
+    # per file: enum constants, annotation changes, inline annotation
+    # changes, then the annotations of added and removed methods
+    assert [e.raw for e in ids if e.category == "Other"] == [
+        "SLOW", "Deprecated", "Nullable", "After", "Before", "Test", "HIGH", "Override",
+    ]
 
 
 # --- filtering ---------------------------------------------------------------------

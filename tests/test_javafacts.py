@@ -226,7 +226,7 @@ def test_doc_comment_attaches_through_annotations_to_inner_class():
     assert [(c.attachment, c.text) for c in facts.comments] == [("class:Outer.Inner", " Doc. ")]
     [inner] = facts.classes[0].inner_classes
     assert inner.modifiers == {"static"}
-    assert [(a.name, a.target) for a in inner.annotations] == [("Deprecated", "class"), ("SuppressWarnings", "class")]
+    assert [(a.name, a.argument_text) for a in inner.annotations] == [("Deprecated", None), ("SuppressWarnings", '"x"')]
     assert src[inner.byte_range[0] : inner.byte_range[1]].startswith("@Deprecated")
 
 
@@ -243,9 +243,9 @@ def test_duplicate_top_level_class_raises():
 
 
 def test_multiple_declarators_become_separate_fields():
-    facts = parse_java("class C { int a, b = 2; }")
+    facts = parse_java("class C { int a, b = f(2, new int[] {3, 4}), c; }")
     fields = facts.classes[0].fields
-    assert [(f.name, f.initializer_text) for f in fields] == [("a", None), ("b", "2")]
+    assert [(f.name, f.type_text) for f in fields] == [("a", "int"), ("b", "int"), ("c", "int")]
 
 
 def test_statement_kinds():
@@ -522,8 +522,7 @@ def render_skeleton(facts: SourceFacts) -> str:
                 args = f"({a.argument_text})" if a.argument_text else ""
                 lines.append(f"{inner_pad}@{a.name}{args}")
             mods = " ".join(sort_modifiers(f.modifiers))
-            init = f" = {f.initializer_text}" if f.initializer_text else ""
-            lines.append(f"{inner_pad}{mods + ' ' if mods else ''}{f.type_text} {f.name}{init};")
+            lines.append(f"{inner_pad}{mods + ' ' if mods else ''}{f.type_text} {f.name};")
         for m in cls.methods:
             for a in m.annotations:
                 args = f"({a.argument_text})" if a.argument_text else ""
@@ -552,7 +551,7 @@ def decl_view(facts: SourceFacts):
             cls.extends_types,
             cls.implements_types,
             tuple(
-                (f.name, f.type_text, tuple(sort_modifiers(f.modifiers)), f.initializer_text, f.is_enum_constant)
+                (f.name, f.type_text, tuple(sort_modifiers(f.modifiers)), f.is_enum_constant)
                 for f in cls.fields
             ),
             tuple(

@@ -39,7 +39,7 @@ def render_single_file(old_src: str, new_src: str, repo="r", commit_hash="h", bu
     comments = elicit_comments(old_f, new_f, diff)
     annotations = elicit_annotations(diff.files[0])
     identifiers = apply_filter(
-        extract_identifiers(diff, [old_f], [new_f]),
+        extract_identifiers(diff),
         IdentifierFilter(stoplist=PipelineConfig().stoplist),
     )
     commit = CommitInput(repo, commit_hash, (FilePair(path, path, old_src, new_src),))
