@@ -246,30 +246,30 @@ def reconstruct_pairs(
     """Join a parsed diff with snapshot maps into a CommitInput.
 
     Every path a section mentions must resolve in the corresponding map;
-    MissingSnapshot is raised otherwise. Binary sections are dropped (the
-    parser already logged them).
+    MissingSnapshot is raised otherwise.  `diff -N` names the absent side of
+    an added or deleted file by its real path, not /dev/null: a side without
+    a snapshot whose every hunk reads '-0,0' ('+0,0') is absent.  Binary
+    sections are dropped (the parser already logged them).
     """
     pairs: list[FilePair] = []
     for section in diff.file_sections:
         if section.is_binary:
             continue
+        path_old, path_new, hunks = section.path_old, section.path_new, section.hunks
+        if hunks and path_old not in old_contents and all(h.old_start == h.old_len == 0 for h in hunks):
+            path_old = None
+        elif hunks and path_new not in new_contents and all(h.new_start == h.new_len == 0 for h in hunks):
+            path_new = None
         content_old = content_new = None
-        if section.path_old is not None:
-            if section.path_old not in old_contents:
-                raise MissingSnapshot(section.path_old)
-            content_old = old_contents[section.path_old]
-        if section.path_new is not None:
-            if section.path_new not in new_contents:
-                raise MissingSnapshot(section.path_new)
-            content_new = new_contents[section.path_new]
-        pairs.append(
-            FilePair(
-                path_old=section.path_old,
-                path_new=section.path_new,
-                content_old=content_old,
-                content_new=content_new,
-            )
-        )
+        if path_old is not None:
+            if path_old not in old_contents:
+                raise MissingSnapshot(path_old)
+            content_old = old_contents[path_old]
+        if path_new is not None:
+            if path_new not in new_contents:
+                raise MissingSnapshot(path_new)
+            content_new = new_contents[path_new]
+        pairs.append(FilePair(path_old=path_old, path_new=path_new, content_old=content_old, content_new=content_new))
     return CommitInput(repo_name=repo_name, commit_hash=commit_hash, file_pairs=tuple(pairs))
 
 

@@ -133,6 +133,36 @@ def test_condense_reads_every_section_of_a_recursive_diff_u(capsys, tmp_path):
     assert "runA" in out and "runB" in out
 
 
+def test_condense_reads_files_that_diff_ruN_adds_and_deletes(capsys, tmp_path):
+    old_dir, new_dir = tmp_path / "a", tmp_path / "b"
+    old_dir.mkdir()
+    new_dir.mkdir()
+    (old_dir / "D.java").write_text("class D { void gone() { } }\n", encoding="utf-8")
+    (new_dir / "N.java").write_text("class N { void fresh() { } }\n", encoding="utf-8")
+    # what `diff -ruN a b` prints: the absent side keeps its path, dated at the epoch
+    diff_text = (
+        "diff -ruN a/D.java b/D.java\n"
+        "--- a/D.java\t2024-01-01 00:00:00.000000000 +0000\n"
+        "+++ b/D.java\t1970-01-01 00:00:00.000000000 +0000\n"
+        "@@ -1 +0,0 @@\n"
+        "-class D { void gone() { } }\n"
+        "diff -ruN a/N.java b/N.java\n"
+        "--- a/N.java\t1970-01-01 00:00:00.000000000 +0000\n"
+        "+++ b/N.java\t2024-01-02 00:00:00.000000000 +0000\n"
+        "@@ -0,0 +1 @@\n"
+        "+class N { void fresh() { } }\n"
+    )
+    diff_file = tmp_path / "change.diff"
+    diff_file.write_text(diff_text, encoding="utf-8")
+    code, out, err = run_cli(
+        capsys, "condense", "--diff", str(diff_file),
+        "--old-dir", str(old_dir), "--new-dir", str(new_dir),
+        "--repo", "r", "--hash", "h",
+    )
+    assert (code, err) == (0, "")
+    assert "change adding file N.java" in out and "change removing file D.java" in out, out
+
+
 def test_condense_missing_inputs_is_usage_error(capsys):
     code, out, err = run_cli(capsys, "condense", "--repo", "r", "--hash", "h")
     assert code == 2

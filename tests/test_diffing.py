@@ -173,6 +173,33 @@ def test_missing_snapshot_raises():
         reconstruct_pairs(diff, {}, {"A.java": "x"})
 
 
+def test_diff_N_sections_of_added_and_deleted_files_pair_with_no_side():
+    # `diff -ruN a b` writes an absent file as its real path, with an epoch
+    # timestamp, over a '-0,0' or '+0,0' hunk
+    text = (
+        "diff -ruN a/N.java b/N.java\n"
+        "--- a/N.java\t1970-01-01 00:00:00.000000000 +0000\n"
+        "+++ b/N.java\t2024-01-02 00:00:00.000000000 +0000\n"
+        "@@ -0,0 +1,1 @@\n"
+        "+class N { }\n"
+        "diff -ruN a/D.java b/D.java\n"
+        "--- a/D.java\t2024-01-01 00:00:00.000000000 +0000\n"
+        "+++ b/D.java\t1970-01-01 00:00:00.000000000 +0000\n"
+        "@@ -1,1 +0,0 @@\n"
+        "-class D { }\n"
+    )
+    commit = reconstruct_pairs(parse_unified_diff(text), {"D.java": "class D { }\n"}, {"N.java": "class N { }\n"})
+    assert [(p.status, p.path_old, p.path_new) for p in commit.file_pairs] == [
+        ("added", None, "N.java"),
+        ("deleted", "D.java", None),
+    ]
+    assert (commit.file_pairs[0].content_new, commit.file_pairs[1].content_old) == ("class N { }\n", "class D { }\n")
+    # a side that has a snapshot is read as usual
+    commit = reconstruct_pairs(parse_unified_diff(text), {"N.java": "", "D.java": "class D { }\n"},
+                               {"N.java": "class N { }\n", "D.java": ""})
+    assert [p.status for p in commit.file_pairs] == ["modified", "modified"]
+
+
 def test_patch_consistency_for_modified_pairs():
     old_contents = {
         "src/A.java": "package p;\nclass A { int x; }\n// end\fof A\n",
