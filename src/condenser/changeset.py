@@ -438,6 +438,8 @@ def _match_methods(
 def _inline_change(
     class_name: str, old: MethodFacts, new: MethodFacts, config: PipelineConfig
 ) -> MethodInlineChange | None:
+    if old.decl == new.decl:
+        return None  # the declaration says the same in both versions (they often share it)
     param_retyped = tuple(
         (new_name, old_type, new_type)
         for (old_type, _old_name), (new_type, new_name) in zip(old.parameters, new.parameters)
@@ -487,7 +489,7 @@ def _inline_change(
 # the missing side of an added or removed class
 _EMPTY_CLASS = ClassFacts(
     name="", kind="class", modifiers=frozenset(), annotations=(), extends_types=(), implements_types=(),
-    fields=(), methods=(), inner_classes=(), byte_range=(0, 0),
+    fields=(), methods=(), inner_classes=(),
 )
 
 

@@ -43,6 +43,22 @@ lines below it, else to the innermost class body around it, else to the
 file; the declaration comes from bisecting declaration offsets and the
 class from a sweep over the nested class body spans.
 
+A file's new version can be parsed against its old version, given as the
+old text and its facts (parse_java's old argument): the methods the edit
+left whole are not parsed again.  A method fact is split for that: its
+MethodDecl holds what the declaration says and is shared by both versions,
+and the MethodFacts around it holds where it sits (its offsets, body line
+and the count of comments before its body).  Body comment spans are offsets
+into the body text, so they move with it.  The coarse pass does not scan
+into a '{' that opens the text of an old method's body; it takes that
+body's comments, moved.  At each member of a class body the parser looks
+up the old methods of that class whose text starts like the source there;
+one whose whole text the source holds there is stepped over, and its
+MethodDecl is taken with new positions.  From a token start in the same
+class, the same text lexes and parses to the same facts, so the result is
+that of parsing the new version alone.  Any ParseError makes parse_java
+parse the new version alone, so errors are that parse's.
+
 All returned facts are immutable in value and safe to share across threads
 (building a method's statements twice gives the same tuple).
 """
@@ -55,6 +71,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
+from operator import attrgetter
 
 log = logging.getLogger(__name__)
 
@@ -64,6 +81,7 @@ __all__ = [
     "CommentFacts",
     "FieldFacts",
     "ImportFacts",
+    "MethodDecl",
     "MethodFacts",
     "ParseError",
     "SourceFacts",
@@ -121,7 +139,6 @@ class CommentFacts:
     kind: str  # 'line' | 'block' | 'javadoc'
     text: str  # interior text, delimiters stripped, otherwise untouched
     token_count: int
-    line_range: tuple[int, int]
     attachment: str  # 'file' | 'class:<C>' | 'method:<C.m>' | 'inline:<C.m>'
 
 
@@ -138,31 +155,24 @@ class FieldFacts:
     type_text: str
     modifiers: frozenset[str]
     annotations: tuple[AnnotationFacts, ...]
-    line: int
     is_enum_constant: bool = False
 
 
 @dataclass(frozen=True)
-class MethodFacts:
+class MethodDecl:
+    """What a method declaration says, wherever in the file it sits: the
+    two versions of a method the edit left whole share one."""
+
     name: str
     return_type: str | None  # None for constructors
     parameters: tuple[tuple[str, str], ...]  # (type text, name)
     modifiers: frozenset[str]
     annotations: tuple[AnnotationFacts, ...]
     thrown_exceptions: tuple[str, ...]
-    byte_range: tuple[int, int]
     body_text: str = field(default="", repr=False)  # the body's '{...}' source; '' without a body
-    body_line: int = 0  # line of the body's '{'
     owner: str = field(default="", compare=False, repr=False)  # qualified name of the declaring class
-    # the (group, start, end) file span of each comment in the body, and how
-    # many of the file's SourceFacts.comments precede the body
+    # the (group, start, end) span of each comment in the body, as offsets into body_text
     body_comments: tuple[tuple[str, int, int], ...] = field(default=(), compare=False, repr=False)
-    comments_before: int = field(default=0, compare=False, repr=False)
-
-    @cached_property
-    def body_statements(self) -> tuple[StatementFacts, ...]:
-        """The body's statements, built from body_text on first read."""
-        return _body_statements(self.body_text, self.body_line) if self.body_text else ()
 
     @cached_property
     def inline_comments(self) -> tuple[CommentFacts, ...]:
@@ -170,21 +180,48 @@ class MethodFacts:
         attached as 'inline:<owner>.<name>'."""
         attachment = f"inline:{self.owner}.{self.name}"
         text = self.body_text
-        base = self.byte_range[1] - len(text)  # the file offset of the body's '{'
-        line, counted, out = self.body_line, 0, []
-        for group, start, end in self.body_comments:
-            start, end = start - base, end - base
-            line += text.count("\n", counted, start)
-            counted = start
-            out.append(_comment_facts(_raw_comment(group, text[start:end], line, start, end), attachment))
-        return tuple(out)
+        return tuple(_comment_facts(*_comment_text(g, text[s:e]), attachment) for g, s, e in self.body_comments)
 
     @property
     def is_constructor(self) -> bool:
         return self.return_type is None
 
     def signature(self) -> tuple[str, tuple[str, ...]]:
+        return self._signature
+
+    @cached_property
+    def _signature(self) -> tuple[str, tuple[str, ...]]:
         return (self.name, tuple(t for t, _ in self.parameters))
+
+
+@dataclass(frozen=True)
+class MethodFacts:
+    """A method where it sits in one version of a file: its MethodDecl and
+    its positions.  Every attribute of the MethodDecl reads through."""
+
+    decl: MethodDecl
+    byte_range: tuple[int, int]
+    body_line: int = 0  # line of the body's '{'
+    # how many of the file's SourceFacts.comments precede the body
+    comments_before: int = field(default=0, compare=False, repr=False)
+
+    name = property(attrgetter("decl.name"))
+    return_type = property(attrgetter("decl.return_type"))
+    parameters = property(attrgetter("decl.parameters"))
+    modifiers = property(attrgetter("decl.modifiers"))
+    annotations = property(attrgetter("decl.annotations"))
+    thrown_exceptions = property(attrgetter("decl.thrown_exceptions"))
+    body_text = property(attrgetter("decl.body_text"))
+    owner = property(attrgetter("decl.owner"))
+    body_comments = property(attrgetter("decl.body_comments"))
+    inline_comments = property(attrgetter("decl.inline_comments"))
+    is_constructor = property(attrgetter("decl.is_constructor"))
+    signature = property(attrgetter("decl.signature"))
+
+    @cached_property
+    def body_statements(self) -> tuple[StatementFacts, ...]:
+        """The body's statements, built from body_text on first read."""
+        return _body_statements(self.body_text, self.body_line) if self.body_text else ()
 
 
 @dataclass(frozen=True)
@@ -198,7 +235,6 @@ class ClassFacts:
     fields: tuple[FieldFacts, ...]
     methods: tuple[MethodFacts, ...]
     inner_classes: tuple[ClassFacts, ...]
-    byte_range: tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -355,18 +391,22 @@ def _decode(
     return kinds, texts, starts, ends, comments
 
 
+def _comment_text(group: str, text: str) -> tuple[str, str]:
+    """A comment's kind and its text without delimiters, from its _TOKEN_RE
+    group and source text; an open_comment runs to end of input."""
+    if group == "line_comment":
+        return "line", text[2:]
+    if group == "open_comment":
+        return "javadoc" if text.startswith("/**") else "block", text[2:]
+    if text.startswith("/**") and len(text) > 4:
+        return "javadoc", text[3:-2]  # drop the second '*' of the opener
+    return "block", text[2:-2]
+
+
 def _raw_comment(group: str, text: str, line: int, start: int, end: int) -> _RawComment:
     """A comment from its _TOKEN_RE group and source text, delimiters
-    included; an open_comment runs to end of input."""
-    if group == "line_comment":
-        kind, body = "line", text[2:]
-    elif group == "open_comment":
-        body = text[2:]
-        kind = "javadoc" if body.startswith("*") else "block"
-    elif text.startswith("/**") and len(text) > 4:
-        kind, body = "javadoc", text[3:-2]  # drop the second '*' of the opener
-    else:
-        kind, body = "block", text[2:-2]
+    included, and the line it starts on."""
+    kind, body = _comment_text(group, text)
     return _RawComment(kind, body, line, line + body.count("\n"), start, end, group != "open_comment")
 
 
@@ -403,7 +443,9 @@ _LAYOUT_RE = re.compile(
 )
 
 
-def _scan_layout(source: str, line_starts: list[int], path: str) -> tuple[list[tuple[str, int, int]], dict[int, int]]:
+def _scan_layout(
+    source: str, line_starts: list[int], path: str, old: _OldVersion | None = None
+) -> tuple[list[tuple[str, int, int]], dict[int, int]]:
     """One coarse pass over the whole file: the (group, start, end) span of
     each comment, its group a _TOKEN_RE group name, and the offset of each
     code '{' mapped to that of its matching '}'.
@@ -411,20 +453,31 @@ def _scan_layout(source: str, line_starts: list[int], path: str) -> tuple[list[t
     Raises ParseError for an unterminated comment or literal (the first in
     the file) and then for braces that do not balance, with the lines and
     messages the fine lexer and a brace match over all its tokens give.
+
+    Given the file's old version, a code '{' that opens the text of one of
+    its method bodies is not scanned into: that body's comments are moved
+    to where it sits, and the braces inside it are left out of the map.
     """
     comments: list[tuple[str, int, int]] = []
     closers: dict[int, int] = {}
     opened: list[int] = []
     stray: int | None = None
-    for m in _LAYOUT_RE.finditer(source):
+    pos = 0
+    while (m := _LAYOUT_RE.match(source, pos)).lastgroup is not None:
         kind = m.lastgroup
+        pos = m.end()
         if kind == "open":
-            opened.append(m.end() - 1)
+            if old is not None and (body := old.body_at(source, pos - 1)) is not None:
+                closers[pos - 1] = pos - 2 + len(body.body_text)
+                comments += [(group, start + pos - 1, end + pos - 1) for group, start, end in body.body_comments]
+                pos += len(body.body_text) - 1
+            else:
+                opened.append(pos - 1)
         elif kind == "close":
             if opened:
-                closers[opened.pop()] = m.end() - 1
+                closers[opened.pop()] = pos - 1
             elif stray is None:
-                stray = m.end() - 1
+                stray = pos - 1
         elif kind == "line_comment" or kind == "block_comment":
             comments.append((kind, *m.span(kind)))
         elif kind == "open_comment":
@@ -432,8 +485,6 @@ def _scan_layout(source: str, line_starts: list[int], path: str) -> tuple[list[t
         elif kind == "open_literal":
             literal = "string" if m[kind][0] == '"' else "char"
             raise ParseError(bisect_right(line_starts, m.start(kind)) + 1, f"unterminated {literal} literal")
-        elif kind is None:
-            break
     if stray is not None:
         raise ParseError(bisect_right(line_starts, stray) + 1, f"unbalanced '}}' in {path}")
     if opened:
@@ -444,18 +495,8 @@ def _scan_layout(source: str, line_starts: list[int], path: str) -> tuple[list[t
     return comments, closers
 
 
-def _token_count(text: str) -> int:
-    return len(text.split())
-
-
-def _comment_facts(raw: _RawComment, attachment: str) -> CommentFacts:
-    return CommentFacts(
-        kind=raw.kind,
-        text=raw.text,
-        token_count=_token_count(raw.text),
-        line_range=(raw.start_line, raw.end_line),
-        attachment=attachment,
-    )
+def _comment_facts(kind: str, text: str, attachment: str) -> CommentFacts:
+    return CommentFacts(kind=kind, text=text, token_count=len(text.split()), attachment=attachment)
 
 
 def _blank_comments(source: str, comments: list[tuple[str, int, int]]) -> str:
@@ -469,6 +510,44 @@ def _blank_comments(source: str, comments: list[tuple[str, int, int]]) -> str:
         done = end
     parts.append(source[done:])
     return "".join(parts)
+
+
+# ---------------------------------------------------------------------------
+# The old version of a file
+# ---------------------------------------------------------------------------
+
+
+_BODY_KEY = 32  # how much of a body's text the old version's bodies are looked up by
+
+
+def _method_head(source: str, start: int) -> str:
+    """The text from start to the first '(' after it, at most 200
+    characters: the key a method of the old version is looked up by."""
+    stop = source.find("(", start, start + 200)
+    return source[start : stop if stop >= 0 else start + 200]
+
+
+class _OldVersion:
+    """The previous version of a file, its text and facts, with its methods
+    indexed for a parse of the new version: by _method_head, and those with
+    a body longer than _BODY_KEY by the body's first _BODY_KEY characters."""
+
+    def __init__(self, source: str, facts: SourceFacts):
+        self.source = source
+        self.heads: dict[str, list[MethodFacts]] = {}
+        self.bodies: dict[str, list[MethodDecl]] = {}
+        for _q, cls in facts.all_classes():
+            for m in cls.methods:
+                self.heads.setdefault(_method_head(source, m.byte_range[0]), []).append(m)
+                if len(m.body_text) > _BODY_KEY:
+                    self.bodies.setdefault(m.body_text[:_BODY_KEY], []).append(m.decl)
+
+    def body_at(self, source: str, start: int) -> MethodDecl | None:
+        """A method whose body text source holds at start, if any."""
+        for decl in self.bodies.get(source[start : start + _BODY_KEY], ()):
+            if source.startswith(decl.body_text, start):
+                return decl
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -489,10 +568,18 @@ class _Parser:
     steps over is never lexed; a line is computed only where a fact or an
     error needs one.  Each method takes the comment spans inside its body;
     the others are collected in outer_comments.
+
+    Given the old version of the file, its text and facts, the parser takes
+    each method the edit left whole from them (see reuse_method).
     """
 
     def __init__(
-        self, source: str, line_starts: list[int], closers: dict[int, int], comments: list[tuple[str, int, int]]
+        self,
+        source: str,
+        line_starts: list[int],
+        closers: dict[int, int],
+        comments: list[tuple[str, int, int]],
+        old: _OldVersion | None = None,
     ):
         self.source = source
         self.line_starts = line_starts
@@ -512,6 +599,7 @@ class _Parser:
         self.nesting = 0
         # (kind, qualified name, decl line, decl start offset, body span)
         self.decl_index: list[tuple[str, str, int, int, tuple[int, int]]] = []
+        self.old = old
 
     # -- token helpers -----------------------------------------------------
 
@@ -537,9 +625,20 @@ class _Parser:
                 return None
         return k
 
+    def next_start(self) -> int:
+        """The offset of the next token, lexing nothing past it."""
+        if self.pos < len(self.texts):
+            return self.starts[self.pos]
+        at = self.lexed
+        while (m := _TOKEN_RE.match(self.source, at)).lastgroup in ("line_comment", "block_comment"):
+            at = m.end()
+        return m.start(m.lastgroup) if m.lastgroup else len(self.source)
+
     def at(self, text: str, offset: int = 0) -> bool:
-        k = self.peek(offset)
-        return k is not None and self.texts[k] == text
+        k = self.pos + offset
+        if k >= len(self.texts) and self.peek(offset) is None:
+            return False
+        return self.texts[k] == text
 
     def take(self) -> int:
         self.pos += 1
@@ -574,7 +673,9 @@ class _Parser:
         start = self.pos
         opener = self.expect(open_text, "to open a balanced region")
         if open_text == "{":
-            close = self.closers[self.starts[opener]]
+            close = self.closers.get(self.starts[opener])
+            if close is None:  # inside a body whose braces a scan given the old version left out
+                raise ParseError(self.line(opener), "brace not in the layout")
             for column in (self.kinds, self.texts, self.starts, self.ends):
                 del column[self.pos :]  # lookahead read past the '{' lies inside the region
             self.kinds.append("punct")
@@ -615,6 +716,43 @@ class _Parser:
             elif text == ">>>":
                 depth -= 3
             self.take()
+
+    def reuse_method(self, qname: str) -> MethodFacts | None:
+        """The method of class qname at the next token, taken from the old
+        version when the edit left its text whole, and stepped over; None
+        when the parser must read it.
+
+        A method of the old version in the same class whose text the source
+        holds from the next token on is the same method: from a token start
+        in the same class body, the same text lexes and parses to the same
+        facts.  Only its positions are its own, and the comments before its
+        body are counted as parse_method_rest counts them.
+        """
+        start = self.next_start()
+        for old in self.old.heads.get(_method_head(self.source, start), ()):
+            old_start, old_end = old.byte_range
+            if old.owner == qname and self.source.startswith(self.old.source[old_start:old_end], start):
+                end = start + old_end - old_start
+                break
+        else:
+            return None
+        decl = old.decl
+        body_start, body_line = end - len(decl.body_text), 0
+        if decl.body_text:
+            lo = bisect_left(self.comment_starts, body_start)
+            self.outer_comments += self.comments[self.next_comment : lo]
+            self.next_comment = lo + len(decl.body_comments)
+            body_line = bisect_right(self.line_starts, body_start) + 1
+        self.decl_index.append(
+            ("method", f"{qname}.{decl.name}", bisect_right(self.line_starts, start) + 1, start, (body_start, end))
+        )
+        if self.pos < len(self.texts):
+            for column in (self.kinds, self.texts, self.starts, self.ends):
+                del column[self.pos :]  # lookahead read into the method
+        self.lexed = end
+        if (start, body_line, len(self.outer_comments)) == (old_start, old.body_line, old.comments_before):
+            return old
+        return MethodFacts(decl, (start, end), body_line, len(self.outer_comments))
 
     # -- text helpers --------------------------------------------------------
 
@@ -729,8 +867,8 @@ class _Parser:
         self.nesting += 1
         fields, methods, inners = self.parse_class_body(name, qname, kind)
         self.nesting -= 1
-        start_off, end_off = self.starts[first], self.ends[self.pos - 1]
-        self.decl_index.append(("class", qname, self.line(first), start_off, (self.starts[open_tok], end_off)))
+        body = (self.starts[open_tok], self.ends[self.pos - 1])
+        self.decl_index.append(("class", qname, self.line(first), self.starts[first], body))
         self.check_uniqueness(qname, self.line(name_tok), fields, methods)
         return ClassFacts(
             name=name,
@@ -739,13 +877,16 @@ class _Parser:
             annotations=tuple(annos),
             extends_types=tuple(extends_types),
             implements_types=tuple(implements_types),
-            fields=tuple(fields),
+            fields=tuple(f for f, _name_tok in fields),
             methods=tuple(methods),
             inner_classes=tuple(inners),
-            byte_range=(start_off, end_off),
         )
 
-    def check_uniqueness(self, qname: str, line: int, fields: list[FieldFacts], methods: list[MethodFacts]) -> None:
+    def check_uniqueness(
+        self, qname: str, line: int, fields: list[tuple[FieldFacts, int]], methods: list[MethodFacts]
+    ) -> None:
+        """fields pairs each field with its name token, whose line a
+        duplicate field's error takes."""
         seen_sig: set[tuple[str, tuple[str, ...]]] = set()
         for m in methods:
             sig = m.signature()
@@ -753,9 +894,9 @@ class _Parser:
                 raise ParseError(line, f"duplicate method signature {qname}.{sig[0]}({', '.join(sig[1])})")
             seen_sig.add(sig)
         seen_fields: set[str] = set()
-        for f in fields:
+        for f, name_tok in fields:
             if f.name in seen_fields:
-                raise ParseError(f.line, f"duplicate field {qname}.{f.name}")
+                raise ParseError(self.line(name_tok), f"duplicate field {qname}.{f.name}")
             seen_fields.add(f.name)
 
     def read_type_list(self) -> list[str]:
@@ -791,13 +932,16 @@ class _Parser:
 
     def parse_class_body(
         self, simple_name: str, qname: str, kind: str
-    ) -> tuple[list[FieldFacts], list[MethodFacts], list[ClassFacts]]:
-        fields: list[FieldFacts] = []
+    ) -> tuple[list[tuple[FieldFacts, int]], list[MethodFacts], list[ClassFacts]]:
+        fields: list[tuple[FieldFacts, int]] = []
         methods: list[MethodFacts] = []
         inners: list[ClassFacts] = []
         if kind == "enum":
             self.parse_enum_constants(simple_name, fields)
         while True:
+            if self.old is not None and (reused := self.reuse_method(qname)) is not None:
+                methods.append(reused)
+                continue
             t = self.peek()
             if t is None:
                 raise ParseError(self.here(), f"unclosed body of {qname}")
@@ -817,7 +961,7 @@ class _Parser:
                 continue
             self.parse_member(simple_name, qname, fields, methods, inners)
 
-    def parse_enum_constants(self, simple_name: str, fields: list[FieldFacts]) -> None:
+    def parse_enum_constants(self, simple_name: str, fields: list[tuple[FieldFacts, int]]) -> None:
         while True:
             if self.at(";"):
                 self.take()
@@ -832,16 +976,16 @@ class _Parser:
                 self.skip_balanced("(", ")")
             if self.at("{"):
                 self.skip_balanced("{", "}")
-            fields.append(
+            fields.append((
                 FieldFacts(
                     name=self.texts[name_tok],
                     type_text=simple_name,
                     modifiers=frozenset({"public", "static", "final"}),
                     annotations=tuple(annos),
-                    line=self.line(name_tok),
                     is_enum_constant=True,
-                )
-            )
+                ),
+                name_tok,
+            ))
             if self.at(","):
                 self.take()
                 continue
@@ -850,7 +994,7 @@ class _Parser:
         self,
         simple_name: str,
         qname: str,
-        fields: list[FieldFacts],
+        fields: list[tuple[FieldFacts, int]],
         methods: list[MethodFacts],
         inners: list[ClassFacts],
     ) -> None:
@@ -901,15 +1045,10 @@ class _Parser:
                     elif depth == 0 and text in (",", ";"):
                         break
                     self.take()
-            fields.append(
-                FieldFacts(
-                    name=decl_name,
-                    type_text=decl_type,
-                    modifiers=frozenset(mods),
-                    annotations=tuple(annos),
-                    line=self.line(name_tok),
-                )
-            )
+            fields.append((
+                FieldFacts(name=decl_name, type_text=decl_type, modifiers=frozenset(mods), annotations=tuple(annos)),
+                name_tok,
+            ))
             if self.at(","):
                 self.take()
                 name_tok = self.expect_ident("as field name")
@@ -954,6 +1093,11 @@ class _Parser:
             if self.at(","):
                 self.take()
         self.expect(")", "to close parameter list")
+        while return_type is not None and self.at("[") and self.at("]", 1):
+            # dimensions after the parameter list belong to the return type (JLS 8.4)
+            self.take()
+            self.take()
+            return_type += "[]"
         thrown: list[str] = []
         if self.at("throws"):
             self.take()
@@ -969,7 +1113,8 @@ class _Parser:
             hi = bisect_left(self.comment_starts, end_off, lo)
             self.outer_comments += self.comments[self.next_comment : lo]
             self.next_comment = hi
-            body_comments = tuple(self.comments[lo:hi])
+            base = body_span[0]
+            body_comments = tuple((group, start - base, end - base) for group, start, end in self.comments[lo:hi])
         elif self.at("default"):
             # an annotation-type element's default value (JLS 9.6.2): dropped
             self.take()
@@ -984,20 +1129,18 @@ class _Parser:
             body_span = (end_off, end_off)
         start_off = self.starts[first]
         self.decl_index.append(("method", f"{qname}.{name}", self.line(first), start_off, body_span))
-        return MethodFacts(
+        decl = MethodDecl(
             name=name,
             return_type=return_type,
             parameters=tuple(params),
             modifiers=frozenset(mods),
             annotations=tuple(annos),
             thrown_exceptions=tuple(thrown),
-            byte_range=(start_off, end_off),
             body_text=body_text,
-            body_line=body_line,
             owner=qname,
             body_comments=body_comments,
-            comments_before=len(self.outer_comments),
         )
+        return MethodFacts(decl, (start_off, end_off), body_line, len(self.outer_comments))
 
 
 # ---------------------------------------------------------------------------
@@ -1446,15 +1589,15 @@ def _resolve_attachments(
         # on top contains the comment, and any span opened inside it lies above
         while open_bodies and open_bodies[-1][0][1] < end:
             open_bodies.pop()
-        raw = _raw_comment(group, source[start:end], bisect_right(line_starts, start) + 1, start, end)
+        end_line = bisect_right(line_starts, end - 1) + 1  # the line of the comment's last character
         k = bisect_left(starts, end)
-        if k < len(decls) and 0 <= decls[k][2] - raw.end_line <= _ATTACH_WINDOW_LINES:
+        if k < len(decls) and 0 <= decls[k][2] - end_line <= _ATTACH_WINDOW_LINES:
             attachment = f"{decls[k][0]}:{decls[k][1]}"
         elif open_bodies:
             attachment = f"class:{open_bodies[-1][1]}"
         else:
             attachment = "file"
-        facts.append(_comment_facts(raw, attachment))
+        facts.append(_comment_facts(*_comment_text(group, source[start:end]), attachment))
     return facts
 
 
@@ -1463,17 +1606,32 @@ def _resolve_attachments(
 # ---------------------------------------------------------------------------
 
 
-def parse_java(source: str, path: str = "<memory>") -> SourceFacts:
+def parse_java(source: str, path: str = "<memory>", old: tuple[str, SourceFacts] | None = None) -> SourceFacts:
     """Parse Java source text into declaration-level facts.
 
     Total over the supported subset; unrecognized body constructs degrade to
     StatementFacts of kind 'other'. Raises ParseError for unbalanced braces,
     unterminated comments/strings, duplicate declarations, or inputs without
     a type declaration.
+
+    old is the text and facts of the file's previous version, if any: the
+    methods the edit left whole are then taken from them, not parsed again.
+    The facts are those of a parse without old; on a ParseError the source
+    is parsed again without old, so the error is that parse's.
     """
+    if old is not None:
+        try:
+            return _parse_java(source, path, old)
+        except ParseError:
+            pass
+    return _parse_java(source, path, None)
+
+
+def _parse_java(source: str, path: str, old: tuple[str, SourceFacts] | None) -> SourceFacts:
+    old_version = _OldVersion(*old) if old is not None else None
     line_starts = _line_starts(source)
-    spans, closers = _scan_layout(source, line_starts, path)
-    parser = _Parser(source, line_starts, closers, spans)
+    spans, closers = _scan_layout(source, line_starts, path, old_version)
+    parser = _Parser(source, line_starts, closers, spans, old_version)
     package, imports, classes = parser.parse_unit()
     if not classes:
         raise ParseError(1, f"no type declaration in {path}")
@@ -1519,5 +1677,5 @@ def extract_comments(source: str) -> list[CommentFacts]:
         facts = parse_java(source)
     except ParseError:
         _rows, raw_comments = _lex(source, lenient=True)
-        return [_comment_facts(raw, "file") for raw in raw_comments]
+        return [_comment_facts(raw.kind, raw.text, "file") for raw in raw_comments]
     return merge_inline_comments(facts.comments, [m for _q, cls in facts.all_classes() for m in cls.methods])

@@ -455,13 +455,7 @@ def _token_count(text: str) -> int:
 
 
 def _comment_facts(raw: _RawComment, attachment: str) -> CommentFacts:
-    return CommentFacts(
-        kind=raw.kind,
-        text=raw.text,
-        token_count=_token_count(raw.text),
-        line_range=(raw.start_line, raw.end_line),
-        attachment=attachment,
-    )
+    return CommentFacts(kind=raw.kind, text=raw.text, token_count=_token_count(raw.text), attachment=attachment)
 
 
 _ATTACH_WINDOW_LINES = 2
@@ -480,6 +474,7 @@ def resolve_attachments_oracle(
     decls = sorted(decl_index, key=lambda d: d[3])
     facts: list[CommentFacts] = []
     doc_candidates: dict[str, CommentFacts] = {}
+    doc_lines: dict[str, tuple[int, int]] = {}  # the line range of each doc candidate
     for raw in raw_comments:
         attachment = None
         target_qname = None
@@ -512,9 +507,10 @@ def resolve_attachments_oracle(
         facts.append(fact)
         if target_qname is not None:
             # closest comment wins as the doc comment
-            prev = doc_candidates.get(target_qname)
-            if prev is None or fact.line_range > prev.line_range:
+            prev = doc_lines.get(target_qname)
+            if prev is None or (raw.start_line, raw.end_line) > prev:
                 doc_candidates[target_qname] = fact
+                doc_lines[target_qname] = (raw.start_line, raw.end_line)
     return facts, doc_candidates
 
 
@@ -534,10 +530,14 @@ def resolve_attachments_oracle(
 # annotation's target and line and a field's initializer text, which no stage
 # read, it builds the package's shapes: an annotation is its name and
 # arguments, and a field initializer is stepped over, not joined into text.
-# One fix is mirrored from the package: parse_type_decl takes the modifiers
-# and annotations its caller read, so an annotated inner type's declaration
+# Since the fact types lost a comment's line range, a field's line and a
+# class's byte range, which no stage read, it builds those shapes too; a
+# duplicate field's error still takes the line of its name token.  Two fixes
+# are mirrored from the package: parse_type_decl takes the modifiers and
+# annotations its caller read, so an annotated inner type's declaration
 # starts at its first modifier or annotation and its doc comment attaches to
-# it.
+# it; and array dimensions after a method's parameter list (`int m()[]`,
+# JLS 8.4) belong to its return type.
 
 MODIFIER_WORDS = {
     "public", "protected", "private", "abstract", "static", "final",
@@ -565,6 +565,12 @@ class EagerMethodFacts:
     @property
     def is_constructor(self) -> bool:
         return self.return_type is None
+
+    @property
+    def decl(self) -> EagerMethodFacts:
+        """The package splits a method into a position-free MethodDecl and its
+        positions; these facts are not split, so the whole stands for it."""
+        return self
 
     def signature(self) -> tuple[str, tuple[str, ...]]:
         return (self.name, tuple(t for t, _ in self.parameters))
@@ -791,13 +797,12 @@ class _Parser:
             annotations=tuple(annos),
             extends_types=tuple(extends_types),
             implements_types=tuple(implements_types),
-            fields=tuple(fields),
+            fields=tuple(f for f, _line in fields),
             methods=tuple(methods),
             inner_classes=tuple(inners),
-            byte_range=(start_off, close.end),
         )
 
-    def check_uniqueness(self, qname: str, line: int, fields: list[FieldFacts], methods: list[MethodFacts]) -> None:
+    def check_uniqueness(self, qname: str, line: int, fields: list, methods: list[MethodFacts]) -> None:
         seen_sig: set[tuple[str, tuple[str, ...]]] = set()
         for m in methods:
             sig = m.signature()
@@ -805,9 +810,9 @@ class _Parser:
                 raise ParseError(line, f"duplicate method signature {qname}.{sig[0]}({', '.join(sig[1])})")
             seen_sig.add(sig)
         seen_fields: set[str] = set()
-        for f in fields:
+        for f, field_line in fields:
             if f.name in seen_fields:
-                raise ParseError(f.line, f"duplicate field {qname}.{f.name}")
+                raise ParseError(field_line, f"duplicate field {qname}.{f.name}")
             seen_fields.add(f.name)
 
     def read_type_list(self, stop_words: tuple[str, ...]) -> list[str]:
@@ -849,8 +854,8 @@ class _Parser:
 
     def parse_class_body(
         self, simple_name: str, qname: str, kind: str
-    ) -> tuple[list[FieldFacts], list[MethodFacts], list[ClassFacts]]:
-        fields: list[FieldFacts] = []
+    ) -> tuple[list[tuple[FieldFacts, int]], list[MethodFacts], list[ClassFacts]]:
+        fields: list[tuple[FieldFacts, int]] = []  # each field with its name token's line
         methods: list[MethodFacts] = []
         inners: list[ClassFacts] = []
         if kind == "enum":
@@ -874,7 +879,7 @@ class _Parser:
                 continue
             self.parse_member(simple_name, qname, fields, methods, inners)
 
-    def parse_enum_constants(self, simple_name: str, fields: list[FieldFacts]) -> None:
+    def parse_enum_constants(self, simple_name: str, fields: list[tuple[FieldFacts, int]]) -> None:
         while True:
             t = self.peek()
             if t is None or t.text in (";", "}"):
@@ -889,16 +894,16 @@ class _Parser:
                 self.skip_balanced("(", ")")
             if self.at("{"):
                 self.skip_balanced("{", "}")
-            fields.append(
+            fields.append((
                 FieldFacts(
                     name=name_tok.text,
                     type_text=simple_name,
                     modifiers=frozenset({"public", "static", "final"}),
                     annotations=tuple(annos),
-                    line=name_tok.line,
                     is_enum_constant=True,
-                )
-            )
+                ),
+                name_tok.line,
+            ))
             if self.at(","):
                 self.take()
                 continue
@@ -907,7 +912,7 @@ class _Parser:
         self,
         simple_name: str,
         qname: str,
-        fields: list[FieldFacts],
+        fields: list[tuple[FieldFacts, int]],
         methods: list[MethodFacts],
         inners: list[ClassFacts],
     ) -> None:
@@ -957,15 +962,10 @@ class _Parser:
                     elif depth == 0 and tok.text in (",", ";"):
                         break
                     self.take()
-            fields.append(
-                FieldFacts(
-                    name=decl_name,
-                    type_text=decl_type,
-                    modifiers=frozenset(mods),
-                    annotations=tuple(annos),
-                    line=name_tok.line,
-                )
-            )
+            fields.append((
+                FieldFacts(name=decl_name, type_text=decl_type, modifiers=frozenset(mods), annotations=tuple(annos)),
+                name_tok.line,
+            ))
             if self.at(","):
                 self.take()
                 name_tok = self.expect_ident("as field name")
@@ -1009,6 +1009,10 @@ class _Parser:
             if self.at(","):
                 self.take()
         self.expect(")", "to close parameter list")
+        while return_type is not None and self.at("[") and self.at("]", 1):
+            self.take()
+            self.take()
+            return_type += "[]"
         thrown: list[str] = []
         if self.at("throws"):
             self.take()
@@ -1347,13 +1351,14 @@ def _match_braces(tokens: list[_Token], path: str) -> dict[int, int]:
     return match
 
 
-def parse_java_oracle(source: str, path: str = "<memory>") -> SourceFacts:
+def parse_java_oracle(source: str, path: str = "<memory>", old: object = None) -> SourceFacts:
     """Parse Java source text into declaration-level facts.
 
     Total over the supported subset; unrecognized body constructs degrade to
     StatementFacts of kind 'other'. Raises ParseError for unbalanced braces,
     unterminated comments/strings, duplicate declarations, or inputs without
-    a type declaration.
+    a type declaration.  The previous version of the file, old, is not read:
+    the original always parses the whole text.
     """
     tokens, raw_comments = lex_oracle(source, lenient=False)
     parser = _Parser(tokens, _blank_comments(source, raw_comments), _match_braces(tokens, path))
@@ -1413,6 +1418,7 @@ def sweep_attachments_oracle(
     next_body = 0
     facts: list[CommentFacts] = []
     doc_candidates: dict[str, CommentFacts] = {}
+    doc_lines: dict[str, tuple[int, int]] = {}  # the line range of each doc candidate
     for raw in raw_comments:
         while next_body < len(bodies) and bodies[next_body][4][0] < raw.start:
             open_bodies.append(bodies[next_body])
@@ -1435,9 +1441,10 @@ def sweep_attachments_oracle(
         facts.append(fact)
         if target_qname is not None:
             # closest comment wins as the doc comment
-            prev = doc_candidates.get(target_qname)
-            if prev is None or fact.line_range > prev.line_range:
+            prev = doc_lines.get(target_qname)
+            if prev is None or (raw.start_line, raw.end_line) > prev:
                 doc_candidates[target_qname] = fact
+                doc_lines[target_qname] = (raw.start_line, raw.end_line)
     return facts, doc_candidates
 
 

@@ -179,7 +179,7 @@ def test_criterion_comment_categorization():
     """Keyword and length rules, their priority order, and elicitation of
     the motivating inline comment."""
     def fake(kind: str, text: str) -> CommentFacts:
-        return CommentFacts(kind, text, len(text.split()), (1, 1), "file")
+        return CommentFacts(kind, text, len(text.split()), "file")
 
     assert categorize_comment(fake("line", "covered by the MIT License")) == "license"
     assert categorize_comment(fake("line", "TODO: revisit")) == "todo"

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 import condenser.changeset as changeset
 import oracles
 from condenser.changeset import _lcs_align, _match_methods, _min_overlap, _pair_modifications
-from condenser.javafacts import MethodFacts, StatementFacts
+from condenser.javafacts import MethodDecl, MethodFacts, StatementFacts
 from condenser.metrics import TokenSeq, rouge_l
 from condenser.sequences import lcs_length
 from oracles import (
@@ -152,12 +152,14 @@ def _methods(draw):
         )
         out.append(
             MethodFacts(
-                name=draw(st.sampled_from(["f", "g", "h"])),
-                return_type="void",
-                parameters=params,
-                modifiers=frozenset(),
-                annotations=(),
-                thrown_exceptions=(),
+                MethodDecl(
+                    name=draw(st.sampled_from(["f", "g", "h"])),
+                    return_type="void",
+                    parameters=params,
+                    modifiers=frozenset(),
+                    annotations=(),
+                    thrown_exceptions=(),
+                ),
                 # a small range of spans makes value-equal duplicates likely
                 byte_range=(draw(st.integers(0, 2)), 0),
             )

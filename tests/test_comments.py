@@ -18,7 +18,6 @@ def comment(kind: str, text: str, attachment: str = "file") -> CommentFacts:
         kind=kind,
         text=text,
         token_count=len(text.split()),
-        line_range=(1, 1),
         attachment=attachment,
     )
 
@@ -238,7 +237,7 @@ def test_category_partition_is_reproducible():
     for c in elicited:
         assert c.category in ("javadoc", "license", "todo", "general")
         recomputed = categorize_comment(
-            CommentFacts("line", c.text, len(c.text.split()), (1, 1), c.attachment)
+            CommentFacts("line", c.text, len(c.text.split()), c.attachment)
         )
         if "license" in c.text.lower():
             assert recomputed == "license"

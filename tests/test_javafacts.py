@@ -7,6 +7,7 @@ import pytest
 from condenser.javafacts import (
     ParseError,
     SourceFacts,
+    _lex,
     extract_comments,
     parse_java,
     sort_modifiers,
@@ -227,7 +228,17 @@ def test_doc_comment_attaches_through_annotations_to_inner_class():
     [inner] = facts.classes[0].inner_classes
     assert inner.modifiers == {"static"}
     assert [(a.name, a.argument_text) for a in inner.annotations] == [("Deprecated", None), ("SuppressWarnings", '"x"')]
-    assert src[inner.byte_range[0] : inner.byte_range[1]].startswith("@Deprecated")
+
+
+def test_dimensions_after_the_parameter_list_belong_to_the_return_type():
+    # JLS 8.4 keeps `int m()[]` for compatibility: m returns int[]
+    facts = parse_java("class C {\n  int m()[] { return null; }\n  String[] n(int k)[][] throws E;\n}")
+    assert [(m.name, m.return_type, m.parameters, m.thrown_exceptions) for m in facts.classes[0].methods] == [
+        ("m", "int[]", (), ()),
+        ("n", "String[][][]", (("int", "k"),), ("E",)),
+    ]
+    with pytest.raises(ParseError, match="expected ';' after abstract method"):
+        parse_java("class C { C()[] { } }")  # a constructor has no return type to take them
 
 
 def test_array_types_render_tight():
@@ -301,9 +312,10 @@ def test_lines_count_the_newline_inside_a_wrapped_literal():
 
 
 def test_lenient_comment_lines_count_the_newline_an_open_literal_ends_at():
-    comments = extract_comments("it's fine // a comment\nint x; /* b */\n")
+    src = "it's fine // a comment\nint x; /* b */\n"
     # the apostrophe opens a char literal that swallows the line comment
-    assert [(c.text, c.line_range) for c in comments] == [(" b ", (2, 2))]
+    assert [c.text for c in extract_comments(src)] == [" b "]
+    assert [(c.text, c.start_line, c.end_line) for c in _lex(src, lenient=True)[1]] == [(" b ", 2, 2)]
 
 
 def test_anonymous_class_stays_one_statement():
@@ -332,13 +344,11 @@ def test_byte_ranges_nested():
     )
     facts = parse_java(src)
     outer = facts.classes[0]
-    assert 0 <= outer.byte_range[0] < outer.byte_range[1] <= len(src)
     inner = outer.inner_classes[0]
-    assert outer.byte_range[0] < inner.byte_range[0] < inner.byte_range[1] < outer.byte_range[1]
-    innermost = inner.inner_classes[0]
-    assert inner.byte_range[0] < innermost.byte_range[0] < innermost.byte_range[1] < inner.byte_range[1]
-    method = outer.methods[0]
-    assert outer.byte_range[0] < method.byte_range[0] < method.byte_range[1] < outer.byte_range[1]
+    assert [c.name for c in inner.inner_classes] == ["Innermost"]
+    [method] = outer.methods
+    assert src[slice(*method.byte_range)] == "void f() { g(); }"
+    assert (method.body_text, method.body_line) == ("{ g(); }", 6)
 
 
 def test_inner_class_containment_is_a_forest():
@@ -420,11 +430,13 @@ def test_body_comments_are_built_on_first_read_with_their_lines():
     facts = parse_java(src)
     assert facts.comments == ()
     method = facts.classes[0].inner_classes[0].methods[0]
-    assert "inline_comments" not in vars(method)
-    assert [(c.kind, c.text, c.line_range, c.attachment) for c in method.inline_comments] == [
-        ("line", " first", (3, 3), "inline:C.D.f"),
-        ("block", " second\n               spans two lines ", (4, 5), "inline:C.D.f"),
-        ("line", " last", (6, 6), "inline:C.D.f"),
+    # spans are offsets into the body text
+    assert [method.body_text[s:e] for _group, s, e in method.body_comments][::2] == ["// first", "// last"]
+    assert "inline_comments" not in vars(method.decl)
+    assert [(c.kind, c.text, c.attachment) for c in method.inline_comments] == [
+        ("line", " first", "inline:C.D.f"),
+        ("block", " second\n               spans two lines ", "inline:C.D.f"),
+        ("line", " last", "inline:C.D.f"),
     ]
     assert method.inline_comments is method.inline_comments
     # the last comment ends two lines above g(), but the body it sits in owns it

@@ -53,7 +53,7 @@ _METHOD_FIELDS = (
     "name", "return_type", "parameters", "modifiers", "annotations",
     "thrown_exceptions", "body_statements", "byte_range",
 )
-_LINE_FIELDS = {"line", "line_range"}
+_LINE_FIELDS = {"line"}
 
 
 def _plain(value, lines: bool):
@@ -326,9 +326,9 @@ def built_comments(monkeypatch) -> list[str]:
     calls: list[str] = []
     build = javafacts._comment_facts
 
-    def spy(raw, attachment):
+    def spy(kind, text, attachment):
         calls.append(attachment)
-        return build(raw, attachment)
+        return build(kind, text, attachment)
 
     monkeypatch.setattr(javafacts, "_comment_facts", spy)
     return calls
