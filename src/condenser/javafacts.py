@@ -51,7 +51,8 @@ and the MethodFacts around it holds where it sits (its offsets, body line
 and the count of comments before its body).  Body comment spans are offsets
 into the body text, so they move with it.  The coarse pass does not scan
 into a '{' that opens the text of an old method's body; it takes that
-body's comments, moved.  At each member of a class body the parser looks
+body's comments, moved, and leaves the braces inside out of its map (should
+the parser need one, it raises ParseError).  At each member of a class body the parser looks
 up the old methods of that class whose text starts like the source there;
 one whose whole text the source holds there is stepped over, and its
 MethodDecl is taken with new positions.  From a token start in the same
@@ -674,7 +675,7 @@ class _Parser:
         opener = self.expect(open_text, "to open a balanced region")
         if open_text == "{":
             close = self.closers.get(self.starts[opener])
-            if close is None:  # inside a body whose braces a scan given the old version left out
+            if close is None:  # in text the coarse scan took from an old method's body
                 raise ParseError(self.line(opener), "brace not in the layout")
             for column in (self.kinds, self.texts, self.starts, self.ends):
                 del column[self.pos :]  # lookahead read past the '{' lies inside the region

@@ -91,6 +91,17 @@ def test_fixture_pairs_parse_like_alone():
     assert checked > 40
 
 
+def test_a_class_body_whose_text_was_a_method_body_falls_back():
+    # the coarse scan steps over B's body, the text of the old m's body, and
+    # leaves the braces inside it out of its map; g's body is one of them
+    old = "class A {\n  void m() { class L { void g() { x(); } } }\n}\n"
+    new = "class A {\n  void m() { }\n  class B { class L { void g() { x(); } } }\n}\n"
+    with pytest.raises(ParseError, match="brace not in the layout"):
+        javafacts._parse_java(new, "<memory>", (old, parse_java(old)))
+    assert _assert_pair_parses_like_alone(old, new)
+    assert [c.name for c in parse_java(new, "<memory>", (old, parse_java(old))).classes[0].inner_classes] == ["B"]
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_benchmark_pairs_parse_like_alone(seed, tmp_path):
     pairs = []
