@@ -38,6 +38,7 @@ from condenser.javafacts import (
     ClassFacts,
     CommentFacts,
     FieldFacts,
+    MethodDecl,
     MethodFacts,
     ParseError,
     SourceFacts,

@@ -186,13 +186,10 @@ def condense_commit(commit: CommitInput, config: PipelineConfig | None = None) -
             skipped.append((pair.path, pair.status))
             continue
         try:
-            old_facts = new_facts = SourceFacts.empty()
-            if pair.content_old:
-                old_facts = parse_java(pair.content_old, pair.path_old or pair.path)
-            if pair.content_new:
-                # the new side takes the methods the edit left whole from the old one
-                old = (pair.content_old, old_facts) if pair.content_old else None
-                new_facts = parse_java(pair.content_new, pair.path_new or pair.path, old)
+            old_facts = parse_java(pair.content_old, pair.path_old or pair.path) if pair.content_old else SourceFacts.empty()
+            # the new side takes the methods the edit left whole from the old side
+            old = (pair.content_old, old_facts) if pair.content_old else None
+            new_facts = parse_java(pair.content_new, pair.path_new or pair.path, old) if pair.content_new else SourceFacts.empty()
         except ParseError as exc:
             parse_failures.append(pair.path)
             # structured diagnostic: file, line, severity, message
