@@ -1094,7 +1094,7 @@ class _Parser:
             if self.at(","):
                 self.take()
         self.expect(")", "to close parameter list")
-        while return_type is not None and self.at("[") and self.at("]", 1):
+        while return_type not in (None, "void") and self.at("[") and self.at("]", 1):
             # dimensions after the parameter list belong to the return type (JLS 8.4)
             self.take()
             self.take()

@@ -1009,7 +1009,7 @@ class _Parser:
             if self.at(","):
                 self.take()
         self.expect(")", "to close parameter list")
-        while return_type is not None and self.at("[") and self.at("]", 1):
+        while return_type not in (None, "void") and self.at("[") and self.at("]", 1):
             self.take()
             self.take()
             return_type += "[]"

@@ -237,8 +237,9 @@ def test_dimensions_after_the_parameter_list_belong_to_the_return_type():
         ("m", "int[]", (), ()),
         ("n", "String[][][]", (("int", "k"),), ("E",)),
     ]
-    with pytest.raises(ParseError, match="expected ';' after abstract method"):
-        parse_java("class C { C()[] { } }")  # a constructor has no return type to take them
+    for src in ("class C { C()[] { } }", "class C { void m()[] { } }"):  # no type to take them
+        with pytest.raises(ParseError, match="expected ';' after abstract method"):
+            parse_java(src)
 
 
 def test_array_types_render_tight():
