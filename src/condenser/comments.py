@@ -83,12 +83,13 @@ def _renamed(qname: str, renames: dict[str, str]) -> str:
 
 
 def _keyed(
-    facts: SourceFacts, body_changed: set[str], renames: dict[str, str]
+    facts: SourceFacts, body_changed: set[str], renames: dict[str, str], normalized: dict[str, str]
 ) -> list[tuple[CommentFacts, tuple[str, str]]]:
     """Each comment of one version that can differ from the other version's,
     in source order, with its key: every comment outside method bodies, and
     the inline comments of the methods named in body_changed.  Names are
-    the new version's, so old attachments go through renames."""
+    the new version's, so old attachments go through renames.  normalized
+    caches normalize_comment_text over the texts of both versions."""
     methods: list[MethodFacts] = []
     if body_changed:
         for qname, cls in facts.all_classes():
@@ -101,11 +102,11 @@ def _keyed(
         kind, sep, qname = comment.attachment.partition(":")
         return kind + sep + _renamed(qname, renames)
 
-    # normalizing is the costly part of a key, so each is computed once
-    return [
-        (c, (normalize_comment_text(c.text), attachment(c)))
-        for c in merge_inline_comments(facts.comments, methods)
-    ]
+    # normalizing is the costly part of a key, and both versions hold
+    # mostly the same texts, so each distinct text is normalized once
+    comments = merge_inline_comments(facts.comments, methods)
+    normalized.update((c.text, normalize_comment_text(c.text)) for c in comments if c.text not in normalized)
+    return [(c, (normalized[c.text], attachment(c))) for c in comments]
 
 
 def elicit_comments(
@@ -130,8 +131,9 @@ def elicit_comments(
     for fd in diff.files:
         body_changed.update(f"{cname}.{m.name}" for cname, m in fd.method_added + fd.method_removed)
         body_changed.update(f"{cname}.{new_m.name}" for cname, _old_m, new_m in fd.body_changed)
-    old_keyed = _keyed(old, body_changed, renames)
-    new_keyed = _keyed(new, body_changed, {})
+    normalized: dict[str, str] = {}
+    old_keyed = _keyed(old, body_changed, renames, normalized)
+    new_keyed = _keyed(new, body_changed, {}, normalized)
     old_keys = {key for _c, key in old_keyed}
     new_keys = {key for _c, key in new_keyed}
 

@@ -43,7 +43,7 @@ class IdentifierFilter:
 
     def __post_init__(self):
         for word in self.stoplist:
-            if word != word.lower() or any(ch.isspace() for ch in word):
+            if word != word.lower() or any(map(str.isspace, word)):
                 raise ValueError(f"stoplist entries must be lowercase single words: {word!r}")
 
 

@@ -11,13 +11,18 @@ exact.  METEOR is exact (maximum matches, then minimum chunks) unless its
 chunk search hits _METEOR_SEARCH_CAP; such pairs score with an upper bound
 on chunks, and MetricReport.meteor_capped counts them (`eval` prints a
 warning on stderr when it is non-zero).
+
+METEOR indexes the reference once (token -> positions) for its bounds, its
+forced-pair test, its greedy initial alignment and its search.  The greedy
+lists the maximal common runs once and takes them longest first off a heap,
+splitting a run that earlier rounds cut into when it reaches the top.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from itertools import chain
 
 from condenser.sequences import TOKEN_RE, lcs_length
@@ -184,35 +189,44 @@ def _meteor_search(candidate: tuple[str, ...], reference: tuple[str, ...]) -> tu
 
     No search runs when every shared token occurs once on each side: the
     alignment is then forced, the bigram test is exactly the chunk rule, and
-    starts[0] is the minimum chunk count.
+    starts[0] is the minimum chunk count.  Nor does one run when the greedy
+    bound already equals starts[0].
     """
     nc, nr = len(candidate), len(reference)
-    cand_counts = Counter(candidate)
-    ref_counts = Counter(reference)
-    ref_bigrams = set(zip(reference, reference[1:]))
-    # remaining_possible[i]: max matches candidate[i:] can make;
-    # starts[i]: forced positions k >= i that must start a chunk
-    remaining_possible = [0] * (nc + 1)
-    starts = [0] * (nc + 1)
-    suffix_counts: Counter = Counter()
-    for k in range(nc - 1, -1, -1):
-        token = candidate[k]
-        in_ref = ref_counts[token]
-        suffix_counts[token] += 1
-        remaining_possible[k] = remaining_possible[k + 1] + (suffix_counts[token] <= in_ref)
-        must_start = cand_counts[token] <= in_ref and (k == 0 or (candidate[k - 1], token) not in ref_bigrams)
-        starts[k] = starts[k + 1] + must_start
-    target = remaining_possible[0]
-    if target == 0:
-        return 0, 0, False
-    if all(cand_counts[t] + ref_counts[t] == 2 for t in cand_counts if t in ref_counts):
-        return target, starts[0], False
-
-    best = _greedy_chunks(candidate, reference, target)
+    # the reference index: token -> its positions, ascending
     ref_positions: dict[str, list[int]] = {}
     for j, token in enumerate(reference):
         ref_positions.setdefault(token, []).append(j)
+    ref_bigrams = set(zip(reference, reference[1:]))
+    cand_counts: dict[str, int] = {}
+    for token in candidate:
+        cand_counts[token] = cand_counts.get(token, 0) + 1
+    # remaining_possible[i]: max matches candidate[i:] can make;
+    # starts[i]: forced positions k >= i that must start a chunk;
+    # unspent[t]: occurrences of t in the reference the suffix leaves free
+    remaining_possible = [0] * (nc + 1)
+    starts = [0] * (nc + 1)
+    unspent = {token: len(positions) for token, positions in ref_positions.items()}
+    possible = forced = 0
+    for k in range(nc - 1, -1, -1):
+        token = candidate[k]
+        left = unspent.get(token)
+        if left:
+            unspent[token] = left - 1
+            possible += 1
+            if cand_counts[token] <= len(ref_positions[token]) and (k == 0 or (candidate[k - 1], token) not in ref_bigrams):
+                forced += 1
+        remaining_possible[k] = possible
+        starts[k] = forced
+    target = possible
+    if target == 0:
+        return 0, 0, False
+    if all(count == 1 == len(ref_positions[t]) for t, count in cand_counts.items() if t in ref_positions):
+        return target, starts[0], False
 
+    best = _greedy_chunks(candidate, reference, ref_positions, target)
+    if starts[0] >= best:  # the root node would prune
+        return target, best, False
     # (i, used reference bits, matches, chunks, reference index matched at i-1 or -1)
     stack = [(0, 0, 0, 0, -1)]
     nodes = 0
@@ -240,53 +254,48 @@ def _meteor_search(candidate: tuple[str, ...], reference: tuple[str, ...]) -> tu
     return target, best, False
 
 
-def _greedy_chunks(candidate: tuple[str, ...], reference: tuple[str, ...], target: int) -> int:
+def _greedy_chunks(candidate: tuple[str, ...], reference: tuple[str, ...], ref_positions: dict, target: int) -> int:
     """Chunk count of a greedy longest-common-substring-first alignment.
 
     Each round aligns the longest run of free equal pairs, the first in scan
-    order on ties.  Only run starts are extended: a pair (i, j) whose
-    predecessor (i-1, j-1) is free and equal lies inside a longer run that
-    comes first in scan order, so it can never be chosen.
+    order (i, then j) on ties.  The maximal common runs are listed once, on a
+    heap of (-length, i, j).  The top run is taken when its candidate rows and
+    reference columns are all free; otherwise earlier rounds cut into it, and
+    its free parts go back on the heap.  A part is no longer than its run and
+    starts no earlier in scan order, so runs come off in the order a rescan of
+    the free pairs would pick them.
     """
     nc, nr = len(candidate), len(reference)
-    ref_positions: dict[str, list[int]] = {}
-    for j, token in enumerate(reference):
-        ref_positions.setdefault(token, []).append(j)
+    runs = []
+    for i, token in enumerate(candidate):
+        for j in ref_positions.get(token, ()):
+            if i and j and candidate[i - 1] == reference[j - 1]:
+                continue  # inside the run that starts at (i-1, j-1) or earlier
+            length = 1
+            while i + length < nc and j + length < nr and candidate[i + length] == reference[j + length]:
+                length += 1
+            runs.append((-length, i, j))
+    heapify(runs)
     cand_free = [True] * nc
     ref_free = [True] * nr
-    matched = 0
-    chunks = 0
-    while matched < target:
-        best_len = 0
-        best_pos: tuple[int, int] | None = None
-        for i, token in enumerate(candidate):
-            if not cand_free[i]:
-                continue
-            for j in ref_positions.get(token, ()):
-                if not ref_free[j]:
-                    continue
-                if i and j and cand_free[i - 1] and ref_free[j - 1] and candidate[i - 1] == reference[j - 1]:
-                    continue
-                length = 1
-                while (
-                    i + length < nc
-                    and j + length < nr
-                    and cand_free[i + length]
-                    and ref_free[j + length]
-                    and candidate[i + length] == reference[j + length]
-                ):
-                    length += 1
-                if length > best_len:
-                    best_len = length
-                    best_pos = (i, j)
-        if best_pos is None:
-            break
-        i, j = best_pos
-        for k in range(best_len):
-            cand_free[i + k] = False
-            ref_free[j + k] = False
-        matched += best_len
-        chunks += 1
+    matched = chunks = 0
+    while matched < target and runs:
+        neg_length, i, j = heappop(runs)
+        if all(cand_free[i : i - neg_length]) and all(ref_free[j : j - neg_length]):
+            cand_free[i : i - neg_length] = ref_free[j : j - neg_length] = [False] * -neg_length
+            matched -= neg_length
+            chunks += 1
+            continue
+        part = -1  # offset where the current free part began
+        for t in range(-neg_length):
+            if cand_free[i + t] and ref_free[j + t]:
+                if part < 0:
+                    part = t
+            elif part >= 0:
+                heappush(runs, (part - t, i + part, j + part))
+                part = -1
+        if part >= 0:
+            heappush(runs, (part + neg_length, i + part, j + part))
     return chunks if matched >= target else chunks + (target - matched)
 
 

@@ -19,15 +19,13 @@ __all__ = ["TOKEN_RE", "lcs_length", "lcs_rows", "split_lines"]
 # word runs plus standalone punctuation marks
 TOKEN_RE = re.compile(r"\w+|[^\w\s]")
 
-_LINE_END_RE = re.compile(r"\r\n|\r|\n")
-
 
 def split_lines(text: str) -> list[str]:
     """The lines of text, split at "\\r\\n", "\\r" and "\\n" only, the Java
     line terminators (JLS 3.4): a form feed, U+2028 or any other break that
     str.splitlines() honours stays inside its line. As with splitlines(), no
     empty line follows a final terminator and an empty text has none."""
-    lines = _LINE_END_RE.split(text)
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     if lines[-1] == "":
         lines.pop()
     return lines
