@@ -11,10 +11,15 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from condenser.sequences import split_lines
+
+if TYPE_CHECKING:
+    from condenser.identifiers import IdentifierFilter
 
 DEFAULT_BUDGET = 1024
 DEFAULT_TARGET_TOKENS = 128
@@ -71,6 +76,14 @@ class PipelineConfig:
     timeout: float = 30.0
     prompt_field: str = "prompt"
     completion_field: str = "completion"
+
+    @cached_property
+    def identifier_filter(self) -> IdentifierFilter:
+        """The IdentifierFilter of stoplist and min_identifier_length, built
+        (and its stoplist checked) once per configuration."""
+        from condenser.identifiers import IdentifierFilter  # identifiers imports this module
+
+        return IdentifierFilter(stoplist=self.stoplist, min_length=self.min_identifier_length)
 
     def validate(self) -> None:
         if self.budget < 64:

@@ -31,7 +31,6 @@ from condenser.config import PipelineConfig
 from condenser.diffing import CommitInput, FilePair
 from condenser.identifiers import (
     EmphasizedIdentifier,
-    IdentifierFilter,
     apply_filter,
     extract_identifiers,
     identifier_corpus_stats,
@@ -211,10 +210,7 @@ def condense_commit(commit: CommitInput, config: PipelineConfig | None = None) -
         annotations.extend(elicit_annotations(file_diff))
 
     identifiers = extract_identifiers(diff)
-    identifiers = apply_filter(
-        identifiers,
-        IdentifierFilter(stoplist=config.stoplist, min_length=config.min_identifier_length),
-    )
+    identifiers = apply_filter(identifiers, config.identifier_filter)
     template = render(
         commit,
         diff,

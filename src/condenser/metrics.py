@@ -187,20 +187,35 @@ def _meteor_search(candidate: tuple[str, ...], reference: tuple[str, ...]) -> tu
     the reference.  Deterministic; `capped` is True when the search stopped
     after _METEOR_SEARCH_CAP nodes with part of the tree unexplored.
 
-    No search runs when every shared token occurs once on each side: the
-    alignment is then forced, the bigram test is exactly the chunk rule, and
-    starts[0] is the minimum chunk count.  Nor does one run when the greedy
-    bound already equals starts[0].
+    No search runs, and no bound is built, when every shared token occurs
+    once on each side: the alignment is then forced, and a token starts a
+    chunk exactly when the token before it does not match the reference
+    position before its own.  Nor does a search run when the greedy bound
+    already equals starts[0].
     """
     nc, nr = len(candidate), len(reference)
     # the reference index: token -> its positions, ascending
     ref_positions: dict[str, list[int]] = {}
     for j, token in enumerate(reference):
         ref_positions.setdefault(token, []).append(j)
-    ref_bigrams = set(zip(reference, reference[1:]))
     cand_counts: dict[str, int] = {}
     for token in candidate:
         cand_counts[token] = cand_counts.get(token, 0) + 1
+    if all(count == 1 == len(ref_positions[t]) for t, count in cand_counts.items() if t in ref_positions):
+        # forced: each shared token matches its one reference position, and
+        # starts a chunk unless the token before it matches the position before
+        target = chunks = 0
+        prev = -2
+        for token in candidate:
+            positions = ref_positions.get(token)
+            if positions is None:
+                prev = -2
+                continue
+            target += 1
+            chunks += positions[0] != prev + 1
+            prev = positions[0]
+        return target, chunks, False
+    ref_bigrams = set(zip(reference, reference[1:]))
     # remaining_possible[i]: max matches candidate[i:] can make;
     # starts[i]: forced positions k >= i that must start a chunk;
     # unspent[t]: occurrences of t in the reference the suffix leaves free
@@ -218,12 +233,7 @@ def _meteor_search(candidate: tuple[str, ...], reference: tuple[str, ...]) -> tu
                 forced += 1
         remaining_possible[k] = possible
         starts[k] = forced
-    target = possible
-    if target == 0:
-        return 0, 0, False
-    if all(count == 1 == len(ref_positions[t]) for t, count in cand_counts.items() if t in ref_positions):
-        return target, starts[0], False
-
+    target = possible  # at least one: some shared token occurs more than once
     best = _greedy_chunks(candidate, reference, ref_positions, target)
     if starts[0] >= best:  # the root node would prune
         return target, best, False
