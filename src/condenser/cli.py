@@ -38,6 +38,7 @@ from condenser.diffing import (
     reconstruct_pairs,
 )
 from condenser.metrics import EmptyCorpus, EmptyInput, EmptyReference, score_corpus, tokenize_message
+from condenser.sequences import lcs_length, split_lines
 from condenser.templater import BudgetError, template_to_dict
 
 log = logging.getLogger("condenser")
@@ -135,12 +136,48 @@ def _read_tree(root: str) -> dict[str, str]:
     return contents
 
 
+def _renames(old_contents: dict[str, str], new_contents: dict[str, str]) -> dict[str, str]:
+    """Each added .java path mapped to the removed .java path it renames:
+    the most similar one, where similarity is 2*LCS/(|a|+|b|) over the
+    stripped non-empty lines and must be at least 0.5 (git's default rename
+    threshold).  The most similar pair is taken first, ties by path."""
+    added = [path for path in new_contents if path not in old_contents and path.endswith(".java")]
+    removed = [path for path in old_contents if path not in new_contents and path.endswith(".java")]
+    if not (added and removed):
+        return {}
+
+    def lines(text: str) -> list[str]:
+        return [line for line in map(str.strip, split_lines(text)) if line]
+
+    old_lines = {path: lines(old_contents[path]) for path in removed}
+    scored = []
+    for new_path in added:
+        new_lines = lines(new_contents[new_path])
+        for old_path in removed:
+            total = len(new_lines) + len(old_lines[old_path])
+            common = lcs_length(old_lines[old_path], new_lines)
+            if total and 4 * common >= total:
+                scored.append((-2 * common / total, new_path, old_path))
+    renames: dict[str, str] = {}
+    for _score, new_path, old_path in sorted(scored):
+        if new_path not in renames and old_path not in renames.values():
+            renames[new_path] = old_path
+    return renames
+
+
 def _pairs_from_trees(old_contents: dict[str, str], new_contents: dict[str, str]) -> list[FilePair]:
+    """The differing files of two trees, in path order, with each rename (see
+    _renames) one pair at its new path."""
+    renames = _renames(old_contents, new_contents)
+    renamed = set(renames.values())
     pairs: list[FilePair] = []
     for path in sorted(set(old_contents) | set(new_contents)):
-        old, new = old_contents.get(path), new_contents.get(path)
-        if old != new:
-            pairs.append(FilePair(path if old is not None else None, path if new is not None else None, old, new))
+        if path in renamed:
+            continue
+        old_path = renames.get(path, path)
+        old, new = old_contents.get(old_path), new_contents.get(path)
+        if old != new or old_path != path:
+            pairs.append(FilePair(old_path if old is not None else None, path if new is not None else None, old, new))
     return pairs
 
 

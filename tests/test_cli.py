@@ -163,6 +163,42 @@ def test_condense_reads_files_that_diff_ruN_adds_and_deletes(capsys, tmp_path):
     assert "change adding file N.java" in out and "change removing file D.java" in out, out
 
 
+def _write_trees(tmp_path: Path, old_files: dict[str, str], new_files: dict[str, str]) -> tuple[Path, Path]:
+    old_dir, new_dir = tmp_path / "old", tmp_path / "new"
+    for root, files in ((old_dir, old_files), (new_dir, new_files)):
+        root.mkdir()
+        for name, text in files.items():
+            (root / name).parent.mkdir(parents=True, exist_ok=True)
+            (root / name).write_text(text, encoding="utf-8")
+    return old_dir, new_dir
+
+
+def test_condense_reads_a_moved_file_as_a_rename(capsys, tmp_path):
+    body = "package web;\n\nclass SessionStore {\n    int timeout() {\n        return %d;\n    }\n}\n"
+    old_dir, new_dir = _write_trees(
+        tmp_path, {"src/SessionHolder.java": body % 30}, {"src/SessionStore.java": body % 60}
+    )
+    code, out, err = run_cli(
+        capsys, "condense", "--old-dir", str(old_dir), "--new-dir", str(new_dir), "--repo", "r", "--hash", "h"
+    )
+    assert (code, err) == (0, "")
+    assert "change renaming src/SessionHolder.java to src/SessionStore.java" in out, out
+    assert "In method timeout, add a return statement return 60;" in out, out
+    assert "adding file" not in out and "removing file" not in out, out
+
+
+def test_condense_keeps_an_unrelated_added_and_removed_file_apart(capsys, tmp_path):
+    old_dir, new_dir = _write_trees(
+        tmp_path, {"D.java": "class D { void gone() { } }\n"}, {"N.java": "class N { void fresh() { } }\n"}
+    )
+    code, out, err = run_cli(
+        capsys, "condense", "--old-dir", str(old_dir), "--new-dir", str(new_dir), "--repo", "r", "--hash", "h"
+    )
+    assert (code, err) == (0, "")
+    assert "change adding file N.java" in out and "change removing file D.java" in out, out
+    assert "renaming" not in out, out
+
+
 def test_condense_missing_inputs_is_usage_error(capsys):
     code, out, err = run_cli(capsys, "condense", "--repo", "r", "--hash", "h")
     assert code == 2
