@@ -23,8 +23,8 @@ the first time body_statements is read, so the bodies a diff never looks at
 are never lexed.  The same decoder lexes a body into columns that the
 statement scanner indexes in place, and a statement's line is counted only
 at its head, by a running newline count from the previous head.  Elsewhere
-a line comes from bisecting the precomputed newline offsets, only where a
-fact or an error needs one; every newline counts.
+a line is counted on from the last one asked, only where a fact or an
+error needs one; every newline counts.
 
 The two versions of a matched method whose body changed are built together
 (paired_statements), per segment: a coarse regex pass cuts each body at
@@ -44,21 +44,35 @@ file; the declaration comes from bisecting declaration offsets and the
 class from a sweep over the nested class body spans.
 
 A file's new version can be parsed against its old version, given as the
-old text and its facts (parse_java's old argument): the methods the edit
-left whole are not parsed again.  A method fact is split for that: its
+old text and its facts (parse_java's old argument): the text the edit left
+whole is stepped over, not lexed, scanned or parsed again (Wagner & Graham,
+"Efficient and Flexible Incremental Parsing", TOPLAS 1998, restricted to
+whole declarations).  Every parse records where things sit for that: the
+end of the package and imports, each class's first token and body '{', and
+a (start, end, counts of facts before it) entry for each member of a class
+body, besides the spans of the comments outside method bodies and the
+declarations by offset.  In a parse against an old version the coarse pass
+runs only as far as the parser asks, and steps over what the parser steps
+over.  An unchanged package and
+import preamble, and a class header unchanged through its '{', are taken
+whole.  At each member of a class body the parser takes the longest run of
+members of the old class of the same name that the source holds there,
+found with a few string compares: fields, methods, initializers, an enum's
+constants and inner classes, with the comments and space between them.  A
+method whose text up to its body is unchanged keeps its declaration and
+takes the new body.  From a token start in the same class body the same
+text lexes and parses to the same facts, and a run's braces pair off within
+it (a class in which a '{' or '}' does not pair off within its member has
+no member entries, so none of its text is stepped over), so the result is
+that of parsing the new version alone.  A method fact is split for that: its
 MethodDecl holds what the declaration says and is shared by both versions,
 and the MethodFacts around it holds where it sits (its offsets, body line
-and the count of comments before its body).  Body comment spans are offsets
-into the body text, so they move with it.  The coarse pass does not scan
-into a '{' that opens the text of an old method's body; it takes that
-body's comments, moved, and leaves the braces inside out of its map (should
-the parser need one, it raises ParseError).  At each member of a class body the parser looks
-up the old methods of that class whose text starts like the source there;
-one whose whole text the source holds there is stepped over, and its
-MethodDecl is taken with new positions.  From a token start in the same
-class, the same text lexes and parses to the same facts, so the result is
-that of parsing the new version alone.  Any ParseError makes parse_java
-parse the new version alone, so errors are that parse's.
+and the count of comments before its body); body comment spans are offsets
+into the body text.  Facts that did not move are the old objects; moved
+ones take new positions from one offset, one line and one comment count
+delta, and an old comment's facts are kept when its attachment comes out
+the same.  Any ParseError makes parse_java parse the new version alone, so
+errors are that parse's.
 
 All returned facts are immutable in value and safe to share across threads
 (building a method's statements twice gives the same tuple).
@@ -69,10 +83,10 @@ from __future__ import annotations
 import logging
 import re
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import accumulate
-from operator import attrgetter
+from operator import attrgetter, is_, itemgetter
 
 log = logging.getLogger(__name__)
 
@@ -203,7 +217,8 @@ class MethodFacts:
     decl: MethodDecl
     byte_range: tuple[int, int]
     body_line: int = 0  # line of the body's '{'
-    # how many of the file's SourceFacts.comments precede the body
+    # how many of the file's SourceFacts.comments precede the body (the end,
+    # for a method without one)
     comments_before: int = field(default=0, compare=False, repr=False)
 
     name = property(attrgetter("decl.name"))
@@ -236,6 +251,15 @@ class ClassFacts:
     fields: tuple[FieldFacts, ...]
     methods: tuple[MethodFacts, ...]
     inner_classes: tuple[ClassFacts, ...]
+    # where it sits, for a parse of the file's next version: the offsets of
+    # its first token and of its body's '{'
+    header: tuple[int, int] = field(default=(0, 0), compare=False, repr=False)
+    # a (start, end, line, fields, methods, inner classes) entry for each
+    # member of the body (an enum's constants are one, and come first) and
+    # then for its '}': the offsets of its first token and just past its
+    # last, the line it starts on, and the counts of facts before it; none
+    # when a '{' or '}' in the class does not pair off within its member
+    members: tuple[tuple[int, int, int, int, int, int], ...] = field(default=(), compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -253,6 +277,14 @@ class SourceFacts:
     # the comments outside method bodies, in source order; a method's own
     # are its inline_comments
     comments: tuple[CommentFacts, ...] = ()
+    # where things sit, for a parse of the file's next version: the offset
+    # just past the package and import declarations (0 without any), the
+    # (group, start, end) span of each of comments, and a (start, 'class:<C>'
+    # or 'method:<C.m>', body start, body end) entry for each declaration, by
+    # start
+    preamble_end: int = field(default=0, compare=False, repr=False)
+    comment_spans: tuple[tuple[str, int, int], ...] = field(default=(), compare=False, repr=False)
+    decls: tuple[tuple[int, str, int, int], ...] = field(default=(), compare=False, repr=False)
 
     @staticmethod
     def empty() -> "SourceFacts":
@@ -341,7 +373,7 @@ def _line_starts(source: str) -> list[int]:
 
 
 def _decode(
-    text: str, pos: int, endpos: int, line: int, lenient: bool = False
+    text: str, pos: int, endpos: int, line: int, lenient: bool = False, stop: bool = False
 ) -> tuple[list[str], list[str], list[int], list[int], list[tuple[str, int, int]]]:
     """Lex text[pos:endpos] into parallel columns: each code token's kind
     (ident|number|string|char|punct), text, start and end offset; and each
@@ -350,7 +382,8 @@ def _decode(
     One finditer loop over _TOKEN_RE; no Python code runs per character.
     line is the line of text[0]; a ParseError for an unterminated comment
     or literal counts its line from there.  In lenient mode those run to
-    end of input (a literal to its line's end) instead of raising.
+    end of input (a literal to its line's end) instead of raising.  With
+    stop, lexing ends with the first code '{'.
     """
     kinds: list[str] = []
     texts: list[str] = []
@@ -389,6 +422,8 @@ def _decode(
         texts.append(tok)
         starts.append(start)
         ends.append(end)
+        if stop and tok == "{":
+            break
     return kinds, texts, starts, ends, comments
 
 
@@ -444,56 +479,97 @@ _LAYOUT_RE = re.compile(
 )
 
 
-def _scan_layout(
-    source: str, line_starts: list[int], path: str, old: _OldVersion | None = None
-) -> tuple[list[tuple[str, int, int]], dict[int, int]]:
-    """One coarse pass over the whole file: the (group, start, end) span of
-    each comment, its group a _TOKEN_RE group name, and the offset of each
-    code '{' mapped to that of its matching '}'.
+def _line_of(source: str, offset: int) -> int:
+    return source.count("\n", 0, offset) + 1
 
-    Raises ParseError for an unterminated comment or literal (the first in
-    the file) and then for braces that do not balance, with the lines and
-    messages the fine lexer and a brace match over all its tokens give.
 
-    Given the file's old version, a code '{' that opens the text of one of
-    its method bodies is not scanned into: that body's comments are moved
-    to where it sits, and the braces inside it are left out of the map.
+class _Lines:
+    """Line numbers of offsets in a text, counted on from the offset asked
+    last, so that offsets asked in order count each newline once."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.offset = 0
+        self.line = 1
+
+    def at(self, offset: int) -> int:
+        if offset >= self.offset:
+            self.line += self.text.count("\n", self.offset, offset)
+        else:
+            self.line -= self.text.count("\n", offset, self.offset)
+        self.offset = offset
+        return self.line
+
+
+class _Layout:
+    """The coarse pass over a file, scanned as far as it is asked: the
+    (group, start, end) span of each comment, its group a _TOKEN_RE group
+    name, and the offset of each code '{' mapped to that of its matching '}'.
+
+    scan raises ParseError for an unterminated comment or literal, and
+    finish then for braces that do not balance, with the lines and messages
+    the fine lexer and a brace match over all its tokens give.  A parse of a
+    file's next version moves pos over each run of text it takes from the
+    previous version; the braces in such a run pair off within it, so the
+    braces around it pair as a scan through it would pair them.
     """
-    comments: list[tuple[str, int, int]] = []
-    closers: dict[int, int] = {}
-    opened: list[int] = []
-    stray: int | None = None
-    pos = 0
-    while (m := _LAYOUT_RE.match(source, pos)).lastgroup is not None:
-        kind = m.lastgroup
-        pos = m.end()
-        if kind == "open":
-            if old is not None and (body := old.body_at(source, pos - 1)) is not None:
-                closers[pos - 1] = pos - 2 + len(body.body_text)
-                comments += [(group, start + pos - 1, end + pos - 1) for group, start, end in body.body_comments]
-                pos += len(body.body_text) - 1
-            else:
+
+    def __init__(self, source: str, path: str):
+        self.source = source
+        self.path = path
+        self.pos = 0  # source[:pos] is scanned or stepped over
+        self.comments: list[tuple[str, int, int]] = []
+        self.closers: dict[int, int] = {}
+        self.opened: list[int] = []
+        self.stray: int | None = None  # the first '}' that closes nothing
+
+    def scan(self, endpos: int, brace: int = -1) -> None:
+        """Scan on to endpos, which no comment or literal spans, or until the
+        '{' at offset brace is matched."""
+        source, comments, closers, opened = self.source, self.comments, self.closers, self.opened
+        pos = self.pos
+        while pos < endpos:
+            m = _LAYOUT_RE.match(source, pos, endpos)
+            kind = m.lastgroup
+            if kind is None:
+                pos = endpos
+                break
+            pos = m.end()
+            if kind == "open":
                 opened.append(pos - 1)
-        elif kind == "close":
-            if opened:
-                closers[opened.pop()] = pos - 1
-            elif stray is None:
-                stray = pos - 1
-        elif kind == "line_comment" or kind == "block_comment":
-            comments.append((kind, *m.span(kind)))
-        elif kind == "open_comment":
-            raise ParseError(bisect_right(line_starts, m.start(kind)) + 1, "unterminated block comment")
-        elif kind == "open_literal":
-            literal = "string" if m[kind][0] == '"' else "char"
-            raise ParseError(bisect_right(line_starts, m.start(kind)) + 1, f"unterminated {literal} literal")
-    if stray is not None:
-        raise ParseError(bisect_right(line_starts, stray) + 1, f"unbalanced '}}' in {path}")
-    if opened:
-        # the line of the file's last token; the innermost unclosed '{' is a
-        # token boundary, so lexing from it reaches that token
-        last = _decode(source, opened[-1], len(source), 1)[2][-1]
-        raise ParseError(bisect_right(line_starts, last) + 1, f"unbalanced '{{' in {path}")
-    return comments, closers
+            elif kind == "close":
+                if opened:
+                    at = opened.pop()
+                    closers[at] = pos - 1
+                    if at == brace:
+                        break
+                elif self.stray is None:
+                    self.stray = pos - 1
+            elif kind == "line_comment" or kind == "block_comment":
+                comments.append((kind, *m.span(kind)))
+            elif kind == "open_comment":
+                raise ParseError(_line_of(source, m.start(kind)), "unterminated block comment")
+            elif kind == "open_literal":
+                literal = "string" if m[kind][0] == '"' else "char"
+                raise ParseError(_line_of(source, m.start(kind)), f"unterminated {literal} literal")
+        self.pos = pos
+
+    def closer(self, brace: int) -> int | None:
+        """The offset of the '}' that matches the '{' at brace, if any."""
+        if brace not in self.closers:
+            self.scan(len(self.source), brace)
+        return self.closers.get(brace)
+
+    def finish(self) -> None:
+        self.scan(len(self.source))
+        source = self.source
+        if self.stray is not None:
+            raise ParseError(_line_of(source, self.stray), f"unbalanced '}}' in {self.path}")
+        if self.opened:
+            # the line of the file's last token; the innermost unclosed '{' is a
+            # token boundary, so lexing from it reaches that token
+            last = _decode(source, self.opened[-1], len(source), 1)[2][-1]
+            raise ParseError(_line_of(source, last), f"unbalanced '{{' in {self.path}")
 
 
 def _comment_facts(kind: str, text: str, attachment: str) -> CommentFacts:
@@ -518,37 +594,52 @@ def _blank_comments(source: str, comments: list[tuple[str, int, int]]) -> str:
 # ---------------------------------------------------------------------------
 
 
-_BODY_KEY = 32  # how much of a body's text the old version's bodies are looked up by
-
-
-def _method_head(source: str, start: int) -> str:
-    """The text from start to the first '(' after it, at most 200
-    characters: the key a method of the old version is looked up by."""
-    stop = source.find("(", start, start + 200)
-    return source[start : stop if stop >= 0 else start + 200]
+_KEY = 24  # how much of a member's text the old version's members are looked up by
 
 
 class _OldVersion:
-    """The previous version of a file, its text and facts, with its methods
-    indexed for a parse of the new version: by _method_head, and those with
-    a body longer than _BODY_KEY by the body's first _BODY_KEY characters."""
+    """The previous version of a file, its text and facts, with what a parse
+    of the next version looks up in them: the starts of its declarations and
+    comments, and the members of each class body by their first _KEY
+    characters."""
 
     def __init__(self, source: str, facts: SourceFacts):
         self.source = source
-        self.heads: dict[str, list[MethodFacts]] = {}
-        self.bodies: dict[str, list[MethodDecl]] = {}
-        for _q, cls in facts.all_classes():
-            for m in cls.methods:
-                self.heads.setdefault(_method_head(source, m.byte_range[0]), []).append(m)
-                if len(m.body_text) > _BODY_KEY:
-                    self.bodies.setdefault(m.body_text[:_BODY_KEY], []).append(m.decl)
+        self.facts = facts
+        self.decl_starts = [d[0] for d in facts.decls]
+        self.comment_starts = [start for _group, start, _end in facts.comment_spans]
+        self.keys: dict[int, dict[str, list[int]]] = {}  # id of a class -> its members by key
 
-    def body_at(self, source: str, start: int) -> MethodDecl | None:
-        """A method whose body text source holds at start, if any."""
-        for decl in self.bodies.get(source[start : start + _BODY_KEY], ()):
-            if source.startswith(decl.body_text, start):
-                return decl
-        return None
+    def members_at(self, cls: ClassFacts, key: str) -> list[int]:
+        """The members of cls whose text starts with key."""
+        keys = self.keys.get(id(cls))
+        if keys is None:
+            keys = self.keys[id(cls)] = {}
+            text = self.source
+            for k, (at, *_rest) in enumerate(cls.members[:-1]):
+                keys.setdefault(text[at : at + _KEY], []).append(k)
+        return keys.get(key, [])
+
+
+def _moved_method(m: MethodFacts, d: int, lines: int, comments: int) -> MethodFacts:
+    """m moved on by d characters, lines lines and comments outer comments."""
+    if not (d or lines or comments):
+        return m
+    start, end = m.byte_range
+    return MethodFacts(m.decl, (start + d, end + d), m.body_line and m.body_line + lines, m.comments_before + comments)
+
+
+def _moved_class(c: ClassFacts, d: int, lines: int, comments: int) -> ClassFacts:
+    """c moved on by d characters, lines lines and comments outer comments."""
+    if not (d or lines or comments):
+        return c
+    return replace(
+        c,
+        methods=tuple(_moved_method(m, d, lines, comments) for m in c.methods),
+        inner_classes=tuple(_moved_class(inner, d, lines, comments) for inner in c.inner_classes),
+        header=(c.header[0] + d, c.header[1] + d),
+        members=tuple((at + d, end + d, line + lines, *counts) for at, end, line, *counts in c.members),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -560,6 +651,10 @@ class _OldVersion:
 # level) instead of exhausting the interpreter's recursion limit.
 _MAX_TYPE_NESTING = 64
 
+_SPAN_START = itemgetter(1)
+_METHOD_NAME = attrgetter("decl.name")
+_NAME = attrgetter("name")
+
 
 class _Parser:
     """Declaration parser over token columns that are lexed as they are read.
@@ -568,29 +663,17 @@ class _Parser:
     chunks that end just past the next code '{', so a '{' region the parser
     steps over is never lexed; a line is computed only where a fact or an
     error needs one.  Each method takes the comment spans inside its body;
-    the others are collected in outer_comments.
+    the others are collected in outer.
 
-    Given the old version of the file, its text and facts, the parser takes
-    each method the edit left whole from them (see reuse_method).
+    Given the old version of the file, its text and facts, the parser steps
+    over the text the edit left whole and takes its facts from them (see
+    step_run).
     """
 
-    def __init__(
-        self,
-        source: str,
-        line_starts: list[int],
-        closers: dict[int, int],
-        comments: list[tuple[str, int, int]],
-        old: _OldVersion | None = None,
-    ):
+    def __init__(self, source: str, layout: _Layout, old: _OldVersion | None = None):
         self.source = source
-        self.line_starts = line_starts
-        self.closers = closers  # offset of each code '{' -> its '}'
-        self.opens = sorted(closers)
-        self.comments = comments  # (group, start, end) of every comment, in source order
-        self.comment_starts = [start for _group, start, _end in comments]
-        # the comments outside method bodies that precede comments[next_comment]
-        self.outer_comments: list[tuple[str, int, int]] = []
-        self.next_comment = 0
+        self.layout = layout
+        self.lines = _Lines(source)
         self.lexed = 0  # source offset the next chunk starts at
         self.kinds: list[str] = []
         self.texts: list[str] = []
@@ -598,8 +681,17 @@ class _Parser:
         self.ends: list[int] = []
         self.pos = 0
         self.nesting = 0
-        # (kind, qualified name, decl line, decl start offset, body span)
-        self.decl_index: list[tuple[str, str, int, int, tuple[int, int]]] = []
+        # how many constructs took a '{' or '}' as a plain token that does not
+        # pair off within them
+        self.unmatched = 0
+        self.outer: list[tuple[str, int, int]] = []  # the comments outside method bodies, so far
+        self.next_comment = 0  # layout.comments[next_comment:] are in neither outer nor a body
+        # (index in outer, index in the old comments, count, how many keep
+        # their attachment) of the comments of each text stepped over
+        self.moved: list[tuple[int, int, int, int]] = []
+        self.decls: list[tuple[int, str, int, int]] = []  # SourceFacts.decls, so far
+        self.class_order: list[tuple[str, int]] = []  # (qname, start) of each class, as its body closes
+        self.preamble_end = 0
         self.old = old
 
     # -- token helpers -----------------------------------------------------
@@ -607,12 +699,11 @@ class _Parser:
     def lex_chunk(self) -> bool:
         """Append the tokens up to and including the next code '{'; False
         when no token is left."""
-        k = bisect_left(self.opens, self.lexed)
-        end = self.opens[k] + 1 if k < len(self.opens) else len(self.source)
-        if self.lexed >= end:
+        source = self.source
+        if self.lexed >= len(source):
             return False
-        kinds, texts, starts, ends, _comments = _decode(self.source, self.lexed, end, 1)
-        self.lexed = end
+        kinds, texts, starts, ends, _comments = _decode(source, self.lexed, len(source), 1, stop=True)
+        self.lexed = ends[-1] if texts and texts[-1] == "{" else len(source)
         self.kinds += kinds
         self.texts += texts
         self.starts += starts
@@ -641,12 +732,16 @@ class _Parser:
             return False
         return self.texts[k] == text
 
+    def at_word(self, word: str) -> bool:
+        """at(word), lexing nothing when the source does not go on with word."""
+        return self.source.startswith(word, self.next_start()) and self.at(word)
+
     def take(self) -> int:
         self.pos += 1
         return self.pos - 1
 
     def line(self, k: int) -> int:
-        return bisect_right(self.line_starts, self.starts[k]) + 1
+        return self.lines.at(self.starts[k])
 
     def here(self) -> int:
         """The line of the next token; at end of input that of the last."""
@@ -666,6 +761,42 @@ class _Parser:
             raise ParseError(self.here(), f"expected identifier {what}")
         return self.take()
 
+    def check_braces(self, start: int) -> None:
+        """Count the construct that took tokens start..pos as plain tokens
+        in unmatched when a '{' or '}' among them does not pair off."""
+        texts = self.texts[start : self.pos]
+        if "{" in texts or "}" in texts:
+            depth = 0
+            for text in texts:
+                depth += (text == "{") - (text == "}")
+                if depth < 0:
+                    break
+            self.unmatched += depth != 0
+
+    def drop_lookahead(self) -> None:
+        """Forget the tokens lexed past the current one."""
+        for column in (self.kinds, self.texts, self.starts, self.ends):
+            del column[self.pos :]
+
+    def close_region(self, brace: int) -> int:
+        """Take the '}' that matches the '{' at offset brace as the next
+        token, lexing nothing in between; its offset."""
+        close = self.layout.closer(brace)
+        if close is None:  # a parse alone finds the '{' unbalanced
+            raise ParseError(self.lines.at(brace), "unbalanced '{'")
+        self.take_close(close)
+        return close
+
+    def take_close(self, at: int) -> None:
+        """Take the '}' at offset at as the next token, lexing nothing."""
+        self.drop_lookahead()
+        self.kinds.append("punct")
+        self.texts.append("}")
+        self.starts.append(at)
+        self.ends.append(at + 1)
+        self.pos += 1
+        self.lexed = at + 1
+
     def skip_balanced(self, open_text: str, close_text: str) -> tuple[int, int]:
         """Consume from the current opening token through its matching close.
         Returns the (start, end) token index range, end exclusive.  A '{'
@@ -674,17 +805,7 @@ class _Parser:
         start = self.pos
         opener = self.expect(open_text, "to open a balanced region")
         if open_text == "{":
-            close = self.closers.get(self.starts[opener])
-            if close is None:  # in text the coarse scan took from an old method's body
-                raise ParseError(self.line(opener), "brace not in the layout")
-            for column in (self.kinds, self.texts, self.starts, self.ends):
-                del column[self.pos :]  # lookahead read past the '{' lies inside the region
-            self.kinds.append("punct")
-            self.texts.append("}")
-            self.starts.append(close)
-            self.ends.append(close + 1)
-            self.pos += 1
-            self.lexed = close + 1
+            self.close_region(self.starts[opener])
             return start, self.pos
         depth = 1
         while depth > 0:
@@ -696,6 +817,7 @@ class _Parser:
             elif self.texts[k] == close_text:
                 depth -= 1
             self.take()
+        self.check_braces(start)
         return start, self.pos
 
     def skip_generics(self) -> None:
@@ -717,43 +839,134 @@ class _Parser:
             elif text == ">>>":
                 depth -= 3
             self.take()
+        self.check_braces(opener)
 
-    def reuse_method(self, qname: str) -> MethodFacts | None:
-        """The method of class qname at the next token, taken from the old
-        version when the edit left its text whole, and stepped over; None
-        when the parser must read it.
+    # -- comments and steps ------------------------------------------------
 
-        A method of the old version in the same class whose text the source
-        holds from the next token on is the same method: from a token start
-        in the same class body, the same text lexes and parses to the same
-        facts.  Only its positions are its own, and the comments before its
-        body are counted as parse_method_rest counts them.
+    def flush(self, upto: int) -> None:
+        """Put the comments before offset upto that no method body holds in
+        outer."""
+        self.layout.scan(upto)
+        comments = self.layout.comments
+        lo = bisect_left(comments, upto, self.next_comment, key=_SPAN_START)
+        self.outer += comments[self.next_comment : lo]
+        self.next_comment = lo
+
+    def step(self, at: int, start: int, end: int, settled: int = 0) -> int:
+        """Step over the source from offset at, which holds the old text
+        start..end, taking the comments in it, of which those before the old
+        offset settled keep their attachment; the count of outer comments
+        before at, less that before start in the old version."""
+        old = self.old
+        self.flush(at)
+        c0 = bisect_left(old.comment_starts, start)
+        c1 = bisect_left(old.comment_starts, end, c0)
+        moved = len(self.outer) - c0
+        if c1 > c0:
+            kept = bisect_left(old.comment_starts, settled, c0, c1) - c0
+            self.moved.append((len(self.outer), c0, c1 - c0, max(kept, 0)))
+            d = at - start
+            self.outer += [(group, s + d, e + d) for group, s, e in old.facts.comment_spans[c0:c1]]
+        self.drop_lookahead()
+        self.lexed = self.layout.pos = at + end - start
+        return moved
+
+    def holds(self, old_cls: ClassFacts, k: int, j: int, at: int) -> bool:
+        """Whether the source holds members k..j-1 of old_cls, the class of
+        the same name in the old version, from offset at.
+
+        The members' text runs from the first token of the first to the end
+        of the last, which ends a token in both versions (after a token that
+        could go on, the next character must be the same too).  From a token
+        start in the same class body, the same text lexes and parses to the
+        same facts, and its braces pair off within it (old_cls.members is
+        empty otherwise).
         """
-        start = self.next_start()
-        for old in self.old.heads.get(_method_head(self.source, start), ()):
-            old_start, old_end = old.byte_range
-            if old.owner == qname and self.source.startswith(self.old.source[old_start:old_end], start):
-                end = start + old_end - old_start
-                break
+        text, table = self.old.source, old_cls.members
+        end = table[j - 1][1]
+        if text[end - 1] not in ";}),":
+            end += 1
+        return self.source.startswith(text[table[k][0] : end], at)
+
+    def run_at(self, old_cls: ClassFacts, at: int, candidates) -> int:
+        """The first of the candidate members of old_cls that the source holds
+        at offset at, or -1; an enum's member 0, its constants, is no
+        candidate."""
+        n = len(old_cls.members) - 1  # old_cls.members[n] is the '}'
+        first = 1 if old_cls.kind == "enum" else 0
+        return next((k for k in candidates if first <= k < n and self.holds(old_cls, k, k + 1, at)), -1)
+
+    def step_run(
+        self,
+        old_cls: ClassFacts,
+        k: int,
+        at: int,
+        fields: list[FieldFacts],
+        methods: list[MethodFacts],
+        inners: list[ClassFacts],
+        members: list[tuple[int, ...]],
+    ) -> int:
+        """Step over the longest run of members of old_cls from member k on
+        that the source holds from offset at (see holds), and on to the next
+        member when the text between is the same too; take their facts,
+        moved.  Returns the index in old_cls.members of the member after the
+        run."""
+        old, table = self.old, old_cls.members
+        j = n = len(table) - 1
+        if not self.holds(old_cls, k, n, at):
+            lo = k + 1  # holds(k, lo) and not holds(k, j)
+            while j - lo > 1:
+                mid = (lo + j) // 2
+                if self.holds(old_cls, k, mid, at):
+                    lo = mid
+                else:
+                    j = mid
+            j = lo
+        start, end = table[k][0], table[j - 1][1]
+        end_line = table[j][2]
+        if self.source.startswith(old.source[end : table[j][0]], at + end - start):
+            end = table[j][0]  # the comments and space after the run are the same too
         else:
-            return None
-        decl = old.decl
-        body_start, body_line = end - len(decl.body_text), 0
-        if decl.body_text:
-            lo = bisect_left(self.comment_starts, body_start)
-            self.outer_comments += self.comments[self.next_comment : lo]
-            self.next_comment = lo + len(decl.body_comments)
-            body_line = bisect_right(self.line_starts, body_start) + 1
-        self.decl_index.append(
-            ("method", f"{qname}.{decl.name}", bisect_right(self.line_starts, start) + 1, start, (body_start, end))
-        )
-        if self.pos < len(self.texts):
-            for column in (self.kinds, self.texts, self.starts, self.ends):
-                del column[self.pos :]  # lookahead read into the method
-        self.lexed = end
-        if (start, body_line, len(self.outer_comments)) == (old_start, old.body_line, old.comments_before):
-            return old
-        return MethodFacts(decl, (start, end), body_line, len(self.outer_comments))
+            end_line -= old.source.count("\n", end, table[j][0])
+        f0, m0, i0 = table[k][3:]
+        f1, m1, i1 = table[j][3:]
+        d = at - start
+        lines = self.lines.at(at) - table[k][2]
+        lo = bisect_left(old.decl_starts, start)
+        decls = old.facts.decls[lo : bisect_left(old.decl_starts, end, lo)]
+        # a comment before the run's last declaration is followed by one in
+        # the run, in both versions, so its attachment stays
+        comments = self.step(at, start, end, decls[-1][0] if decls else 0)
+        self.lines.offset, self.lines.line = at + end - start, end_line + lines  # no newline in the run is counted
+        nf, nm, ni = len(fields), len(methods), len(inners)
+        members += [(a + d, e + d, x + lines, f - f0 + nf, m - m0 + nm, i - i0 + ni) for a, e, x, f, m, i in table[k:j]]
+        fields += old_cls.fields[f0:f1]
+        methods += [_moved_method(m, d, lines, comments) for m in old_cls.methods[m0:m1]]
+        inners += [_moved_class(c, d, lines, comments) for c in old_cls.inner_classes[i0:i1]]
+        if d:
+            decls = [(s + d, label, b0 + d, b1 + d) for s, label, b0, b1 in decls]
+        self.decls += decls
+        self.class_order += [(label[6:], s) for s, label, _b0, _b1 in decls if label[0] == "c"]
+        return j
+
+    def step_header(self, scope: tuple[ClassFacts, ...], prefix: str, at: int) -> ClassFacts | None:
+        """The class declared from offset at, when its header through the
+        '{' is the text of the header of a class of scope, those of the same
+        prefix in the old version: the header is stepped over and its facts
+        taken, and the body parsed.  None when no header matches."""
+        text = self.old.source
+        for old_cls in scope:
+            start, brace = old_cls.header
+            if old_cls.members and self.source.startswith(text[start : brace + 1], at):
+                before = self.unmatched
+                self.step(at, start, brace + 1)
+                open_at = at + brace - start
+                self.layout.opened.append(open_at)  # as a scan through the '{' would
+                return self.parse_class_rest(
+                    prefix, old_cls.name, old_cls.kind, old_cls.modifiers, old_cls.annotations,
+                    old_cls.extends_types, old_cls.implements_types, at, at, old_cls, before, open_at,
+                )
+        return None
 
     # -- text helpers --------------------------------------------------------
 
@@ -766,11 +979,16 @@ class _Parser:
     def parse_unit(self) -> tuple[str | None, list[ImportFacts], list[ClassFacts]]:
         package = None
         imports: list[ImportFacts] = []
-        if self.at("package"):
+        old = self.old
+        if old is not None and old.facts.preamble_end and self.source.startswith(old.source[: old.facts.preamble_end]):
+            package, imports = old.facts.package_name, list(old.facts.imports)
+            self.preamble_end = old.facts.preamble_end
+            self.step(0, 0, self.preamble_end)
+        elif self.at("package"):
             self.take()
             package = self.read_dotted_name("after 'package'")
-            self.expect(";", "after package name")
-        while self.at("import"):
+            self.preamble_end = self.ends[self.expect(";", "after package name")]
+        while self.at_word("import"):
             self.take()
             is_static = False
             if self.at("static"):
@@ -782,16 +1000,22 @@ class _Parser:
                 self.take()
                 self.take()
                 is_wildcard = True
-            self.expect(";", "after import")
+            self.preamble_end = self.ends[self.expect(";", "after import")]
             imports.append(ImportFacts(name, is_static=is_static, is_wildcard=is_wildcard))
         classes: list[ClassFacts] = []
-        while self.peek() is not None:
+        scope = old.facts.classes if old is not None else ()
+        while True:
+            if scope and (cls := self.step_header(scope, "", self.next_start())) is not None:
+                classes.append(cls)
+                continue
+            if self.peek() is None:
+                return package, imports, classes
             if self.at(";"):
                 self.take()
                 continue
+            before = self.unmatched
             mods, annos, first = self.parse_modifiers_and_annotations()
-            classes.append(self.parse_type_decl("", mods, annos, first))
-        return package, imports, classes
+            classes.append(self.parse_type_decl("", mods, annos, first, scope, before))
 
     def read_dotted_name(self, what: str) -> str:
         parts = [self.texts[self.expect_ident(what)]]
@@ -830,10 +1054,18 @@ class _Parser:
         return mods, annos, first
 
     def parse_type_decl(
-        self, prefix: str, mods: set[str], annos: list[AnnotationFacts], first: int | None
+        self,
+        prefix: str,
+        mods: set[str],
+        annos: list[AnnotationFacts],
+        first: int | None,
+        scope: tuple[ClassFacts, ...],
+        before: int,
     ) -> ClassFacts:
         """The caller has read the declaration's modifiers and annotations;
-        first is their first token, if any."""
+        first is their first token, if any.  scope holds the old version's
+        classes of the same prefix; before is unmatched where the
+        declaration starts."""
         t = self.peek()
         if t is None:
             raise ParseError(self.here(), "expected type declaration")
@@ -851,7 +1083,6 @@ class _Parser:
             first = t
         name_tok = self.expect_ident("as type name")
         name = self.texts[name_tok]
-        qname = f"{prefix}.{name}" if prefix else name
         if self.at("<"):
             self.skip_generics()
         extends_types: list[str] = []
@@ -862,42 +1093,87 @@ class _Parser:
         if self.at("implements"):
             self.take()
             implements_types = self.read_type_list()
-        open_tok = self.expect("{", "to open type body")
-        if self.nesting == _MAX_TYPE_NESTING:
-            raise ParseError(self.line(name_tok), f"type {name} nested deeper than {_MAX_TYPE_NESTING} levels")
-        self.nesting += 1
-        fields, methods, inners = self.parse_class_body(name, qname, kind)
-        self.nesting -= 1
-        body = (self.starts[open_tok], self.ends[self.pos - 1])
-        self.decl_index.append(("class", qname, self.line(first), self.starts[first], body))
-        self.check_uniqueness(qname, self.line(name_tok), fields, methods)
-        return ClassFacts(
-            name=name,
-            kind=kind,
-            modifiers=frozenset(mods),
-            annotations=tuple(annos),
-            extends_types=tuple(extends_types),
-            implements_types=tuple(implements_types),
-            fields=tuple(f for f, _name_tok in fields),
-            methods=tuple(methods),
-            inner_classes=tuple(inners),
+        old_cls = next((c for c in scope if c.name == name and c.kind == kind and c.members), None)
+        return self.parse_class_rest(
+            prefix, name, kind, frozenset(mods), tuple(annos), tuple(extends_types), tuple(implements_types),
+            self.starts[first], self.starts[name_tok], old_cls, before,
         )
 
+    def parse_class_rest(
+        self,
+        prefix: str,
+        name: str,
+        kind: str,
+        mods: frozenset[str],
+        annos: tuple[AnnotationFacts, ...],
+        extends_types: tuple[str, ...],
+        implements_types: tuple[str, ...],
+        start: int,
+        name_at: int,
+        old_cls: ClassFacts | None,
+        before: int,
+        open_at: int = -1,
+    ) -> ClassFacts:
+        """The class whose header the caller has read, from its body's '{'
+        on, or just past it when it is at offset open_at; start and name_at
+        are the offsets of its first token and name, old_cls the old
+        version's class of the same name, if any."""
+        qname = f"{prefix}.{name}" if prefix else name
+        if open_at < 0:
+            open_at = self.starts[self.expect("{", "to open type body")]
+        if self.nesting == _MAX_TYPE_NESTING:
+            raise ParseError(self.lines.at(name_at), f"type {name} nested deeper than {_MAX_TYPE_NESTING} levels")
+        slot = len(self.decls)
+        self.decls.append(None)  # filled in when the body closes, so decls stay in order of start
+        self.nesting += 1
+        fields, names, methods, inners, members = self.parse_class_body(name, qname, kind, old_cls)
+        self.nesting -= 1
+        body = (open_at, self.ends[self.pos - 1])
+        self.decls[slot] = (start, f"class:{qname}", *body)
+        self.class_order.append((qname, start))
+        self.check_uniqueness(qname, name_at, fields, names, methods)
+        cls = ClassFacts(
+            name=name,
+            kind=kind,
+            modifiers=mods,
+            annotations=annos,
+            extends_types=extends_types,
+            implements_types=implements_types,
+            fields=tuple(fields),
+            methods=tuple(methods),
+            inner_classes=tuple(inners),
+            header=(start, body[0]),
+            members=tuple(members) if self.unmatched == before else (),
+        )
+        if (
+            old_cls is not None
+            and (cls.header, cls.members) == (old_cls.header, old_cls.members)
+            and cls == old_cls
+            and all(map(is_, cls.methods, old_cls.methods))
+            and all(map(is_, cls.inner_classes, old_cls.inner_classes))
+        ):
+            return old_cls
+        return cls
+
     def check_uniqueness(
-        self, qname: str, line: int, fields: list[tuple[FieldFacts, int]], methods: list[MethodFacts]
+        self, qname: str, name_at: int, fields: list[FieldFacts], names: dict[int, int], methods: list[MethodFacts]
     ) -> None:
-        """fields pairs each field with its name token, whose line a
-        duplicate field's error takes."""
+        """names maps the index of each field the parser read to the offset
+        of its name, whose line a duplicate field's error takes."""
+        if len(set(map(_METHOD_NAME, methods))) == len(methods) and len(set(map(_NAME, fields))) == len(fields):
+            return  # no two names, so no two signatures, are the same
         seen_sig: set[tuple[str, tuple[str, ...]]] = set()
         for m in methods:
             sig = m.signature()
             if sig in seen_sig:
-                raise ParseError(line, f"duplicate method signature {qname}.{sig[0]}({', '.join(sig[1])})")
+                raise ParseError(
+                    self.lines.at(name_at), f"duplicate method signature {qname}.{sig[0]}({', '.join(sig[1])})"
+                )
             seen_sig.add(sig)
         seen_fields: set[str] = set()
-        for f, name_tok in fields:
+        for k, f in enumerate(fields):
             if f.name in seen_fields:
-                raise ParseError(self.line(name_tok), f"duplicate field {qname}.{f.name}")
+                raise ParseError(self.lines.at(names.get(k, name_at)), f"duplicate field {qname}.{f.name}")
             seen_fields.add(f.name)
 
     def read_type_list(self) -> list[str]:
@@ -932,37 +1208,73 @@ class _Parser:
         return self.slice_tokens(start, self.pos)
 
     def parse_class_body(
-        self, simple_name: str, qname: str, kind: str
-    ) -> tuple[list[tuple[FieldFacts, int]], list[MethodFacts], list[ClassFacts]]:
-        fields: list[tuple[FieldFacts, int]] = []
+        self, simple_name: str, qname: str, kind: str, old_cls: ClassFacts | None
+    ) -> tuple[list[FieldFacts], dict[int, int], list[MethodFacts], list[ClassFacts], list[tuple[int, ...]]]:
+        """The body's fields, the offsets of the names of those read (by
+        index), its methods, inner classes and ClassFacts.members entries.
+        Given old_cls, runs of its members are stepped over (step_run)."""
+        fields: list[FieldFacts] = []
+        names: dict[int, int] = {}
         methods: list[MethodFacts] = []
         inners: list[ClassFacts] = []
+        members: list[tuple[int, ...]] = []
+        scope = old_cls.inner_classes if old_cls is not None else ()
+        hint = 0  # the old member the next one likely is
         if kind == "enum":
-            self.parse_enum_constants(simple_name, fields)
+            at = self.next_start()
+            table = old_cls.members if old_cls is not None else ()
+            if table and table[0][1] > table[0][0] and self.holds(old_cls, 0, 1, at):
+                hint = self.step_run(old_cls, 0, at, fields, methods, inners, members)
+            else:
+                line, first = self.lines.at(at), self.pos
+                self.parse_enum_constants(simple_name, fields, names)
+                members.append((at, self.ends[self.pos - 1] if self.pos > first else at, line, 0, 0, 0))
         while True:
-            if self.old is not None and (reused := self.reuse_method(qname)) is not None:
-                methods.append(reused)
-                continue
-            t = self.peek()
-            if t is None:
-                raise ParseError(self.here(), f"unclosed body of {qname}")
-            text = self.texts[t]
-            if text == "}":
-                self.take()
-                return fields, methods, inners
-            if text == ";":
-                self.take()
-                continue
-            if text == "{":  # instance initializer block
-                self.skip_balanced("{", "}")
-                continue
-            if text == "static" and self.at("{", 1):  # static initializer
-                self.take()
-                self.skip_balanced("{", "}")
-                continue
-            self.parse_member(simple_name, qname, fields, methods, inners)
+            inner = None
+            if old_cls is not None:
+                at = self.next_start()
+                counts = (self.lines.at(at), len(fields), len(methods), len(inners))
+                if self.source.startswith("}", at):
+                    self.take_close(at)
+                    members.append((at, at + 1, *counts))
+                    return fields, names, methods, inners, members
+                k = self.run_at(old_cls, at, (hint, hint + 1))
+                if k < 0:
+                    if (method := self.step_method_header(old_cls, hint, qname, at)) is not None:
+                        methods.append(method)
+                        members.append((at, self.ends[self.pos - 1], *counts))
+                        hint += 1
+                        continue
+                    k = self.run_at(old_cls, at, self.old.members_at(old_cls, self.source[at : at + _KEY]))
+                if k >= 0:
+                    hint = self.step_run(old_cls, k, at, fields, methods, inners, members)
+                    continue
+                if scope:
+                    inner = self.step_header(scope, qname, at)
+            if inner is not None:
+                inners.append(inner)
+            else:
+                t = self.peek()
+                if t is None:
+                    raise ParseError(self.here(), f"unclosed body of {qname}")
+                at, text = self.starts[t], self.texts[t]
+                counts = (self.lines.at(at), len(fields), len(methods), len(inners))
+                if text == "}":
+                    self.take()
+                    members.append((at, at + 1, *counts))
+                    return fields, names, methods, inners, members
+                if text == ";":
+                    self.take()
+                elif text == "{":  # instance initializer block
+                    self.skip_balanced("{", "}")
+                elif text == "static" and self.at("{", 1):  # static initializer
+                    self.take()
+                    self.skip_balanced("{", "}")
+                else:
+                    self.parse_member(simple_name, qname, fields, names, methods, inners, scope)
+            members.append((at, self.ends[self.pos - 1], *counts))
 
-    def parse_enum_constants(self, simple_name: str, fields: list[tuple[FieldFacts, int]]) -> None:
+    def parse_enum_constants(self, simple_name: str, fields: list[FieldFacts], names: dict[int, int]) -> None:
         while True:
             if self.at(";"):
                 self.take()
@@ -977,16 +1289,16 @@ class _Parser:
                 self.skip_balanced("(", ")")
             if self.at("{"):
                 self.skip_balanced("{", "}")
-            fields.append((
+            names[len(fields)] = self.starts[name_tok]
+            fields.append(
                 FieldFacts(
                     name=self.texts[name_tok],
                     type_text=simple_name,
                     modifiers=frozenset({"public", "static", "final"}),
                     annotations=tuple(annos),
                     is_enum_constant=True,
-                ),
-                name_tok,
-            ))
+                )
+            )
             if self.at(","):
                 self.take()
                 continue
@@ -995,16 +1307,19 @@ class _Parser:
         self,
         simple_name: str,
         qname: str,
-        fields: list[tuple[FieldFacts, int]],
+        fields: list[FieldFacts],
+        names: dict[int, int],
         methods: list[MethodFacts],
         inners: list[ClassFacts],
+        scope: tuple[ClassFacts, ...],
     ) -> None:
+        before = self.unmatched
         mods, annos, first = self.parse_modifiers_and_annotations()
         t = self.peek()
         if t is None:
             raise ParseError(self.here(), f"unexpected end of {qname} body")
         if self.texts[t] in ("class", "interface", "enum") or (self.texts[t] == "@" and self.at("interface", 1)):
-            inners.append(self.parse_type_decl(qname, mods, annos, first))
+            inners.append(self.parse_type_decl(qname, mods, annos, first, scope, before))
             return
         if self.texts[t] == "<":  # generic method type parameters
             self.skip_generics()
@@ -1033,6 +1348,7 @@ class _Parser:
                 decl_type += "[]"
             if self.at("="):
                 self.take()
+                start = self.pos
                 depth = 0
                 while True:
                     k = self.peek()
@@ -1046,16 +1362,52 @@ class _Parser:
                     elif depth == 0 and text in (",", ";"):
                         break
                     self.take()
-            fields.append((
-                FieldFacts(name=decl_name, type_text=decl_type, modifiers=frozenset(mods), annotations=tuple(annos)),
-                name_tok,
-            ))
+                self.check_braces(start)
+            names[len(fields)] = self.starts[name_tok]
+            fields.append(
+                FieldFacts(name=decl_name, type_text=decl_type, modifiers=frozenset(mods), annotations=tuple(annos))
+            )
             if self.at(","):
                 self.take()
                 name_tok = self.expect_ident("as field name")
                 continue
             self.expect(";", f"after field {decl_name}")
             return
+
+    def read_body(self, start: int) -> tuple[str, int, tuple[tuple[str, int, int], ...], int]:
+        """The method body whose '{', at offset start, is read: its text, the
+        line of the '{', the spans of its comments as offsets into the text,
+        and the offset just past it.  Nothing in it is lexed."""
+        end = self.close_region(start) + 1
+        line = self.lines.at(start)
+        self.flush(start)
+        comments = self.layout.comments
+        hi = bisect_left(comments, end, self.next_comment, key=_SPAN_START)
+        spans = tuple((group, s - start, e - start) for group, s, e in comments[self.next_comment : hi])
+        self.next_comment = hi
+        return self.source[start:end], line, spans, end
+
+    def step_method_header(self, old_cls: ClassFacts, k: int, qname: str, at: int) -> MethodFacts | None:
+        """The method declared from offset at, when member k of old_cls, the
+        class of the same name in the old version, is a method with a body
+        whose text up to the body the source holds there: that text is
+        stepped over and its MethodDecl taken with the new body.  None when
+        it is not such a method."""
+        table = old_cls.members
+        if not (0 <= k < len(table) - 1 and table[k + 1][4] == table[k][4] + 1):
+            return None
+        m = old_cls.methods[table[k][4]]
+        start, end = m.byte_range
+        body_start = end - len(m.body_text)
+        if not m.body_text or not self.source.startswith(self.old.source[start : body_start + 1], at):
+            return None
+        self.step(at, start, body_start + 1)
+        body_at = at + body_start - start
+        self.layout.opened.append(body_at)  # as a scan through the '{' would
+        body_text, body_line, body_comments, end = self.read_body(body_at)
+        decl = replace(m.decl, body_text=body_text, body_comments=body_comments)
+        self.decls.append((at, f"method:{qname}.{decl.name}", end - len(body_text), end))
+        return MethodFacts(decl, (at, end), body_line, len(self.outer))
 
     def parse_method_rest(
         self,
@@ -1105,31 +1457,25 @@ class _Parser:
             thrown = self.read_type_list()
         body_text, body_line, body_comments = "", 0, ()
         if self.at("{"):
-            open_tok = self.pos
-            self.skip_balanced("{", "}")
-            end_off = self.ends[self.pos - 1]
-            body_span = (self.starts[open_tok], end_off)
-            body_text, body_line = self.source[body_span[0] : end_off], self.line(open_tok)
-            lo = bisect_left(self.comment_starts, body_span[0])
-            hi = bisect_left(self.comment_starts, end_off, lo)
-            self.outer_comments += self.comments[self.next_comment : lo]
-            self.next_comment = hi
-            base = body_span[0]
-            body_comments = tuple((group, start - base, end - base) for group, start, end in self.comments[lo:hi])
+            body_text, body_line, body_comments, end_off = self.read_body(self.starts[self.take()])
+            body_span = (end_off - len(body_text), end_off)
         elif self.at("default"):
             # an annotation-type element's default value (JLS 9.6.2): dropped
-            self.take()
+            start = self.take()
             while not self.at(";"):
                 if self.peek() is None:
                     raise ParseError(self.line(name_tok), "unterminated default value")
                 self.take()
+            self.check_braces(start)
             end_off = self.ends[self.take()]
             body_span = (end_off, end_off)
+            self.flush(end_off)
         else:
             end_off = self.ends[self.expect(";", "after abstract method")]
             body_span = (end_off, end_off)
+            self.flush(end_off)
         start_off = self.starts[first]
-        self.decl_index.append(("method", f"{qname}.{name}", self.line(first), start_off, body_span))
+        self.decls.append((start_off, f"method:{qname}.{name}", *body_span))
         decl = MethodDecl(
             name=name,
             return_type=return_type,
@@ -1141,7 +1487,7 @@ class _Parser:
             owner=qname,
             body_comments=body_comments,
         )
-        return MethodFacts(decl, (start_off, end_off), body_line, len(self.outer_comments))
+        return MethodFacts(decl, (start_off, end_off), body_line, len(self.outer))
 
 
 # ---------------------------------------------------------------------------
@@ -1205,7 +1551,7 @@ def _body_statements(body_text: str, line: int) -> tuple[StatementFacts, ...]:
     only leave their spans, to be blanked.  No line is computed here:
     _scan_statements counts newlines up to each statement head.  The
     matching '}' ends the last token.  A comment or literal left open raises
-    ParseError, although a body from a file that passed _scan_layout holds
+    ParseError, although a body from a file that passed the coarse pass holds
     none.
     """
     kinds, texts, starts, ends, comments = _decode(body_text, 1, len(body_text) - 1, line)
@@ -1556,14 +1902,27 @@ def _looks_like_declaration(kinds: list[str], texts: list[str], i: int, n: int) 
 _ATTACH_WINDOW_LINES = 2
 
 
+def _near(source: str, start: int, end: int) -> bool:
+    """Whether source[start:end] holds at most _ATTACH_WINDOW_LINES newlines."""
+    for _ in range(_ATTACH_WINDOW_LINES + 1):
+        start = source.find("\n", start, end) + 1
+        if not start:
+            return True
+    return False
+
+
 def _resolve_attachments(
     source: str,
-    line_starts: list[int],
     spans: list[tuple[str, int, int]],
-    decl_index: list[tuple[str, str, int, int, tuple[int, int]]],
+    decls: list[tuple[int, str, int, int]],
+    kept: list[CommentFacts | None],
+    settled: list[bool],
 ) -> list[CommentFacts]:
     """Attach each comment outside method bodies, given as a (group, start,
-    end) span in source order, to a declaration or scope.
+    end) span in source order, to a declaration or scope; decls is
+    SourceFacts.decls.  kept holds, for each span, the facts of the same
+    comment in the old version of the file, if any: taken as they are where
+    settled says the attachment stays, else when it comes out the same.
 
     A comment that ends within two lines above a class/method declaration
     attaches to it; otherwise the innermost enclosing class body wins;
@@ -1576,29 +1935,34 @@ def _resolve_attachments(
     keeps a stack of the class body spans opened so far; spans nest, so the
     top of the stack is the innermost class.
     """
-    decls = sorted(decl_index, key=lambda d: d[3])
-    starts = [d[3] for d in decls]
-    bodies = sorted((d[4], d[1]) for d in decls if d[0] == "class")
-    open_bodies: list[tuple[tuple[int, int], str]] = []
+    starts = [d[0] for d in decls]
+    bodies = [d for d in decls if d[1][0] == "c"]  # in order of body start too
+    open_bodies: list[tuple[int, str, int, int]] = []
     next_body = 0
     facts: list[CommentFacts] = []
-    for group, start, end in spans:
-        while next_body < len(bodies) and bodies[next_body][0][0] < start:
+    for (group, start, end), old, stays in zip(spans, kept, settled):
+        if stays:
+            facts.append(old)
+            continue
+        while next_body < len(bodies) and bodies[next_body][2] < start:
             open_bodies.append(bodies[next_body])
             next_body += 1
         # spans that closed before this comment leave the top; what remains
         # on top contains the comment, and any span opened inside it lies above
-        while open_bodies and open_bodies[-1][0][1] < end:
+        while open_bodies and open_bodies[-1][3] < end:
             open_bodies.pop()
-        end_line = bisect_right(line_starts, end - 1) + 1  # the line of the comment's last character
+        # a comment's last character is no newline, so the lines between its
+        # last line and the declaration's are the newlines after it
         k = bisect_left(starts, end)
-        if k < len(decls) and 0 <= decls[k][2] - end_line <= _ATTACH_WINDOW_LINES:
-            attachment = f"{decls[k][0]}:{decls[k][1]}"
+        if k < len(decls) and _near(source, end, starts[k]):
+            attachment = decls[k][1]
         elif open_bodies:
-            attachment = f"class:{open_bodies[-1][1]}"
+            attachment = open_bodies[-1][1]
         else:
             attachment = "file"
-        facts.append(_comment_facts(*_comment_text(group, source[start:end]), attachment))
+        if old is None or old.attachment != attachment:
+            old = _comment_facts(*_comment_text(group, source[start:end]), attachment)
+        facts.append(old)
     return facts
 
 
@@ -1615,10 +1979,11 @@ def parse_java(source: str, path: str = "<memory>", old: tuple[str, SourceFacts]
     unterminated comments/strings, duplicate declarations, or inputs without
     a type declaration.
 
-    old is the text and facts of the file's previous version, if any: the
-    methods the edit left whole are then taken from them, not parsed again.
-    The facts are those of a parse without old; on a ParseError the source
-    is parsed again without old, so the error is that parse's.
+    old is the text and facts (from parse_java) of the file's previous
+    version, if any: the text the edit left whole is then stepped over and
+    its facts taken from them.  The facts are those of a parse without old;
+    on a ParseError the source is parsed again without old, so the error is
+    that parse's.
     """
     if old is not None:
         try:
@@ -1630,24 +1995,34 @@ def parse_java(source: str, path: str = "<memory>", old: tuple[str, SourceFacts]
 
 def _parse_java(source: str, path: str, old: tuple[str, SourceFacts] | None) -> SourceFacts:
     old_version = _OldVersion(*old) if old is not None else None
-    line_starts = _line_starts(source)
-    spans, closers = _scan_layout(source, line_starts, path, old_version)
-    parser = _Parser(source, line_starts, closers, spans, old_version)
+    layout = _Layout(source, path)
+    if old_version is None:
+        layout.finish()  # a parse alone reports the coarse pass's errors first
+    parser = _Parser(source, layout, old_version)
     package, imports, classes = parser.parse_unit()
     if not classes:
         raise ParseError(1, f"no type declaration in {path}")
+    if old_version is not None:
+        layout.finish()
+    parser.flush(len(source))
     seen_qnames: set[str] = set()
-    for kind, qname, line, _off, _span in parser.decl_index:
-        if kind == "class":
-            if qname in seen_qnames:
-                raise ParseError(line, f"duplicate type declaration {qname} in {path}")
-            seen_qnames.add(qname)
-    outer = parser.outer_comments + spans[parser.next_comment :]
+    for qname, start in parser.class_order:
+        if qname in seen_qnames:
+            raise ParseError(_line_of(source, start), f"duplicate type declaration {qname} in {path}")
+        seen_qnames.add(qname)
+    kept: list[CommentFacts | None] = [None] * len(parser.outer)
+    settled = [False] * len(parser.outer)
+    for at, first, count, stays in parser.moved:
+        kept[at : at + count] = old_version.facts.comments[first : first + count]
+        settled[at : at + stays] = [True] * stays
     return SourceFacts(
         package_name=package,
         imports=tuple(imports),
         classes=tuple(classes),
-        comments=tuple(_resolve_attachments(source, line_starts, outer, parser.decl_index)),
+        comments=tuple(_resolve_attachments(source, parser.outer, parser.decls, kept, settled)),
+        preamble_end=parser.preamble_end,
+        comment_spans=tuple(parser.outer),
+        decls=tuple(parser.decls),
     )
 
 

@@ -32,15 +32,12 @@ from condenser.javafacts import (
     ParseError,
     SourceFacts,
     _lex,
-    _line_starts,
-    _Parser,
-    _scan_layout,
     merge_inline_comments,
     parse_java,
 )
 from corpusdata import COMMITS
 from oracles import elicit_comments_oracle, sweep_attachments_oracle
-from test_lexer_oracle import _program_source, without_body_comments_attached_below
+from test_lexer_oracle import _program_source, oracle_decl_index, without_body_comments_attached_below
 from typefixtures import ALL_TYPE_FIXTURES
 
 
@@ -62,11 +59,7 @@ def _oracle_facts(source: str | None, facts: SourceFacts) -> tuple[SourceFacts, 
     how many body comments it attached to a declaration below them."""
     if not source:
         return facts, 0
-    line_starts = _line_starts(source)
-    spans, closers = _scan_layout(source, line_starts, "<test>")
-    parser = _Parser(source, line_starts, closers, spans)
-    parser.parse_unit()
-    expected = sweep_attachments_oracle(_lex(source)[1], parser.decl_index)[0]
+    expected = sweep_attachments_oracle(_lex(source)[1], oracle_decl_index(source, facts))[0]
     merged = merge_inline_comments(facts.comments, _methods(facts))
     _got, _expected, dropped = without_body_comments_attached_below(source, facts, merged, expected)
     return SourceFacts(None, (), (), tuple(expected)), dropped

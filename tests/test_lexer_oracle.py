@@ -39,9 +39,6 @@ from condenser.javafacts import (
     ParseError,
     SourceFacts,
     _lex,
-    _line_starts,
-    _Parser,
-    _scan_layout,
     extract_comments,
     parse_java,
 )
@@ -148,6 +145,15 @@ def without_body_comments_attached_below(
     return [got[k] for k in kept], [expected[k] for k in kept], len(drop)
 
 
+def oracle_decl_index(source: str, facts: SourceFacts) -> list[tuple[str, str, int, int, tuple[int, int]]]:
+    """The attachment oracles' declaration index, a (kind, qname, line,
+    start, body span) entry per declaration, from SourceFacts.decls."""
+    return [
+        (*label.split(":", 1), source.count("\n", 0, start) + 1, start, (body_start, body_end))
+        for start, label, body_start, body_end in facts.decls
+    ]
+
+
 def _assert_attaches_like_oracle(source: str) -> int | None:
     """Compare attachments on a source that parses, every method's inline
     comments read; None when it does not parse, else how many comments the
@@ -156,11 +162,7 @@ def _assert_attaches_like_oracle(source: str) -> int | None:
         facts = parse_java(source)
     except ParseError:
         return None
-    line_starts = _line_starts(source)
-    spans, closers = _scan_layout(source, line_starts, "<test>")
-    parser = _Parser(source, line_starts, closers, spans)
-    parser.parse_unit()
-    expected = resolve_attachments_oracle(_lex(source)[1], parser.decl_index)[0]
+    expected = resolve_attachments_oracle(_lex(source)[1], oracle_decl_index(source, facts))[0]
     got, expected, dropped = without_body_comments_attached_below(source, facts, extract_comments(source), expected)
     assert got == expected, source
     return dropped

@@ -1,29 +1,34 @@
 """The new version of a file parsed against its old version, against the
 new version parsed alone, which is the oracle.
 
-parse_java(new, path, (old, old_facts)) takes each method the edit left
-whole from the old facts instead of parsing it again.  Every fact must be
-what parse_java(new, path) gives, including the fields no equality compares
-(a method's owner, body comments and count of comments before its body),
-with every body_statements and inline_comments read, and
-SourceFacts.comments; a ParseError must carry the same line and message.
-This is checked on every fixture pair, on the benchmark's corpus-typical and
-rewrite-heavy pairs of seeds 1-3, and on generated edits of fixture and
-generated sources: a member inserted or deleted, the first or last member
-edited, a class header or the package and imports edited, a comment put
-just before a member, a block comment or a string opened so that it closes
-in the text after the edit, a member that duplicates a later one, an
-unbalanced brace, and random pieces of Java spliced in anywhere.
+parse_java(new, path, (old, old_facts)) steps over the text the edit left
+whole and takes its facts from the old facts instead of parsing it again.
+Every fact must be what parse_java(new, path) gives, including the fields no
+equality compares (a method's owner, body comments and count of comments
+before its body, and the positions a class and a file record), with every
+body_statements and inline_comments read, and SourceFacts.comments; a
+ParseError must carry the same line and message.  This is checked on every
+fixture pair, on the benchmark's corpus-typical and rewrite-heavy pairs of
+seeds 1-3, and on generated edits of fixture and generated sources: a member
+inserted, deleted or moved within its class, a field edited, inserted or
+deleted, the first or last method edited, an enum constant edited, an edit
+inside an inner class, a class header or the package and imports edited, a
+comment put just before a member or kept inside text the edit left whole, a
+block comment or a string opened so that it closes in the text after the
+edit, a member that duplicates a later one, an unbalanced brace, random
+pieces of Java spliced in anywhere, and no edit at all.
 
 On the pairs that parse, the pair parse itself must succeed, not fall back
-to a parse of the new version alone, and on the benchmark's 256 KB file it
-must parse no more methods than the edit's window holds.
+to a parse of the new version alone; on the benchmark's 256 KB file it must
+parse no more methods than the edit's window holds, and for a one-method
+edit it must lex nothing outside the edited member.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -91,15 +96,24 @@ def test_fixture_pairs_parse_like_alone():
     assert checked > 40
 
 
-def test_a_class_body_whose_text_was_a_method_body_falls_back():
-    # the coarse scan steps over B's body, the text of the old m's body, and
-    # leaves the braces inside it out of its map; g's body is one of them
+def test_a_class_body_whose_text_was_an_old_method_body_parses_directly():
+    # only members are stepped over, so B's body, the text of the old m's
+    # body, is scanned and parsed like any new text
     old = "class A {\n  void m() { class L { void g() { x(); } } }\n}\n"
     new = "class A {\n  void m() { }\n  class B { class L { void g() { x(); } } }\n}\n"
-    with pytest.raises(ParseError, match="brace not in the layout"):
-        javafacts._parse_java(new, "<memory>", (old, parse_java(old)))
-    assert _assert_pair_parses_like_alone(old, new)
+    assert _assert_pair_parses_like_alone(old, new, direct=True)
     assert [c.name for c in parse_java(new, "<memory>", (old, parse_java(old))).classes[0].inner_classes] == ["B"]
+
+
+def test_text_whose_braces_pair_with_text_outside_its_member_is_not_stepped_over():
+    # b's '{' pairs with the '}' of A in the coarse scan, and c's '}' with the
+    # '{' of B; once c is edited the braces no longer balance
+    old = "class A { int b = {); } class B { int c = (}; }\n"
+    new = "class A { int b = {); } class B { int c = 1; }\n"
+    assert [c.members for c in parse_java(old).classes] == [(), ()]
+    assert _assert_pair_parses_like_alone(old, new)
+    with pytest.raises(ParseError, match="unbalanced"):
+        javafacts._parse_java(new, "<memory>", (old, parse_java(old)))
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -131,12 +145,26 @@ _MEMBER = st.sampled_from([
     "/** Doc. */\n    public String added(int k) throws E { return k; }\n    ",
     "static { y(); }\n    ",
     "class Added { void z() { } }\n    ",
+    "enum AddedKind { P, Q(1) { void r() { } }; int s; }\n    ",
 ])
 
 _KINDS = (
     "insert", "delete", "edit_first", "edit_last", "class_header", "package", "imports", "comment_before",
     "open_comment", "open_string", "duplicate", "brace", "splice",
+    "field", "move", "enum_constant", "inner", "comment_in_run", "identical",
 )
+
+
+def _member_spans(facts) -> list[tuple[str, str, int, int]]:
+    """(class qname, what, start, end) of each member of each class body,
+    what being 'field', 'method', 'class' or 'other' (an enum's constants,
+    an initializer or a ';')."""
+    out = []
+    for qname, cls in facts.all_classes():
+        for (start, end, _line, f, m, i), after in zip(cls.members, cls.members[1:]):
+            what = "field" if after[3] > f else "method" if after[4] > m else "class" if after[5] > i else "other"
+            out.append((qname, what, start, end))
+    return out
 
 
 @st.composite
@@ -184,6 +212,47 @@ def _edited_pair(draw) -> tuple[str, str]:
         new = insert(start, source[slice(*later.byte_range)] + "\n    ")
     elif kind == "brace":
         new = insert(draw(st.sampled_from([start, end])), draw(st.sampled_from(["{", "}", "{ }"])))
+    elif kind == "field":
+        fields = [(a, b) for _q, what, a, b in _member_spans(facts) if what == "field"]
+        op = draw(st.sampled_from(["edit", "delete", "insert"])) if fields else "insert"
+        if op == "insert":
+            new = insert(draw(st.sampled_from([start, end])), "int addedField = 3;\n    ")
+        else:
+            a, b = draw(st.sampled_from(fields))
+            new = source[:a] + source[b:] if op == "delete" else insert(b - 1, "Edited")
+    elif kind == "move":
+        spans = _member_spans(facts)
+        qname, _what, a, b = draw(st.sampled_from(spans))
+        targets = [x for q, _w, x, _y in spans if q == qname and x not in range(a, b + 1)]
+        if not targets:
+            return source, source[:a] + source[b:]
+        to = draw(st.sampled_from(targets))
+        moved = source[:a] + source[b:]
+        to = to - (b - a) if to > a else to
+        new = moved[:to] + source[a:b] + "\n    " + moved[to:]
+    elif kind == "enum_constant":
+        sections = [
+            c.members[0][:2] for _q, c in facts.all_classes() if c.kind == "enum" and c.members and c.members[0][1] > c.members[0][0]
+        ]
+        if not sections:
+            new = insert(start, "enum AddedKind { P, Q; }\n    ")
+        else:
+            a, b = draw(st.sampled_from(sections))
+            name = re.match(r"[A-Za-z_$][\w$]*", source[a:b])
+            new = insert(a + name.end(), "Edited") if name else insert(a, "EDITED, ")
+    elif kind == "inner":
+        inner = [m for q, c in facts.all_classes() if "." in q for m in c.methods if m.body_text]
+        new = into_body(draw(st.sampled_from(inner)), " edited(); ") if inner else insert(
+            start, "class Inner { void v() { w(); } int u; }\n    "
+        )
+    elif kind == "comment_in_run":
+        # a comment in both versions, before an edit to the last method
+        edited = into_body(methods[-1], " edited(); ")
+        at = draw(st.sampled_from([a for _q, _w, a, _b in _member_spans(facts) if a < methods[-1].byte_range[0]] or [0]))
+        comment = draw(st.sampled_from(["/** Kept. */\n    ", "// kept\n    ", "/* kept */ "]))
+        return source[:at] + comment + source[at:], edited[:at] + comment + edited[at:]
+    elif kind == "identical":
+        new = source
     else:
         new = insert(draw(st.integers(0, len(source))), "".join(draw(st.lists(_PIECE, min_size=1, max_size=4))))
     return source, new
@@ -193,11 +262,35 @@ def _edited_pair(draw) -> tuple[str, str]:
 @given(_edited_pair())
 def test_edited_sources_parse_like_alone(pair):
     old, new = pair
-    assert _assert_pair_parses_like_alone(old, new)
-    assert _assert_pair_parses_like_alone(new, old) in (True, False)
+    assert _assert_pair_parses_like_alone(old, new, direct=True)
+    assert _assert_pair_parses_like_alone(new, old, direct=True) in (True, False)
 
 
 # --- how much is parsed -----------------------------------------------------------
+
+
+def test_a_one_method_edit_decodes_only_the_edited_member(monkeypatch):
+    source = max((s for s in _EDITABLE if sum(len(c.methods) for _q, c in parse_java(s).all_classes()) >= 3), key=len)
+    facts = parse_java(source)
+    methods = sorted((m for _q, c in facts.all_classes() for m in c.methods if m.body_text), key=lambda m: m.byte_range)
+    edited = methods[len(methods) // 2]
+    at = edited.byte_range[1] - len(edited.body_text) + 1
+    new = source[:at] + " edited(); " + source[at:]
+    decoded: list[tuple[int, int]] = []
+    decode = javafacts._decode
+
+    def spy(*args, **kwargs):
+        columns = decode(*args, **kwargs)
+        if columns[2]:
+            decoded.append((columns[2][0], columns[3][-1]))
+        return columns
+
+    monkeypatch.setattr(javafacts, "_decode", spy)
+    got = javafacts._parse_java(new, "<memory>", (source, facts))
+    monkeypatch.undo()
+    assert _plain(got) == _plain(parse_java(new))
+    [(start, end)] = [m.byte_range for _q, c in got.all_classes() for m in c.methods if m.byte_range[0] == edited.byte_range[0]]
+    assert all(start <= a and b <= end for a, b in decoded), (decoded, (start, end))
 
 
 def test_large_file_parses_only_the_methods_in_the_window(tmp_path, monkeypatch):

@@ -57,8 +57,8 @@ _LINE_FIELDS = {"line"}
 
 
 def _plain(value, lines: bool):
-    """Facts as nested tuples with every body_statements read; line numbers
-    are None unless lines."""
+    """Facts as nested tuples of every compared field, with every
+    body_statements read; line numbers are None unless lines."""
     if isinstance(value, (tuple, list)):
         return tuple(_plain(v, lines) for v in value)
     if not dataclasses.is_dataclass(value):
@@ -66,7 +66,8 @@ def _plain(value, lines: bool):
     if hasattr(value, "body_statements"):
         kind, names = "method", _METHOD_FIELDS
     else:
-        kind, names = type(value).__name__, [f.name for f in dataclasses.fields(value)]
+        # the position fields no equality compares are the package's own, and the oracle leaves them empty
+        kind, names = type(value).__name__, [f.name for f in dataclasses.fields(value) if f.compare]
     return kind, tuple(
         (name, None if name in _LINE_FIELDS and not lines else _plain(getattr(value, name), lines))
         for name in names
