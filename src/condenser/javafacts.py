@@ -871,6 +871,14 @@ class _Parser:
         self.lexed = self.layout.pos = at + end - start
         return moved
 
+    def step_to_brace(self, at: int, start: int, brace: int) -> int:
+        """Step over the source from offset at, which holds the old text from
+        start through the '{' at brace; the new offset of that '{'."""
+        self.step(at, start, brace + 1)
+        brace += at - start
+        self.layout.opened.append(brace)  # as a scan through the '{' would
+        return brace
+
     def holds(self, old_cls: ClassFacts, k: int, j: int, at: int) -> bool:
         """Whether the source holds members k..j-1 of old_cls, the class of
         the same name in the old version, from offset at.
@@ -959,12 +967,10 @@ class _Parser:
             start, brace = old_cls.header
             if old_cls.members and self.source.startswith(text[start : brace + 1], at):
                 before = self.unmatched
-                self.step(at, start, brace + 1)
-                open_at = at + brace - start
-                self.layout.opened.append(open_at)  # as a scan through the '{' would
                 return self.parse_class_rest(
                     prefix, old_cls.name, old_cls.kind, old_cls.modifiers, old_cls.annotations,
-                    old_cls.extends_types, old_cls.implements_types, at, at, old_cls, before, open_at,
+                    old_cls.extends_types, old_cls.implements_types, at, at, old_cls, before,
+                    self.step_to_brace(at, start, brace),
                 )
         return None
 
@@ -1401,10 +1407,7 @@ class _Parser:
         body_start = end - len(m.body_text)
         if not m.body_text or not self.source.startswith(self.old.source[start : body_start + 1], at):
             return None
-        self.step(at, start, body_start + 1)
-        body_at = at + body_start - start
-        self.layout.opened.append(body_at)  # as a scan through the '{' would
-        body_text, body_line, body_comments, end = self.read_body(body_at)
+        body_text, body_line, body_comments, end = self.read_body(self.step_to_brace(at, start, body_start))
         decl = replace(m.decl, body_text=body_text, body_comments=body_comments)
         self.decls.append((at, f"method:{qname}.{decl.name}", end - len(body_text), end))
         return MethodFacts(decl, (at, end), body_line, len(self.outer))
