@@ -196,7 +196,7 @@ def _lcs_align(old: tuple[StatementFacts, ...], new: tuple[StatementFacts, ...])
     la, lb = len(a), len(b)
     # bit-parallel rows over the reversed sequences: dp(i, j), the LCS of
     # a[i:] and b[j:], is read off row la - i over the first lb - j bits
-    rows = lcs_rows(a[::-1], b[::-1])
+    rows = list(lcs_rows(a[::-1], b[::-1]))
 
     def dp(i: int, j: int) -> int:
         n = lb - j

@@ -46,7 +46,9 @@ log = logging.getLogger("condenser")
 ENV_API_KEY = "CONDENSER_API_KEY"
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command; the config flags go only on the
+    subcommands of `command`, or on every one when it is None."""
     parser = argparse.ArgumentParser(
         prog="condenser",
         description="Condense Java code changes into compact text templates; evaluate and export.",
@@ -54,12 +56,16 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--verbose", action="store_true", help="chatty diagnostics on stderr")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_config_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", help="key=value config file; flags override file values")
-        for f in fields(PipelineConfig):
-            p.add_argument(_flag(f.name), dest=f.name, help=f.metadata.get("help"))
+    def add_command(group, name: str, run, summary: str, config: str | None = None) -> argparse.ArgumentParser:
+        p = group.add_parser(name, help=summary)
+        p.set_defaults(run=run)
+        if config is not None and command in (None, config):
+            p.add_argument("--config", help="key=value config file; flags override file values")
+            for f in fields(PipelineConfig):
+                p.add_argument(_flag(f.name), dest=f.name, help=f.metadata.get("help"))
+        return p
 
-    p_condense = sub.add_parser("condense", help="condense a single commit to a template")
+    p_condense = add_command(sub, "condense", _cmd_condense, "condense a single commit to a template", "condense")
     p_condense.add_argument("--repo", required=True)
     p_condense.add_argument("--hash", required=True)
     p_condense.add_argument("--diff", help="unified diff file, or '-' for stdin")
@@ -68,34 +74,29 @@ def _build_parser() -> argparse.ArgumentParser:
     p_condense.add_argument("--format", choices=("text", "json"), default="text")
     p_condense.add_argument("--out", help="write the template here instead of stdout")
     p_condense.add_argument("--explain-type", action="store_true", help="print the fired classification rule on stderr")
-    add_config_flags(p_condense)
 
     p_corpus = sub.add_parser("corpus", help="corpus-scale operations")
     corpus_sub = p_corpus.add_subparsers(dest="corpus_command", required=True)
 
-    p_run = corpus_sub.add_parser("run", help="condense every corpus record")
+    p_run = add_command(corpus_sub, "run", _cmd_corpus_run, "condense every corpus record", "corpus")
     p_run.add_argument("--corpus", required=True, help="JSONL corpus file")
     p_run.add_argument("--format", choices=("text", "json"), default="json")
     p_run.add_argument("--out", help="output file (default stdout)")
-    add_config_flags(p_run)
 
-    p_stats = corpus_sub.add_parser("stats", help="identifier occurrence statistics")
+    p_stats = add_command(corpus_sub, "stats", _cmd_corpus_stats, "identifier occurrence statistics", "corpus")
     p_stats.add_argument("--corpus", required=True)
     p_stats.add_argument("--out", help="output file (default stdout)")
-    add_config_flags(p_stats)
 
-    p_export = sub.add_parser("export-sft", help="export prompt/target records for fine-tuning")
+    p_export = add_command(sub, "export-sft", _cmd_export_sft, "export prompt/target records for fine-tuning", "export-sft")
     p_export.add_argument("--corpus", required=True)
     p_export.add_argument("--out", required=True)
-    add_config_flags(p_export)
 
-    p_generate = sub.add_parser("generate", help="call an external generation endpoint")
+    p_generate = add_command(sub, "generate", _cmd_generate, "call an external generation endpoint", "generate")
     p_generate.add_argument("--sft", required=True, help="JSONL file from export-sft")
     p_generate.add_argument("--endpoint", required=True, help="endpoint URL")
     p_generate.add_argument("--out", help="output file (default stdout)")
-    add_config_flags(p_generate)
 
-    p_eval = sub.add_parser("eval", help="score candidates against references")
+    p_eval = add_command(sub, "eval", _cmd_eval, "score candidates against references")
     p_eval.add_argument("--candidates", required=True, help="one message per line")
     p_eval.add_argument("--references", required=True, help="one message per line, aligned")
     p_eval.add_argument("--out", help="output file (default stdout)")
@@ -320,8 +321,15 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """argv parsed with the config flags of its command only (the first
+    argument that is not an option names it)."""
+    command = next((arg for arg in argv if not arg.startswith("-")), None)
+    return _build_parser(command).parse_args(argv)
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else argv)
     # force=True rebinds the handler to the current sys.stderr on every
     # invocation (repeat in-process calls would otherwise log to a stale stream)
     logging.basicConfig(
@@ -331,19 +339,7 @@ def main(argv: list[str] | None = None) -> int:
         force=True,
     )
     try:
-        if args.command == "condense":
-            return _cmd_condense(args)
-        if args.command == "corpus":
-            if args.corpus_command == "run":
-                return _cmd_corpus_run(args)
-            return _cmd_corpus_stats(args)
-        if args.command == "export-sft":
-            return _cmd_export_sft(args)
-        if args.command == "generate":
-            return _cmd_generate(args)
-        if args.command == "eval":
-            return _cmd_eval(args)
-        raise AssertionError(f"unhandled command {args.command}")
+        return args.run(args)
     except (ConfigError, CorpusFormatError, DiffFormatError, MissingSnapshot,
             EmptyCorpus, EmptyInput, EmptyReference, BudgetError,
             FileNotFoundError, UnicodeDecodeError) as exc:

@@ -68,9 +68,14 @@ class TokenSeq:
     tokens: tuple[str, ...]
 
     def __post_init__(self):
-        for t in self.tokens:
-            if not t or t != t.lower():
-                raise ValueError(f"tokens must be non-empty and lowercase: {t!r}")
+        # str.lower is per character except for capital sigma, which never
+        # lowers to itself, so the joined text is its own lowercase exactly
+        # when every token is; the loop only names the first bad token
+        joined = "\x00".join(self.tokens)
+        if "" in self.tokens or joined != joined.lower():
+            for t in self.tokens:
+                if not t or t != t.lower():
+                    raise ValueError(f"tokens must be non-empty and lowercase: {t!r}")
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -105,7 +110,13 @@ class MetricReport:
 
 
 def tokenize_message(text: str) -> TokenSeq:
-    """Lowercase and split into word tokens and standalone punctuation."""
+    """Lowercase and split into word tokens and standalone punctuation.
+
+    Lowering ASCII text changes only A-Z, so the whole text is lowered
+    before the split; other text is split first, because lowering can
+    change a character's class or length (U+0130 lowers to two)."""
+    if text.isascii():
+        return TokenSeq(tokens=tuple(TOKEN_RE.findall(text.lower())))
     return TokenSeq(tokens=tuple(t.lower() for t in TOKEN_RE.findall(text)))
 
 
@@ -119,12 +130,12 @@ def bleu_norm(candidate: TokenSeq, reference: TokenSeq) -> float:
     One table counts the reference's n-grams, n = 1..4; a candidate n-gram
     matches while its count is positive and spends one, which clips it.
     """
-    if len(reference) == 0:
+    cand, ref = candidate.tokens, reference.tokens
+    c, r = len(cand), len(ref)
+    if r == 0:
         raise EmptyReference("reference must be non-empty")
-    c, r = len(candidate), len(reference)
     if c == 0:
         return 0.0
-    cand, ref = candidate.tokens, reference.tokens
     unspent = {}
     for gram in chain(ref, zip(ref, ref[1:]), zip(ref, ref[1:], ref[2:]), zip(ref, ref[1:], ref[2:], ref[3:])):
         unspent[gram] = unspent.get(gram, 0) + 1
@@ -151,13 +162,14 @@ def bleu_norm(candidate: TokenSeq, reference: TokenSeq) -> float:
 
 def rouge_l(candidate: TokenSeq, reference: TokenSeq) -> float:
     """F-score over the longest common subsequence, beta = 1.2."""
-    if len(candidate) == 0 or len(reference) == 0:
+    cand, ref = candidate.tokens, reference.tokens
+    if not cand or not ref:
         raise EmptyInput("both sequences must be non-empty")
-    lcs = lcs_length(candidate.tokens, reference.tokens)
+    lcs = lcs_length(cand, ref)
     if lcs == 0:
         return 0.0
-    precision = lcs / len(candidate)
-    recall = lcs / len(reference)
+    precision = lcs / len(cand)
+    recall = lcs / len(ref)
     beta_sq = ROUGE_BETA * ROUGE_BETA
     f = (1 + beta_sq) * precision * recall / (recall + beta_sq * precision)
     return 100.0 * f
@@ -320,15 +332,16 @@ def meteor(
     When the chunk search hits its cap, (candidate, reference) is appended
     to `capped`, if given: the score then rests on an upper bound of chunks.
     """
-    if len(candidate) == 0 or len(reference) == 0:
+    cand, ref = candidate.tokens, reference.tokens
+    if not cand or not ref:
         raise EmptyInput("both sequences must be non-empty")
-    matches, chunks, hit_cap = _meteor_search(candidate.tokens, reference.tokens)
+    matches, chunks, hit_cap = _meteor_search(cand, ref)
     if hit_cap and capped is not None:
         capped.append((candidate, reference))
     if matches == 0:
         return 0.0
-    precision = matches / len(candidate)
-    recall = matches / len(reference)
+    precision = matches / len(cand)
+    recall = matches / len(ref)
     fmean = precision * recall / (METEOR_ALPHA * precision + (1 - METEOR_ALPHA) * recall)
     penalty = METEOR_GAMMA * (chunks / matches) ** METEOR_BETA
     return 100.0 * fmean * (1 - penalty)
@@ -342,9 +355,9 @@ def score_corpus(pairs: list[tuple[TokenSeq, TokenSeq]]) -> MetricReport:
     total_b = total_m = total_r = 0.0
     capped: list[tuple[TokenSeq, TokenSeq]] = []
     for candidate, reference in pairs:
-        if len(reference) == 0:
+        if not reference.tokens:
             raise EmptyReference("reference must be non-empty")
-        if len(candidate) == 0:
+        if not candidate.tokens:
             continue  # zero contribution
         total_b += bleu_norm(candidate, reference)
         total_m += meteor(candidate, reference, capped)

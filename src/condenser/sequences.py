@@ -12,7 +12,7 @@ instead of O(len(b)) interpreted steps.
 from __future__ import annotations
 
 import re
-from collections.abc import Hashable, Sequence
+from collections.abc import Hashable, Iterator, Sequence
 
 __all__ = ["TOKEN_RE", "lcs_length", "lcs_rows", "split_lines"]
 
@@ -31,11 +31,12 @@ def split_lines(text: str) -> list[str]:
     return lines
 
 
-def lcs_rows(a: Sequence[Hashable], b: Sequence[Hashable]) -> list[int]:
-    """Bit vectors of the LCS table of a against every prefix of b.
+def lcs_rows(a: Sequence[Hashable], b: Sequence[Hashable]) -> Iterator[int]:
+    """Bit vectors of the LCS table of a against every prefix of b, one row
+    per prefix of a, shortest first.
 
-    rows[k] describes a[:k]: for every n <= len(b),
-    LCS(a[:k], b[:n]) == n - (rows[k] & ((1 << n) - 1)).bit_count().
+    Row k describes a[:k]: for every n <= len(b),
+    LCS(a[:k], b[:n]) == n - (row_k & ((1 << n) - 1)).bit_count().
     A zero bit at position p means the LCS grows by one when b[p] joins the
     prefix of b.
     """
@@ -44,16 +45,17 @@ def lcs_rows(a: Sequence[Hashable], b: Sequence[Hashable]) -> list[int]:
         match[x] = match.get(x, 0) | (1 << p)
     full = (1 << len(b)) - 1
     v = full
-    rows = [v]
+    yield v
     for x in a:
         u = v & match.get(x, 0)
         v = ((v + u) | (v - u)) & full
-        rows.append(v)
-    return rows
+        yield v
 
 
 def lcs_length(a: Sequence[Hashable], b: Sequence[Hashable]) -> int:
     """Length of a longest common subsequence of a and b."""
     if not a or not b:
         return 0
-    return len(b) - lcs_rows(a, b)[-1].bit_count()
+    for v in lcs_rows(a, b):
+        pass
+    return len(b) - v.bit_count()

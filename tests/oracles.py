@@ -2,13 +2,14 @@
 
 Everything here is written straight from first principles (exhaustive
 enumeration, literal formulas with exact fractions) and shares no code with
-the package. Only usable for short inputs.  The exception is the last eight
+the package. Only usable for short inputs.  The exception is the last nine
 sections: the package's previous Java lexer and comment-attachment resolver,
 its previous eager declaration parser, its previous whole-file comment
 attachment and elicitation, its previous statement diff and ROUGE-L LCS,
 its previous METEOR chunk search, its previous Counter-based BLEU, its
-previous two-pass template renderer and its previous identifier extraction,
-kept as the reference their rewrites must reproduce.
+previous two-pass template renderer, its previous identifier extraction,
+and its previous message tokenizer and token check, kept as the reference
+their rewrites must reproduce.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from condenser.identifiers import (
     split_camel,
 )
 from condenser.metrics import EmptyReference, TokenSeq
+from condenser.sequences import TOKEN_RE
 from condenser.javafacts import (
     AnnotationFacts,
     ClassFacts,
@@ -2178,3 +2180,27 @@ def extract_identifiers_oracle(
         ordered.append(EmphasizedIdentifier(raw=raw, category=category, split=tuple(split_camel(raw))))
     ordered.sort(key=lambda e: _CATEGORY_RANK[e.category])  # stable: keeps first-occurrence order
     return ordered
+
+
+# --- message tokenizer and token check: the per-token originals --------------
+#
+# The package's previous tokenize_message, which lowered each token after the
+# split, and TokenSeq's previous per-token check, kept verbatim as the
+# reference the whole-text lowering and the joined-text check must reproduce.
+# Only names changed: TokenSeqOracle holds just the check, and
+# tokenize_message_oracle builds one.
+
+
+@dataclass(frozen=True)
+class TokenSeqOracle:
+    tokens: tuple[str, ...]
+
+    def __post_init__(self):
+        for t in self.tokens:
+            if not t or t != t.lower():
+                raise ValueError(f"tokens must be non-empty and lowercase: {t!r}")
+
+
+def tokenize_message_oracle(text: str) -> TokenSeqOracle:
+    """Lowercase and split into word tokens and standalone punctuation."""
+    return TokenSeqOracle(tokens=tuple(t.lower() for t in TOKEN_RE.findall(text)))

@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import json
 import re
+import shlex
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-from condenser.cli import _build_parser, _resolve_config, main
+from condenser.cli import _build_parser, _parse_args, _resolve_config, main
 from condenser.config import ConfigError, PipelineConfig, load_config, load_stoplist
 from grammar import check_template
 
@@ -361,6 +362,44 @@ def test_readme_configuration_table_names_every_knob():
     section = readme.split("### Configuration", 1)[1].split("\n#", 1)[0]
     rows = [line.split("|")[1] for line in section.splitlines() if line.startswith("| `")]
     assert {key for row in rows for key in re.findall(r"`(\w+)`", row)} == {f.name for f in fields(PipelineConfig)}
+
+
+# a representative argv of every command, config flags included
+_EXAMPLES = {
+    "condense": ["--verbose", "condense", "--repo", "r", "--hash", "h", "--diff", "-", "--budget", "96", "--format", "json"],
+    "corpus run": ["corpus", "run", "--corpus", "c.jsonl", "--config", "k.conf", "--out", "t.jsonl"],
+    "corpus stats": ["corpus", "stats", "--corpus", "c.jsonl", "--stoplist", "stop.txt"],
+    "export-sft": ["export-sft", "--corpus", "c.jsonl", "--out", "sft.jsonl", "--target-tokens", "64"],
+    "generate": ["generate", "--sft", "sft.jsonl", "--endpoint", "http://127.0.0.1:9/", "--jobs", "4", "--temperature", "0.5"],
+    "eval": ["eval", "--candidates", "c.txt", "--references", "r.txt", "--out", "scores.json"],
+}
+
+
+@pytest.mark.parametrize("command", list(_EXAMPLES))
+def test_a_parser_built_for_one_command_parses_and_helps_like_the_full_one(command, capsys):
+    argv = _EXAMPLES[command]
+    full, own = _build_parser(), _build_parser(command.split()[0])
+    assert own.parse_args(argv) == full.parse_args(argv) == _parse_args(argv)
+    helps = []
+    for parser in (own, full):
+        with pytest.raises(SystemExit):
+            parser.parse_args(command.split() + ["--help"])
+        helps.append(capsys.readouterr().out)
+    assert helps[0] == helps[1]
+    assert ("--temperature" in helps[0]) == (command != "eval")
+
+
+def test_every_readme_example_parses():
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    examples = []
+    for block in re.findall(r"```bash\n(.*?)```", readme, re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line, comments=True)
+            if "condenser" in words:
+                examples.append(words[words.index("condenser") + 1 :])
+    assert len(examples) == 7
+    for argv in examples:
+        assert _parse_args(argv) == _build_parser().parse_args(argv), argv
 
 
 def test_corpus_run_jsonl(capsys, corpus_path):

@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from condenser.metrics import (
     EmptyCorpus,
@@ -25,6 +27,8 @@ from oracles import (
     meteor_alignment_oracle,
     meteor_oracle,
     rouge_l_oracle,
+    tokenize_message_oracle,
+    TokenSeqOracle,
 )
 
 
@@ -45,6 +49,41 @@ def test_tokenize_empty():
 
 def test_tokenize_collapses_whitespace():
     assert tokenize_message("fix   the\t bug ").tokens == ("fix", "the", "bug")
+
+
+# characters whose case mapping or class is unusual: U+0130 lowers to two
+# characters, capital sigma lowers by context, '²' is a word character that
+# does not lower, U+001C is ASCII whitespace that is no space or tab, and
+# U+0000 is the separator of TokenSeq's joined check
+_ODD = "İΣσςß²\x1c\x00 \t\n.,;-_'"
+_TEXT = st.one_of(
+    st.text(st.characters(max_codepoint=127)),
+    st.text(st.sampled_from("aZ09 .(" + _ODD)),
+    st.text(st.one_of(st.characters(), st.sampled_from(_ODD))),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_TEXT)
+def test_tokenize_matches_the_per_token_original(text):
+    assert tokenize_message(text).tokens == tokenize_message_oracle(text).tokens
+
+
+def _check_outcome(make, tokens):
+    try:
+        make(tokens=tokens)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+_TOKEN = st.one_of(st.text(st.sampled_from("az9_.σς²\x00")), st.text(st.sampled_from("aZ9." + _ODD)), st.text())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_TOKEN, max_size=5).map(tuple))
+def test_token_check_matches_the_per_token_original(tokens):
+    assert _check_outcome(TokenSeq, tokens) == _check_outcome(TokenSeqOracle, tokens)
 
 
 def test_tokenize_keeps_long_messages_whole():
