@@ -10,7 +10,6 @@ references, and exports prompt/target records for fine-tuning.
 from condenser.changeset import (
     ChangeType,
     StructuralDiff,
-    classify_change,
     classify_change_explained,
     detect_statement_moves,
     diff_facts,
@@ -43,7 +42,6 @@ from condenser.javafacts import (
     ParseError,
     SourceFacts,
     StatementFacts,
-    extract_comments,
     parse_java,
 )
 from condenser.metrics import MetricReport, TokenSeq, bleu_norm, meteor, rouge_l, score_corpus, tokenize_message

@@ -34,7 +34,6 @@ __all__ = [
     "MethodInlineChange",
     "StructuralDiff",
     "CHANGE_TYPE_LABELS",
-    "classify_change",
     "classify_change_explained",
     "detect_statement_moves",
     "diff_commit_facts",
@@ -948,11 +947,3 @@ def _untouched_non_accessor_exists(touched: list[_TouchedMethod], all_new_facts:
                     return True
     return False
 
-
-def classify_change(
-    diff: StructuralDiff,
-    all_new_facts: list[SourceFacts] | None = None,
-    config: PipelineConfig | None = None,
-) -> ChangeType:
-    """Classify a commit-wide diff into one change type Ty0..Ty11."""
-    return classify_change_explained(diff, all_new_facts, config)[0]

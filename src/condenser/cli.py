@@ -342,7 +342,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.run(args)
     except (ConfigError, CorpusFormatError, DiffFormatError, MissingSnapshot,
             EmptyCorpus, EmptyInput, EmptyReference, BudgetError,
-            FileNotFoundError, UnicodeDecodeError) as exc:
+            OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

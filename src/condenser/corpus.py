@@ -296,11 +296,21 @@ def export_sft(
 
 
 def load_sft(path: str | Path) -> list[SftRecord]:
+    """Load export-sft records. Raises CorpusFormatError, naming the line,
+    for a line that is not a JSON object with all four fields."""
     records = []
-    for raw in read_lines(path):
+    for lineno, raw in enumerate(read_lines(path), start=1):
         if not raw.strip():
             continue
-        data = json.loads(raw)
+        try:
+            data = json.loads(raw)
+        except json.JSONDecodeError as exc:
+            raise CorpusFormatError(f"{path}:{lineno}: {exc}") from None
+        if not isinstance(data, dict):
+            raise CorpusFormatError(f"{path}:{lineno}: expected a JSON object")
+        missing = [key for key in ("prompt", "target", "repo", "hash") if key not in data]
+        if missing:
+            raise CorpusFormatError(f"{path}:{lineno}: missing {', '.join(missing)}")
         records.append(SftRecord(prompt=data["prompt"], target=data["target"], repo=data["repo"], hash=data["hash"]))
     return records
 

@@ -22,7 +22,6 @@ __all__ = [
     "Hunk",
     "MissingSnapshot",
     "UnifiedDiff",
-    "apply_hunks",
     "parse_unified_diff",
     "reconstruct_pairs",
 ]
@@ -272,28 +271,3 @@ def reconstruct_pairs(
         pairs.append(FilePair(path_old=path_old, path_new=path_new, content_old=content_old, content_new=content_new))
     return CommitInput(repo_name=repo_name, commit_hash=commit_hash, file_pairs=tuple(pairs))
 
-
-def apply_hunks(content_old: str, hunks: tuple[Hunk, ...]) -> str:
-    """Apply hunks to old content; the patch-consistency check uses this."""
-    old_lines = split_lines(content_old)
-    out: list[str] = []
-    cursor = 0  # 0-based index into old_lines
-    for hunk in hunks:
-        start = hunk.old_start - 1 if hunk.old_len > 0 else hunk.old_start
-        out.extend(old_lines[cursor:start])
-        cursor = start
-        for line in hunk.lines:
-            tag, body = line[0], line[1:]
-            if tag == " ":
-                out.append(body)
-                cursor += 1
-            elif tag == "-":
-                cursor += 1
-            else:
-                out.append(body)
-        # no strict context verification; inputs come from our own parser
-    out.extend(old_lines[cursor:])
-    result = "\n".join(out)
-    if content_old.endswith("\n") or not content_old:
-        result += "\n" if out else ""
-    return result

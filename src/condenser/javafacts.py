@@ -80,15 +80,12 @@ All returned facts are immutable in value and safe to share across threads
 
 from __future__ import annotations
 
-import logging
 import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import accumulate
 from operator import attrgetter, is_, itemgetter
-
-log = logging.getLogger(__name__)
 
 __all__ = [
     "AnnotationFacts",
@@ -101,7 +98,6 @@ __all__ = [
     "ParseError",
     "SourceFacts",
     "StatementFacts",
-    "extract_comments",
     "merge_inline_comments",
     "parse_java",
 ]
@@ -319,7 +315,6 @@ class _RawComment:
     end_line: int
     start: int
     end: int
-    terminated: bool = True
 
 
 # Tried in this order at each position, so a longer operator wins over its
@@ -373,7 +368,7 @@ def _line_starts(source: str) -> list[int]:
 
 
 def _decode(
-    text: str, pos: int, endpos: int, line: int, lenient: bool = False, stop: bool = False
+    text: str, pos: int, endpos: int, line: int, stop: bool = False
 ) -> tuple[list[str], list[str], list[int], list[int], list[tuple[str, int, int]]]:
     """Lex text[pos:endpos] into parallel columns: each code token's kind
     (ident|number|string|char|punct), text, start and end offset; and each
@@ -381,9 +376,8 @@ def _decode(
 
     One finditer loop over _TOKEN_RE; no Python code runs per character.
     line is the line of text[0]; a ParseError for an unterminated comment
-    or literal counts its line from there.  In lenient mode those run to
-    end of input (a literal to its line's end) instead of raising.  With
-    stop, lexing ends with the first code '{'.
+    or literal counts its line from there.  With stop, lexing ends with the
+    first code '{'.
     """
     kinds: list[str] = []
     texts: list[str] = []
@@ -407,15 +401,10 @@ def _decode(
                 # non-ASCII digits outside \d (e.g. '\u00b2') still lex as numbers
                 kind = "number" if tok.isdigit() else "punct"
             elif kind == "open_comment":
-                at = line + text.count("\n", 0, start)
-                if not lenient:
-                    raise ParseError(at, "unterminated block comment")
-                log.warning("unterminated block comment at line %d runs to end of input", at)
-                comments.append((kind, start, end))
-                continue
+                raise ParseError(line + text.count("\n", 0, start), "unterminated block comment")
             else:  # a wrapped or open literal
                 literal = "string" if tok[0] == '"' else "char"
-                if kind == "open_literal" and not lenient:
+                if kind == "open_literal":
                     raise ParseError(line + text.count("\n", 0, start), f"unterminated {literal} literal")
                 kind = literal
         kinds.append(kind)
@@ -429,11 +418,9 @@ def _decode(
 
 def _comment_text(group: str, text: str) -> tuple[str, str]:
     """A comment's kind and its text without delimiters, from its _TOKEN_RE
-    group and source text; an open_comment runs to end of input."""
+    group and source text."""
     if group == "line_comment":
         return "line", text[2:]
-    if group == "open_comment":
-        return "javadoc" if text.startswith("/**") else "block", text[2:]
     if text.startswith("/**") and len(text) > 4:
         return "javadoc", text[3:-2]  # drop the second '*' of the opener
     return "block", text[2:-2]
@@ -443,19 +430,14 @@ def _raw_comment(group: str, text: str, line: int, start: int, end: int) -> _Raw
     """A comment from its _TOKEN_RE group and source text, delimiters
     included, and the line it starts on."""
     kind, body = _comment_text(group, text)
-    return _RawComment(kind, body, line, line + body.count("\n"), start, end, group != "open_comment")
+    return _RawComment(kind, body, line, line + body.count("\n"), start, end)
 
 
-def _lex(source: str, lenient: bool = False) -> tuple[list[tuple[str, str, int, int, int]], list[_RawComment]]:
+def _lex(source: str) -> tuple[list[tuple[str, str, int, int, int]], list[_RawComment]]:
     """Tokenize Java source into one (kind, text, line, start, end) row per
-    code token, and its comment records.
-
-    In lenient mode unterminated comments/strings run to end of input (a
-    literal to its line's end) instead of raising; that mode backs
-    extract_comments on arbitrary text.
-    """
+    code token, and its comment records."""
     line_starts = _line_starts(source)
-    kinds, texts, starts, ends, spans = _decode(source, 0, len(source), 1, lenient)
+    kinds, texts, starts, ends, spans = _decode(source, 0, len(source), 1)
     tokens = [(k, t, bisect_right(line_starts, s) + 1, s, e) for k, t, s, e in zip(kinds, texts, starts, ends)]
     comments = [_raw_comment(g, source[s:e], bisect_right(line_starts, s) + 1, s, e) for g, s, e in spans]
     return tokens, comments
@@ -2041,20 +2023,3 @@ def merge_inline_comments(comments: tuple[CommentFacts, ...], methods: list[Meth
             out += m.inline_comments
     out += comments[done:]
     return out
-
-
-def extract_comments(source: str) -> list[CommentFacts]:
-    """Extract every comment from source text, with best-effort attachment.
-
-    For parseable Java these are the parser's comments with every method's
-    inline comments merged in.  For anything else it degrades to a lenient
-    lexical scan (string literals still never produce comments) with
-    file-level attachment; an unterminated block comment runs to end of
-    input and is logged.
-    """
-    try:
-        facts = parse_java(source)
-    except ParseError:
-        _rows, raw_comments = _lex(source, lenient=True)
-        return [_comment_facts(raw.kind, raw.text, "file") for raw in raw_comments]
-    return merge_inline_comments(facts.comments, [m for _q, cls in facts.all_classes() for m in cls.methods])

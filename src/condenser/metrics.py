@@ -175,21 +175,11 @@ def rouge_l(candidate: TokenSeq, reference: TokenSeq) -> float:
     return 100.0 * f
 
 
-def meteor_alignment(candidate: tuple[str, ...], reference: tuple[str, ...]) -> tuple[int, int]:
-    """Exact-match unigram alignment: maximum matches, then minimum chunks.
-
-    A chunk is a maximal run of candidate positions i, i+1, ... aligned to
-    consecutive reference positions j, j+1, ... Returns (matches, chunks);
-    chunks is 0 when there are no matches.  The chunk count is the minimum
-    unless the search hits _METEOR_SEARCH_CAP, in which case it is the best
-    found, an upper bound (see _meteor_search).
-    """
-    matches, chunks, _ = _meteor_search(candidate, reference)
-    return matches, chunks
-
-
 def _meteor_search(candidate: tuple[str, ...], reference: tuple[str, ...]) -> tuple[int, int, bool]:
-    """(matches, chunks, capped) by depth-first branch and bound.
+    """(matches, chunks, capped) by depth-first branch and bound: maximum
+    exact unigram matches, then minimum chunks, a chunk being a maximal run
+    of candidate positions aligned to consecutive reference positions
+    (chunks is 0 when nothing matches).
 
     The greedy common-substring alignment is the initial bound.  The lower
     bound on chunks still to come counts forced positions k, those whose

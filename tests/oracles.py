@@ -356,7 +356,7 @@ def lex_oracle(source: str, lenient: bool = False) -> tuple[list[_Token], list[_
     """Tokenize Java source, returning code tokens and comment records.
 
     In lenient mode unterminated comments/strings run to end of input
-    instead of raising; that mode backs extract_comments on arbitrary text.
+    instead of raising.
     """
     tokens: list[_Token] = []
     comments: list[_RawComment] = []

@@ -10,7 +10,6 @@ import pytest
 from condenser.changeset import (
     CHANGE_TYPE_LABELS,
     ChangeType,
-    classify_change,
     classify_change_explained,
     detect_statement_moves,
     diff_facts,
@@ -244,7 +243,7 @@ def test_classification_deterministic_across_runs():
         results = set()
         for _ in range(3):
             _, new, diff = diff_sources(old_src, new_src)
-            results.add(classify_change(diff, [new]).value)
+            results.add(classify_change_explained(diff, [new])[0].value)
         assert results == {expected}
 
 
@@ -254,7 +253,7 @@ def test_constructor_only_commit_is_object_creation():
         "class Request { String url; }",
         "class Request { String url; Request(String url) { this.url = url; } }",
     )
-    assert classify_change(diff, [new]).value == "Ty4"
+    assert classify_change_explained(diff, [new])[0].value == "Ty4"
 
 
 def test_empty_diff_is_unknown():
@@ -269,7 +268,7 @@ def test_large_commit_thresholds_are_configurable():
 
     _, new, diff = diff_sources(*ALL_TYPE_FIXTURES[7][1:])
     relaxed = PipelineConfig(large_change_min_methods=100)
-    got = classify_change(diff, [new], relaxed)
+    got = classify_change_explained(diff, [new], relaxed)[0]
     assert got.value != "Ty7"
 
 
@@ -293,7 +292,7 @@ def test_increment_counts_as_field_assignment():
         "class Tally { int count; void bump() { count++; count++; this.count++; }"
         " void drop() { count--; this.count--; } }",
     )
-    assert classify_change(diff, [new]).value == "Ty2"
+    assert classify_change_explained(diff, [new])[0].value == "Ty2"
 
 
 def test_change_type_value_label_bijection():

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import ast
+import importlib
 import json
+import pkgutil
 import re
 import shlex
 from dataclasses import fields
@@ -10,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+import condenser
 from condenser.cli import _build_parser, _parse_args, _resolve_config, main
 from condenser.config import ConfigError, PipelineConfig, load_config, load_stoplist
 from grammar import check_template
@@ -402,6 +406,24 @@ def test_every_readme_example_parses():
         assert _parse_args(argv) == _build_parser().parse_args(argv), argv
 
 
+@pytest.mark.parametrize("name", ["condenser"] + [m.name for m in pkgutil.iter_modules(condenser.__path__, "condenser.")])
+def test_every_exported_and_reexported_name_resolves(name):
+    module = importlib.import_module(name)
+    for exported in getattr(module, "__all__", ()):
+        assert hasattr(module, exported), exported
+    if name == "condenser":
+        tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+        imported = [
+            (node.module, alias.name)
+            for node in tree.body
+            if isinstance(node, ast.ImportFrom) and node.module != "__future__"
+            for alias in node.names
+        ]
+        assert len(imported) > 30
+        for source, imported_name in imported:
+            assert hasattr(importlib.import_module(source), imported_name), (source, imported_name)
+
+
 def test_corpus_run_jsonl(capsys, corpus_path):
     code, out, _ = run_cli(capsys, "corpus", "run", "--corpus", str(corpus_path))
     assert code == 0
@@ -548,6 +570,37 @@ def test_generate_cli_failure_exits_1_with_partial_output(capsys, tmp_path, corp
         assert "404" in err
     finally:
         server.shutdown()
+
+
+@pytest.mark.parametrize("line", ['{"prompt": "p"}', "not json", '["p", "t", "r", "h"]'])
+def test_generate_rejects_a_malformed_sft_line_before_any_request(capsys, tmp_path, monkeypatch, line):
+    sft_path = tmp_path / "sft.jsonl"
+    good = json.dumps({"prompt": "p", "target": "t", "repo": "r", "hash": "h"})
+    sft_path.write_text(f"{good}\n{line}\n", encoding="utf-8")
+    requests = []
+    monkeypatch.setattr("condenser.cli.generate_remote", lambda *args: requests.append(args))
+    code, out, err = run_cli(capsys, "generate", "--sft", str(sft_path), "--endpoint", "http://127.0.0.1:9/")
+    assert (code, out, requests) == (2, "", [])
+    assert err.startswith(f"error: {sft_path}:2: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--candidates", "{dir}", "--references", "{file}"],
+    ["corpus", "run", "--corpus", "{dir}"],
+    ["export-sft", "--corpus", "{dir}", "--out", "{tmp}/sft.jsonl"],
+    ["generate", "--sft", "{sft}", "--endpoint", "notaurl"],
+], ids=["eval-dir", "corpus-run-dir", "export-sft-dir", "generate-bad-url"])
+def test_an_input_that_cannot_be_read_or_reached_exits_2(capsys, tmp_path, argv):
+    # the bad URL fails before any connection is made
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "file.txt").write_text("fix bug\n", encoding="utf-8")
+    sft = json.dumps({"prompt": "p", "target": "t", "repo": "r", "hash": "h"})
+    (tmp_path / "sft.jsonl").write_text(sft + "\n", encoding="utf-8")
+    paths = {"dir": tmp_path / "dir", "file": tmp_path / "file.txt", "sft": tmp_path / "sft.jsonl", "tmp": tmp_path}
+    code, out, err = run_cli(capsys, *(arg.format(**paths) for arg in argv))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_eval_reports_json(capsys, tmp_path):

@@ -10,7 +10,8 @@ from condenser.comments import (
     elicit_comments,
     normalize_comment_text,
 )
-from condenser.javafacts import CommentFacts, extract_comments, parse_java
+from condenser.javafacts import CommentFacts, parse_java
+from test_lexer_oracle import all_comments
 
 
 def comment(kind: str, text: str, attachment: str = "file") -> CommentFacts:
@@ -161,7 +162,7 @@ def test_comment_at_the_end_of_a_body_belongs_to_that_body():
     new_src = old_src.replace("y();", "y(); z();")
     assert run_elicit(old_src, new_src) == []
     assert parse_java(old_src).comments == ()
-    assert [c.attachment for c in extract_comments(old_src)] == ["inline:C.a"]
+    assert [c.attachment for c in all_comments(old_src)] == ["inline:C.a"]
 
 
 def test_renamed_class_keeps_its_comments():
@@ -227,7 +228,7 @@ def test_comment_only_body_edit_is_elicited():
 
 def test_every_elicited_text_comes_from_real_comments():
     elicited = run_elicit(OLD_CALLER, NEW_CALLER)
-    normalized_pool = {normalize_comment_text(c.text) for c in extract_comments(OLD_CALLER) + extract_comments(NEW_CALLER)}
+    normalized_pool = {normalize_comment_text(c.text) for c in all_comments(OLD_CALLER) + all_comments(NEW_CALLER)}
     for c in elicited:
         assert c.text in normalized_pool
 

@@ -8,9 +8,7 @@ from condenser.diffing import (
     CommitInput,
     DiffFormatError,
     FilePair,
-    Hunk,
     MissingSnapshot,
-    apply_hunks,
     parse_unified_diff,
     reconstruct_pairs,
 )
@@ -215,7 +213,6 @@ def test_patch_consistency_for_modified_pairs():
         assert pair.status == "modified"
         # applying each hunk to content_old reproduces content_new
         assert apply_patch_oracle(pair.content_old, section.hunks) == pair.content_new
-        assert apply_hunks(pair.content_old, section.hunks) == pair.content_new
 
 
 def test_file_pair_status_follows_paths():
@@ -276,7 +273,7 @@ def test_blank_context_lines_survive():
     diff = parse_unified_diff(text)
     hunk = diff.file_sections[0].hunks[0]
     assert hunk.old_len == 3 and hunk.new_len == 3
-    assert apply_hunks("class A {\n\n}\n", (hunk,)) == "class A {\n\n} // done\n"
+    assert apply_patch_oracle("class A {\n\n}\n", (hunk,)) == "class A {\n\n} // done\n"
 
 
 FORM_FEED_OLD = "class A {\n  int x;\f int y;\n  void m() { }\n}\n"
@@ -298,9 +295,4 @@ def test_form_feed_stays_inside_its_hunk_line():
     [section] = parse_unified_diff(text).file_sections
     [hunk] = section.hunks
     assert hunk.lines == (" class A {", "   int x;\f int y;", "-  void m() { }", "+  void m() { n(); }", " }")
-    assert apply_hunks(FORM_FEED_OLD, section.hunks) == FORM_FEED_NEW
-
-
-def test_apply_hunks_keeps_a_form_feed_inside_its_line():
-    hunk = Hunk(3, 1, 3, 1, ("-  void m() { }", "+  void m() { n(); }"))
-    assert apply_hunks(FORM_FEED_OLD, (hunk,)) == FORM_FEED_NEW
+    assert apply_patch_oracle(FORM_FEED_OLD, section.hunks) == FORM_FEED_NEW

@@ -7,12 +7,11 @@ import pytest
 from condenser.javafacts import (
     ParseError,
     SourceFacts,
-    _lex,
-    extract_comments,
     parse_java,
     sort_modifiers,
 )
 from oracles import comment_chars_oracle
+from test_lexer_oracle import all_comments
 
 
 # --- basic parsing -------------------------------------------------------------
@@ -312,13 +311,6 @@ def test_lines_count_the_newline_inside_a_wrapped_literal():
     assert [(s.text, s.line) for s in method.body_statements] == [("x();", 5)]
 
 
-def test_lenient_comment_lines_count_the_newline_an_open_literal_ends_at():
-    src = "it's fine // a comment\nint x; /* b */\n"
-    # the apostrophe opens a char literal that swallows the line comment
-    assert [c.text for c in extract_comments(src)] == [" b "]
-    assert [(c.text, c.start_line, c.end_line) for c in _lex(src, lenient=True)[1]] == [(" b ", 2, 2)]
-
-
 def test_anonymous_class_stays_one_statement():
     src = (
         "class C { void f() {\n"
@@ -373,14 +365,13 @@ def test_line_comment_attaches_to_following_method():
         "    void f() { }\n"
         "}\n"
     )
-    comments = extract_comments(src)
+    comments = all_comments(src)
     assert len(comments) == 1
     assert comments[0].kind == "line"
     assert comments[0].attachment == "method:C.f"
 
 
 def test_string_literal_is_not_a_comment():
-    assert extract_comments('String s = "// not a comment";') == []
     facts = parse_java('class C { String s = "/* nope */"; }')
     assert facts.comments == ()
 
@@ -393,7 +384,7 @@ def test_25_token_javadoc_attaches_to_class():
         " gamma delta epsilon".split()
     )
     src = f"/** {words} */\nclass C {{ }}\n"
-    comments = extract_comments(src)
+    comments = all_comments(src)
     assert len(comments) == 1
     assert comments[0].kind == "javadoc"
     assert comments[0].token_count == 25
@@ -410,7 +401,7 @@ def test_comment_inside_method_is_inline():
         "    void g() { }\n"
         "}\n"
     )
-    comments = extract_comments(src)
+    comments = all_comments(src)
     # the comment sits 1 line above g()? no: g is 3 lines below; f() encloses it
     assert comments[0].attachment == "inline:C.f"
 
@@ -441,7 +432,7 @@ def test_body_comments_are_built_on_first_read_with_their_lines():
     ]
     assert method.inline_comments is method.inline_comments
     # the last comment ends two lines above g(), but the body it sits in owns it
-    assert extract_comments(src) == list(method.inline_comments)
+    assert all_comments(src) == list(method.inline_comments)
 
 
 def test_comment_far_from_decls_attaches_to_enclosing_class():
@@ -455,27 +446,21 @@ def test_comment_far_from_decls_attaches_to_enclosing_class():
         "    void f() { }\n"
         "}\n"
     )
-    comments = extract_comments(src)
+    comments = all_comments(src)
     assert comments[0].attachment == "class:C"
 
 
 def test_file_level_comment():
     src = "// header note\n\n\n\nclass C { }\n"
-    comments = extract_comments(src)
+    comments = all_comments(src)
     assert comments[0].attachment == "file"
     facts = parse_java(src)
     assert [c.attachment for c in facts.comments] == ["file"]
 
 
-def test_unterminated_block_comment_extends_to_eof_leniently():
-    comments = extract_comments("class C { }\n/* runs off the end")
-    assert len(comments) == 1
-    assert comments[0].text.endswith("runs off the end")
-
-
 def test_comment_token_count_matches_whitespace_runs():
     src = "class C { }\n// a  b\tc   d\n"
-    comments = extract_comments(src)
+    comments = all_comments(src)
     assert comments[-1].token_count == len(comments[-1].text.split())
 
 
@@ -494,7 +479,7 @@ COMMENT_FIXTURES = [
 def test_comment_completeness_against_4_state_oracle(src):
     # every character inside a comment region appears in the extracted texts,
     # and nothing from outside does (order preserved)
-    extracted = "".join(c.text for c in extract_comments(src))
+    extracted = "".join(c.text for c in all_comments(src))
     assert extracted == comment_chars_oracle(src)
 
 
@@ -784,9 +769,5 @@ def test_parser_totality_under_random_mutation():
         mutated = "".join(chars)
         try:
             parse_java(mutated)
-        except ParseError:
-            pass
-        try:
-            extract_comments(mutated)  # lenient path must also stay total
         except ParseError:
             pass

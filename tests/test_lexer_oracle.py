@@ -5,12 +5,12 @@ Token streams (kind, text, line, start, end), comment streams, ParseError
 line and message, and attachments must be identical on every Java source in
 the test fixtures and on generated token soups and programs.  The soups
 include the originals' behaviour on invalid Java: digits that str.isdigit
-accepts but the regex \\d does not (lexed as numbers), and lenient-mode
-unterminated literals that run through the end of their line.
+accepts but the regex \\d does not (lexed as numbers), and the error for an
+unterminated comment or literal.
 
 One difference is deliberate.  The originals do not count a newline inside
-a literal (a backslash-newline in a string, or the end of an unterminated
-one in lenient mode) as a line, so every later line number is one too low.
+a literal (a backslash-newline in a string) as a line, so every later line
+number is one too low.
 The lexer counts every newline.  Where the original's token stream holds a
 literal with a newline, everything but line numbers is compared, and the
 lexer's line numbers are checked against a count of the newlines before
@@ -39,7 +39,7 @@ from condenser.javafacts import (
     ParseError,
     SourceFacts,
     _lex,
-    extract_comments,
+    merge_inline_comments,
     parse_java,
 )
 from corpusdata import COMMITS
@@ -67,25 +67,25 @@ def _fixture_sources() -> list[str]:
 FIXTURE_SOURCES = _fixture_sources()
 
 
-def _lexed(lex, source: str, lenient: bool, lines: bool = True):
+def _lexed(lex, source: str, lines: bool = True):
     """Tokens, comments or the error of one lexer; line numbers are None
     unless lines."""
     try:
-        tokens, comments = lex(source, lenient)
+        tokens, comments = lex(source)
     except ParseError as exc:
         return ("error", exc.line if lines else None, exc.message)
     return (
         [(kind, text, line if lines else None, start, end) for kind, text, line, start, end in tokens],
         [
-            (c.kind, c.text, c.start_line if lines else None, c.end_line if lines else None, c.start, c.end, c.terminated)
+            (c.kind, c.text, c.start_line if lines else None, c.end_line if lines else None, c.start, c.end)
             for c in comments
         ],
     )
 
 
-def _oracle_rows(source: str, lenient: bool):
+def _oracle_rows(source: str):
     """The original lexer's tokens as (kind, text, line, start, end) rows, as _lex gives them."""
-    tokens, comments = lex_oracle(source, lenient)
+    tokens, comments = lex_oracle(source)
     return [astuple(t) for t in tokens], comments
 
 
@@ -102,17 +102,23 @@ def _line_of(source: str, offset: int) -> int:
 
 def _assert_lexes_like_oracle(source: str) -> None:
     lines = not has_multiline_literal(source)
-    for lenient in (False, True):
-        assert _lexed(_lex, source, lenient, lines) == _lexed(_oracle_rows, source, lenient, lines), (lenient, source)
-        if not lines:
-            try:
-                tokens, comments = _lex(source, lenient)
-            except ParseError:
-                continue
-            assert [t[2] for t in tokens] == [_line_of(source, t[3]) for t in tokens], source
-            assert [(c.start_line, c.end_line) for c in comments] == [
-                (_line_of(source, c.start), _line_of(source, c.start) + source.count("\n", c.start, c.end)) for c in comments
-            ], source
+    assert _lexed(_lex, source, lines) == _lexed(_oracle_rows, source, lines), source
+    if not lines:
+        try:
+            tokens, comments = _lex(source)
+        except ParseError:
+            return
+        assert [t[2] for t in tokens] == [_line_of(source, t[3]) for t in tokens], source
+        assert [(c.start_line, c.end_line) for c in comments] == [
+            (_line_of(source, c.start), _line_of(source, c.start) + source.count("\n", c.start, c.end)) for c in comments
+        ], source
+
+
+def all_comments(source: str) -> list[CommentFacts]:
+    """Every comment of parseable Java source in source order: the parser's
+    comments with every method's inline comments merged in."""
+    facts = parse_java(source)
+    return merge_inline_comments(facts.comments, [m for _q, cls in facts.all_classes() for m in cls.methods])
 
 
 def without_body_comments_attached_below(
@@ -163,7 +169,7 @@ def _assert_attaches_like_oracle(source: str) -> int | None:
     except ParseError:
         return None
     expected = resolve_attachments_oracle(_lex(source)[1], oracle_decl_index(source, facts))[0]
-    got, expected, dropped = without_body_comments_attached_below(source, facts, extract_comments(source), expected)
+    got, expected, dropped = without_body_comments_attached_below(source, facts, all_comments(source), expected)
     assert got == expected, source
     return dropped
 
@@ -188,7 +194,7 @@ def test_fixture_attachments_match_oracle():
         'x = "ab\\\ncd" + y;\nz',  # backslash-newline inside a string
         "c = '\\\n'; d\ne",  # ... and inside a char literal
         "n = ² + 3³;",  # isdigit but not \d
-        'open "abc   \n\nnext',  # unterminated string: lenient swallows the newline
+        'open "abc   \n\nnext',  # unterminated string
         "'x",
         '"',
         '"\\',

@@ -517,9 +517,9 @@ def test_one_statement_edit_in_a_long_body_lexes_only_its_segment(monkeypatch):
     decoded: list[str] = []
     decode = javafacts._decode
 
-    def spy(text, pos, endpos, line, lenient=False):
+    def spy(text, pos, endpos, line):
         decoded.append(text[pos:endpos])
-        return decode(text, pos, endpos, line, lenient)
+        return decode(text, pos, endpos, line)
 
     monkeypatch.setattr(javafacts, "_decode", spy)
     (change,) = diff_facts(old, new).files[0].inline_changes
