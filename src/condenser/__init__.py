@@ -37,7 +37,6 @@ from condenser.javafacts import (
     ClassFacts,
     CommentFacts,
     FieldFacts,
-    MethodDecl,
     MethodFacts,
     ParseError,
     SourceFacts,

@@ -186,9 +186,9 @@ def _diff_annotations(old_annos, new_annos, target: str) -> list[AnnotationChang
 def _lcs_align(old: tuple[StatementFacts, ...], new: tuple[StatementFacts, ...]) -> tuple[list[StatementFacts], list[StatementFacts]]:
     """Residual removed/added statements after an order-preserving alignment.
 
-    Statements matched in order by identical text survive unchanged even when
-    their line numbers shifted; everything else is raw removed/added input
-    for move and modify pairing. Ties prefer removal first.
+    Statements matched in order by identical text survive unchanged;
+    everything else is raw removed/added input for move and modify pairing.
+    Ties prefer removal first.
     """
     a = [s.text for s in old]
     b = [s.text for s in new]
@@ -222,51 +222,28 @@ def _lcs_align(old: tuple[StatementFacts, ...], new: tuple[StatementFacts, ...])
 def detect_statement_moves(
     removed: list[StatementFacts], added: list[StatementFacts]
 ) -> tuple[list[tuple[StatementFacts, StatementFacts]], list[StatementFacts], list[StatementFacts]]:
-    """Pair removed/added statements with identical text at different lines.
+    """Pair removed/added statements with identical text as moves.
 
-    Maximum matching per text group (each statement used at most once);
-    residual lists keep their input order.
+    Within a text, the first min(r, a) of its r removed statements pair with
+    the first min(r, a) of its a added ones, in input order.  The residual
+    lists keep their input order and share no text, so modify pairing never
+    pairs a statement with its own text.
     """
-    by_text: dict[str, list[int]] = {}
-    for idx, s in enumerate(added):
-        by_text.setdefault(s.text, []).append(idx)
-    removed_by_text: dict[str, list[int]] = {}
-    for idx, s in enumerate(removed):
-        removed_by_text.setdefault(s.text, []).append(idx)
-    matched_added: set[int] = set()
-    match_of_removed: dict[int, int] = {}
-
-    for text, add_indices in by_text.items():
-        rem_indices = removed_by_text.get(text)
-        if not rem_indices:
-            continue
-        # Kuhn's augmenting-path matching; groups are tiny in practice
-        assign_add_to_rem: dict[int, int] = {}
-
-        def try_assign(ri: int, visited: set[int]) -> bool:
-            for ai in add_indices:
-                if ai in visited:
-                    continue
-                if removed[ri].line == added[ai].line:
-                    continue
-                visited.add(ai)
-                if ai not in assign_add_to_rem or try_assign(assign_add_to_rem[ai], visited):
-                    assign_add_to_rem[ai] = ri
-                    return True
-            return False
-
-        for ri in rem_indices:
-            try_assign(ri, set())
-        for ai, ri in assign_add_to_rem.items():
-            matched_added.add(ai)
-            match_of_removed[ri] = ai
-
-    moves = [
-        (removed[ri], added[match_of_removed[ri]])
-        for ri in sorted(match_of_removed)
-    ]
-    residual_removed = [s for i, s in enumerate(removed) if i not in match_of_removed]
-    residual_added = [s for i, s in enumerate(added) if i not in matched_added]
+    unpaired: dict[str, list[int]] = {}  # text -> indices into added, last first
+    for idx in range(len(added) - 1, -1, -1):
+        unpaired.setdefault(added[idx].text, []).append(idx)
+    moves: list[tuple[StatementFacts, StatementFacts]] = []
+    residual_removed: list[StatementFacts] = []
+    paired: set[int] = set()
+    for s in removed:
+        free = unpaired.get(s.text)
+        if free:
+            ai = free.pop()
+            paired.add(ai)
+            moves.append((s, added[ai]))
+        else:
+            residual_removed.append(s)
+    residual_added = [s for i, s in enumerate(added) if i not in paired]
     return moves, residual_removed, residual_added
 
 
@@ -437,7 +414,7 @@ def _match_methods(
 def _inline_change(
     class_name: str, old: MethodFacts, new: MethodFacts, config: PipelineConfig
 ) -> MethodInlineChange | None:
-    if old.decl == new.decl:
+    if old == new:
         return None  # the declaration says the same in both versions (they often share it)
     param_retyped = tuple(
         (new_name, old_type, new_type)

@@ -104,7 +104,7 @@ def _keyed(
 
     # normalizing is the costly part of a key, and both versions hold
     # mostly the same texts, so each distinct text is normalized once
-    comments = merge_inline_comments(facts.comments, methods)
+    comments = merge_inline_comments(facts, methods)
     normalized.update((c.text, normalize_comment_text(c.text)) for c in comments if c.text not in normalized)
     return [(c, (normalized[c.text], attachment(c))) for c in comments]
 

@@ -239,13 +239,15 @@ def run_pipeline(
     to parse still yield a header-plus-file-list template, and the failure is
     logged, not dropped."""
     config = config or PipelineConfig()
-    pairs = []
-    for sample in samples:
-        result = condense_commit(sample.commit_input(), config)
-        for path in result.parse_failures:
-            log.warning("%s@%s: could not parse %s; summarized as file-level change", sample.repo, sample.hash, path)
-        pairs.append((sample, result.template))
-    return pairs
+    return [(sample, _condensed(sample, config).template) for sample in samples]
+
+
+def _condensed(sample: CommitSample, config: PipelineConfig) -> CondenseResult:
+    """condense_commit over one sample, logging each file that failed to parse."""
+    result = condense_commit(sample.commit_input(), config)
+    for path in result.parse_failures:
+        log.warning("%s@%s: could not parse %s; summarized as file-level change", sample.repo, sample.hash, path)
+    return result
 
 
 def corpus_identifier_stats(
@@ -254,11 +256,7 @@ def corpus_identifier_stats(
     """Per-category identifier occurrence counts over a corpus (verbatim in
     the reference message, and split-word occurrences)."""
     config = config or PipelineConfig()
-    rows = []
-    for sample in samples:
-        result = condense_commit(sample.commit_input(), config)
-        rows.append((list(result.identifiers), sample.message))
-    return identifier_corpus_stats(rows)
+    return identifier_corpus_stats([(list(_condensed(s, config).identifiers), s.message) for s in samples])
 
 
 def make_sft_record(sample: CommitSample, template: CondensedTemplate, config: PipelineConfig) -> SftRecord:
@@ -297,7 +295,7 @@ def export_sft(
 
 def load_sft(path: str | Path) -> list[SftRecord]:
     """Load export-sft records. Raises CorpusFormatError, naming the line,
-    for a line that is not a JSON object with all four fields."""
+    for a line that is not a JSON object with all four fields as strings."""
     records = []
     for lineno, raw in enumerate(read_lines(path), start=1):
         if not raw.strip():
@@ -308,10 +306,14 @@ def load_sft(path: str | Path) -> list[SftRecord]:
             raise CorpusFormatError(f"{path}:{lineno}: {exc}") from None
         if not isinstance(data, dict):
             raise CorpusFormatError(f"{path}:{lineno}: expected a JSON object")
-        missing = [key for key in ("prompt", "target", "repo", "hash") if key not in data]
+        keys = ("prompt", "target", "repo", "hash")
+        missing = [key for key in keys if key not in data]
         if missing:
             raise CorpusFormatError(f"{path}:{lineno}: missing {', '.join(missing)}")
-        records.append(SftRecord(prompt=data["prompt"], target=data["target"], repo=data["repo"], hash=data["hash"]))
+        not_text = [key for key in keys if not isinstance(data[key], str)]
+        if not_text:
+            raise CorpusFormatError(f"{path}:{lineno}: not a string: {', '.join(not_text)}")
+        records.append(SftRecord(**{key: data[key] for key in keys}))
     return records
 
 

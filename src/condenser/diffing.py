@@ -205,13 +205,13 @@ def parse_unified_diff(text: str) -> UnifiedDiff:
             body: list[str] = []
             seen_old = seen_new = 0
             while i < n and (seen_old < old_len or seen_new < new_len):
-                body_line = lines[i]
-                if body_line.startswith("\\"):  # "\ No newline at end of file"
+                hunk_line = lines[i]
+                if hunk_line.startswith("\\"):  # "\ No newline at end of file"
                     i += 1
                     continue
-                if not body_line:
-                    body_line = " "  # blank context line with trimmed trailing space
-                tag = body_line[0]
+                if not hunk_line:
+                    hunk_line = " "  # blank context line with trimmed trailing space
+                tag = hunk_line[0]
                 if tag == " ":
                     seen_old += 1
                     seen_new += 1
@@ -220,8 +220,8 @@ def parse_unified_diff(text: str) -> UnifiedDiff:
                 elif tag == "+":
                     seen_new += 1
                 else:
-                    raise DiffFormatError(i + 1, f"unexpected hunk line: {body_line!r}")
-                body.append(body_line)
+                    raise DiffFormatError(i + 1, f"unexpected hunk line: {hunk_line!r}")
+                body.append(hunk_line)
                 i += 1
             if seen_old != old_len or seen_new != new_len:
                 raise DiffFormatError(

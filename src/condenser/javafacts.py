@@ -21,18 +21,16 @@ and lexes on from just past it, so the region is never lexed.  A method
 keeps its body's source text, and its statements are built from that text
 the first time body_statements is read, so the bodies a diff never looks at
 are never lexed.  The same decoder lexes a body into columns that the
-statement scanner indexes in place, and a statement's line is counted only
-at its head, by a running newline count from the previous head.  Elsewhere
-a line is counted on from the last one asked, only where a fact or an
-error needs one; every newline counts.
+statement scanner indexes in place.  No fact holds a line: one is counted
+only for a ParseError, and every newline counts.
 
 The two versions of a matched method whose body changed are built together
 (paired_statements), per segment: a coarse regex pass cuts each body at
 every top-level ';', one outside any bracket opened in the body and outside
 comments and literals, and makes no cut after a bracket that closes out of
 turn.  The new body is scanned whole; an old segment whose text is a new
-segment's takes that segment's statements with their lines shifted, and
-only the runs of other old segments are lexed and scanned.
+segment's takes that segment's statement objects, and only the runs of
+other old segments are lexed and scanned.
 
 The coarse pass keeps each comment as a span.  A comment inside a method
 body belongs to that body: the method keeps the spans that fall inside it,
@@ -64,13 +62,12 @@ takes the new body.  From a token start in the same class body the same
 text lexes and parses to the same facts, and a run's braces pair off within
 it (a class in which a '{' or '}' does not pair off within its member has
 no member entries, so none of its text is stepped over), so the result is
-that of parsing the new version alone.  A method fact is split for that: its
-MethodDecl holds what the declaration says and is shared by both versions,
-and the MethodFacts around it holds where it sits (its offsets, body line
-and the count of comments before its body); body comment spans are offsets
-into the body text.  Facts that did not move are the old objects; moved
-ones take new positions from one offset, one line and one comment count
-delta, and an old comment's facts are kept when its attachment comes out
+that of parsing the new version alone.  No method fact holds a position
+(its body comment spans are offsets into its body text; where it sits is
+in SourceFacts.decls alone), so a method the edit left whole is the old
+object wherever it now sits.  A class records its header and member
+offsets, so a class in a run that moved is rebuilt with them shifted by
+one offset.  An old comment's facts are kept when its attachment comes out
 the same.  Any ParseError makes parse_java parse the new version alone, so
 errors are that parse's.
 
@@ -93,7 +90,6 @@ __all__ = [
     "CommentFacts",
     "FieldFacts",
     "ImportFacts",
-    "MethodDecl",
     "MethodFacts",
     "ParseError",
     "SourceFacts",
@@ -157,7 +153,6 @@ class CommentFacts:
 class StatementFacts:
     kind: str  # branch|loop|try|throw|return|invocation|assignment|declaration|other
     text: str  # single line, whitespace runs collapsed
-    line: int
 
 
 @dataclass(frozen=True)
@@ -170,9 +165,10 @@ class FieldFacts:
 
 
 @dataclass(frozen=True)
-class MethodDecl:
+class MethodFacts:
     """What a method declaration says, wherever in the file it sits: the
-    two versions of a method the edit left whole share one."""
+    two versions of a method the edit left whole share one.  Where it sits
+    is in SourceFacts.decls."""
 
     name: str
     return_type: str | None  # None for constructors
@@ -193,6 +189,11 @@ class MethodDecl:
         text = self.body_text
         return tuple(_comment_facts(*_comment_text(g, text[s:e]), attachment) for g, s, e in self.body_comments)
 
+    @cached_property
+    def body_statements(self) -> tuple[StatementFacts, ...]:
+        """The body's statements, built from body_text on first read."""
+        return _body_statements(self.body_text) if self.body_text else ()
+
     @property
     def is_constructor(self) -> bool:
         return self.return_type is None
@@ -203,37 +204,6 @@ class MethodDecl:
     @cached_property
     def _signature(self) -> tuple[str, tuple[str, ...]]:
         return (self.name, tuple(t for t, _ in self.parameters))
-
-
-@dataclass(frozen=True)
-class MethodFacts:
-    """A method where it sits in one version of a file: its MethodDecl and
-    its positions.  Every attribute of the MethodDecl reads through."""
-
-    decl: MethodDecl
-    byte_range: tuple[int, int]
-    body_line: int = 0  # line of the body's '{'
-    # how many of the file's SourceFacts.comments precede the body (the end,
-    # for a method without one)
-    comments_before: int = field(default=0, compare=False, repr=False)
-
-    name = property(attrgetter("decl.name"))
-    return_type = property(attrgetter("decl.return_type"))
-    parameters = property(attrgetter("decl.parameters"))
-    modifiers = property(attrgetter("decl.modifiers"))
-    annotations = property(attrgetter("decl.annotations"))
-    thrown_exceptions = property(attrgetter("decl.thrown_exceptions"))
-    body_text = property(attrgetter("decl.body_text"))
-    owner = property(attrgetter("decl.owner"))
-    body_comments = property(attrgetter("decl.body_comments"))
-    inline_comments = property(attrgetter("decl.inline_comments"))
-    is_constructor = property(attrgetter("decl.is_constructor"))
-    signature = property(attrgetter("decl.signature"))
-
-    @cached_property
-    def body_statements(self) -> tuple[StatementFacts, ...]:
-        """The body's statements, built from body_text on first read."""
-        return _body_statements(self.body_text, self.body_line) if self.body_text else ()
 
 
 @dataclass(frozen=True)
@@ -250,12 +220,12 @@ class ClassFacts:
     # where it sits, for a parse of the file's next version: the offsets of
     # its first token and of its body's '{'
     header: tuple[int, int] = field(default=(0, 0), compare=False, repr=False)
-    # a (start, end, line, fields, methods, inner classes) entry for each
-    # member of the body (an enum's constants are one, and come first) and
-    # then for its '}': the offsets of its first token and just past its
-    # last, the line it starts on, and the counts of facts before it; none
-    # when a '{' or '}' in the class does not pair off within its member
-    members: tuple[tuple[int, int, int, int, int, int], ...] = field(default=(), compare=False, repr=False)
+    # a (start, end, fields, methods, inner classes) entry for each member
+    # of the body (an enum's constants are one, and come first) and then for
+    # its '}': the offsets of its first token and just past its last, and the
+    # counts of facts before it; none when a '{' or '}' in the class does not
+    # pair off within its member
+    members: tuple[tuple[int, int, int, int, int], ...] = field(default=(), compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -368,16 +338,15 @@ def _line_starts(source: str) -> list[int]:
 
 
 def _decode(
-    text: str, pos: int, endpos: int, line: int, stop: bool = False
+    text: str, pos: int, endpos: int, stop: bool = False
 ) -> tuple[list[str], list[str], list[int], list[int], list[tuple[str, int, int]]]:
     """Lex text[pos:endpos] into parallel columns: each code token's kind
     (ident|number|string|char|punct), text, start and end offset; and each
     comment's (group, start, end), its group a _TOKEN_RE group name.
 
     One finditer loop over _TOKEN_RE; no Python code runs per character.
-    line is the line of text[0]; a ParseError for an unterminated comment
-    or literal counts its line from there.  With stop, lexing ends with the
-    first code '{'.
+    A ParseError for an unterminated comment or literal gives its line in
+    text.  With stop, lexing ends with the first code '{'.
     """
     kinds: list[str] = []
     texts: list[str] = []
@@ -401,11 +370,11 @@ def _decode(
                 # non-ASCII digits outside \d (e.g. '\u00b2') still lex as numbers
                 kind = "number" if tok.isdigit() else "punct"
             elif kind == "open_comment":
-                raise ParseError(line + text.count("\n", 0, start), "unterminated block comment")
+                raise ParseError(_line_of(text, start), "unterminated block comment")
             else:  # a wrapped or open literal
                 literal = "string" if tok[0] == '"' else "char"
                 if kind == "open_literal":
-                    raise ParseError(line + text.count("\n", 0, start), f"unterminated {literal} literal")
+                    raise ParseError(_line_of(text, start), f"unterminated {literal} literal")
                 kind = literal
         kinds.append(kind)
         texts.append(tok)
@@ -437,7 +406,7 @@ def _lex(source: str) -> tuple[list[tuple[str, str, int, int, int]], list[_RawCo
     """Tokenize Java source into one (kind, text, line, start, end) row per
     code token, and its comment records."""
     line_starts = _line_starts(source)
-    kinds, texts, starts, ends, spans = _decode(source, 0, len(source), 1)
+    kinds, texts, starts, ends, spans = _decode(source, 0, len(source))
     tokens = [(k, t, bisect_right(line_starts, s) + 1, s, e) for k, t, s, e in zip(kinds, texts, starts, ends)]
     comments = [_raw_comment(g, source[s:e], bisect_right(line_starts, s) + 1, s, e) for g, s, e in spans]
     return tokens, comments
@@ -463,24 +432,6 @@ _LAYOUT_RE = re.compile(
 
 def _line_of(source: str, offset: int) -> int:
     return source.count("\n", 0, offset) + 1
-
-
-class _Lines:
-    """Line numbers of offsets in a text, counted on from the offset asked
-    last, so that offsets asked in order count each newline once."""
-
-    def __init__(self, text: str):
-        self.text = text
-        self.offset = 0
-        self.line = 1
-
-    def at(self, offset: int) -> int:
-        if offset >= self.offset:
-            self.line += self.text.count("\n", self.offset, offset)
-        else:
-            self.line -= self.text.count("\n", offset, self.offset)
-        self.offset = offset
-        return self.line
 
 
 class _Layout:
@@ -550,7 +501,7 @@ class _Layout:
         if self.opened:
             # the line of the file's last token; the innermost unclosed '{' is a
             # token boundary, so lexing from it reaches that token
-            last = _decode(source, self.opened[-1], len(source), 1)[2][-1]
+            last = _decode(source, self.opened[-1], len(source))[2][-1]
             raise ParseError(_line_of(source, last), f"unbalanced '{{' in {self.path}")
 
 
@@ -603,24 +554,15 @@ class _OldVersion:
         return keys.get(key, [])
 
 
-def _moved_method(m: MethodFacts, d: int, lines: int, comments: int) -> MethodFacts:
-    """m moved on by d characters, lines lines and comments outer comments."""
-    if not (d or lines or comments):
-        return m
-    start, end = m.byte_range
-    return MethodFacts(m.decl, (start + d, end + d), m.body_line and m.body_line + lines, m.comments_before + comments)
-
-
-def _moved_class(c: ClassFacts, d: int, lines: int, comments: int) -> ClassFacts:
-    """c moved on by d characters, lines lines and comments outer comments."""
-    if not (d or lines or comments):
+def _moved_class(c: ClassFacts, d: int) -> ClassFacts:
+    """c moved on by d characters."""
+    if not d:
         return c
     return replace(
         c,
-        methods=tuple(_moved_method(m, d, lines, comments) for m in c.methods),
-        inner_classes=tuple(_moved_class(inner, d, lines, comments) for inner in c.inner_classes),
+        inner_classes=tuple(_moved_class(inner, d) for inner in c.inner_classes),
         header=(c.header[0] + d, c.header[1] + d),
-        members=tuple((at + d, end + d, line + lines, *counts) for at, end, line, *counts in c.members),
+        members=tuple((at + d, end + d, *counts) for at, end, *counts in c.members),
     )
 
 
@@ -634,7 +576,6 @@ def _moved_class(c: ClassFacts, d: int, lines: int, comments: int) -> ClassFacts
 _MAX_TYPE_NESTING = 64
 
 _SPAN_START = itemgetter(1)
-_METHOD_NAME = attrgetter("decl.name")
 _NAME = attrgetter("name")
 
 
@@ -643,9 +584,9 @@ class _Parser:
 
     A token is named by its index in the columns.  The source is lexed in
     chunks that end just past the next code '{', so a '{' region the parser
-    steps over is never lexed; a line is computed only where a fact or an
-    error needs one.  Each method takes the comment spans inside its body;
-    the others are collected in outer.
+    steps over is never lexed; a line is computed only where an error needs
+    one.  Each method takes the comment spans inside its body; the others
+    are collected in outer.
 
     Given the old version of the file, its text and facts, the parser steps
     over the text the edit left whole and takes its facts from them (see
@@ -655,7 +596,6 @@ class _Parser:
     def __init__(self, source: str, layout: _Layout, old: _OldVersion | None = None):
         self.source = source
         self.layout = layout
-        self.lines = _Lines(source)
         self.lexed = 0  # source offset the next chunk starts at
         self.kinds: list[str] = []
         self.texts: list[str] = []
@@ -684,7 +624,7 @@ class _Parser:
         source = self.source
         if self.lexed >= len(source):
             return False
-        kinds, texts, starts, ends, _comments = _decode(source, self.lexed, len(source), 1, stop=True)
+        kinds, texts, starts, ends, _comments = _decode(source, self.lexed, len(source), stop=True)
         self.lexed = ends[-1] if texts and texts[-1] == "{" else len(source)
         self.kinds += kinds
         self.texts += texts
@@ -723,7 +663,7 @@ class _Parser:
         return self.pos - 1
 
     def line(self, k: int) -> int:
-        return self.lines.at(self.starts[k])
+        return _line_of(self.source, self.starts[k])
 
     def here(self) -> int:
         """The line of the next token; at end of input that of the last."""
@@ -765,7 +705,7 @@ class _Parser:
         token, lexing nothing in between; its offset."""
         close = self.layout.closer(brace)
         if close is None:  # a parse alone finds the '{' unbalanced
-            raise ParseError(self.lines.at(brace), "unbalanced '{'")
+            raise ParseError(_line_of(self.source, brace), "unbalanced '{'")
         self.take_close(close)
         return close
 
@@ -834,16 +774,14 @@ class _Parser:
         self.outer += comments[self.next_comment : lo]
         self.next_comment = lo
 
-    def step(self, at: int, start: int, end: int, settled: int = 0) -> int:
+    def step(self, at: int, start: int, end: int, settled: int = 0) -> None:
         """Step over the source from offset at, which holds the old text
         start..end, taking the comments in it, of which those before the old
-        offset settled keep their attachment; the count of outer comments
-        before at, less that before start in the old version."""
+        offset settled keep their attachment."""
         old = self.old
         self.flush(at)
         c0 = bisect_left(old.comment_starts, start)
         c1 = bisect_left(old.comment_starts, end, c0)
-        moved = len(self.outer) - c0
         if c1 > c0:
             kept = bisect_left(old.comment_starts, settled, c0, c1) - c0
             self.moved.append((len(self.outer), c0, c1 - c0, max(kept, 0)))
@@ -851,7 +789,6 @@ class _Parser:
             self.outer += [(group, s + d, e + d) for group, s, e in old.facts.comment_spans[c0:c1]]
         self.drop_lookahead()
         self.lexed = self.layout.pos = at + end - start
-        return moved
 
     def step_to_brace(self, at: int, start: int, brace: int) -> int:
         """Step over the source from offset at, which holds the old text from
@@ -898,8 +835,8 @@ class _Parser:
     ) -> int:
         """Step over the longest run of members of old_cls from member k on
         that the source holds from offset at (see holds), and on to the next
-        member when the text between is the same too; take their facts,
-        moved.  Returns the index in old_cls.members of the member after the
+        member when the text between is the same too; take their facts.
+        Returns the index in old_cls.members of the member after the
         run."""
         old, table = self.old, old_cls.members
         j = n = len(table) - 1
@@ -913,26 +850,21 @@ class _Parser:
                     j = mid
             j = lo
         start, end = table[k][0], table[j - 1][1]
-        end_line = table[j][2]
         if self.source.startswith(old.source[end : table[j][0]], at + end - start):
             end = table[j][0]  # the comments and space after the run are the same too
-        else:
-            end_line -= old.source.count("\n", end, table[j][0])
-        f0, m0, i0 = table[k][3:]
-        f1, m1, i1 = table[j][3:]
+        f0, m0, i0 = table[k][2:]
+        f1, m1, i1 = table[j][2:]
         d = at - start
-        lines = self.lines.at(at) - table[k][2]
         lo = bisect_left(old.decl_starts, start)
         decls = old.facts.decls[lo : bisect_left(old.decl_starts, end, lo)]
         # a comment before the run's last declaration is followed by one in
         # the run, in both versions, so its attachment stays
-        comments = self.step(at, start, end, decls[-1][0] if decls else 0)
-        self.lines.offset, self.lines.line = at + end - start, end_line + lines  # no newline in the run is counted
+        self.step(at, start, end, decls[-1][0] if decls else 0)
         nf, nm, ni = len(fields), len(methods), len(inners)
-        members += [(a + d, e + d, x + lines, f - f0 + nf, m - m0 + nm, i - i0 + ni) for a, e, x, f, m, i in table[k:j]]
+        members += [(a + d, e + d, f - f0 + nf, m - m0 + nm, i - i0 + ni) for a, e, f, m, i in table[k:j]]
         fields += old_cls.fields[f0:f1]
-        methods += [_moved_method(m, d, lines, comments) for m in old_cls.methods[m0:m1]]
-        inners += [_moved_class(c, d, lines, comments) for c in old_cls.inner_classes[i0:i1]]
+        methods += old_cls.methods[m0:m1]
+        inners += [_moved_class(c, d) for c in old_cls.inner_classes[i0:i1]]
         if d:
             decls = [(s + d, label, b0 + d, b1 + d) for s, label, b0, b1 in decls]
         self.decls += decls
@@ -1110,7 +1042,7 @@ class _Parser:
         if open_at < 0:
             open_at = self.starts[self.expect("{", "to open type body")]
         if self.nesting == _MAX_TYPE_NESTING:
-            raise ParseError(self.lines.at(name_at), f"type {name} nested deeper than {_MAX_TYPE_NESTING} levels")
+            raise ParseError(_line_of(self.source, name_at), f"type {name} nested deeper than {_MAX_TYPE_NESTING} levels")
         slot = len(self.decls)
         self.decls.append(None)  # filled in when the body closes, so decls stay in order of start
         self.nesting += 1
@@ -1148,20 +1080,20 @@ class _Parser:
     ) -> None:
         """names maps the index of each field the parser read to the offset
         of its name, whose line a duplicate field's error takes."""
-        if len(set(map(_METHOD_NAME, methods))) == len(methods) and len(set(map(_NAME, fields))) == len(fields):
+        if len(set(map(_NAME, methods))) == len(methods) and len(set(map(_NAME, fields))) == len(fields):
             return  # no two names, so no two signatures, are the same
         seen_sig: set[tuple[str, tuple[str, ...]]] = set()
         for m in methods:
             sig = m.signature()
             if sig in seen_sig:
                 raise ParseError(
-                    self.lines.at(name_at), f"duplicate method signature {qname}.{sig[0]}({', '.join(sig[1])})"
+                    _line_of(self.source, name_at), f"duplicate method signature {qname}.{sig[0]}({', '.join(sig[1])})"
                 )
             seen_sig.add(sig)
         seen_fields: set[str] = set()
         for k, f in enumerate(fields):
             if f.name in seen_fields:
-                raise ParseError(self.lines.at(names.get(k, name_at)), f"duplicate field {qname}.{f.name}")
+                raise ParseError(_line_of(self.source, names.get(k, name_at)), f"duplicate field {qname}.{f.name}")
             seen_fields.add(f.name)
 
     def read_type_list(self) -> list[str]:
@@ -1214,14 +1146,14 @@ class _Parser:
             if table and table[0][1] > table[0][0] and self.holds(old_cls, 0, 1, at):
                 hint = self.step_run(old_cls, 0, at, fields, methods, inners, members)
             else:
-                line, first = self.lines.at(at), self.pos
+                first = self.pos
                 self.parse_enum_constants(simple_name, fields, names)
-                members.append((at, self.ends[self.pos - 1] if self.pos > first else at, line, 0, 0, 0))
+                members.append((at, self.ends[self.pos - 1] if self.pos > first else at, 0, 0, 0))
         while True:
             inner = None
             if old_cls is not None:
                 at = self.next_start()
-                counts = (self.lines.at(at), len(fields), len(methods), len(inners))
+                counts = (len(fields), len(methods), len(inners))
                 if self.source.startswith("}", at):
                     self.take_close(at)
                     members.append((at, at + 1, *counts))
@@ -1246,7 +1178,7 @@ class _Parser:
                 if t is None:
                     raise ParseError(self.here(), f"unclosed body of {qname}")
                 at, text = self.starts[t], self.texts[t]
-                counts = (self.lines.at(at), len(fields), len(methods), len(inners))
+                counts = (len(fields), len(methods), len(inners))
                 if text == "}":
                     self.take()
                     members.append((at, at + 1, *counts))
@@ -1362,37 +1294,35 @@ class _Parser:
             self.expect(";", f"after field {decl_name}")
             return
 
-    def read_body(self, start: int) -> tuple[str, int, tuple[tuple[str, int, int], ...], int]:
+    def read_body(self, start: int) -> tuple[str, tuple[tuple[str, int, int], ...], int]:
         """The method body whose '{', at offset start, is read: its text, the
-        line of the '{', the spans of its comments as offsets into the text,
-        and the offset just past it.  Nothing in it is lexed."""
+        spans of its comments as offsets into the text, and the offset just
+        past it.  Nothing in it is lexed."""
         end = self.close_region(start) + 1
-        line = self.lines.at(start)
         self.flush(start)
         comments = self.layout.comments
         hi = bisect_left(comments, end, self.next_comment, key=_SPAN_START)
         spans = tuple((group, s - start, e - start) for group, s, e in comments[self.next_comment : hi])
         self.next_comment = hi
-        return self.source[start:end], line, spans, end
+        return self.source[start:end], spans, end
 
     def step_method_header(self, old_cls: ClassFacts, k: int, qname: str, at: int) -> MethodFacts | None:
         """The method declared from offset at, when member k of old_cls, the
         class of the same name in the old version, is a method with a body
         whose text up to the body the source holds there: that text is
-        stepped over and its MethodDecl taken with the new body.  None when
+        stepped over and the old method taken with the new body.  None when
         it is not such a method."""
-        table = old_cls.members
-        if not (0 <= k < len(table) - 1 and table[k + 1][4] == table[k][4] + 1):
+        table, old = old_cls.members, self.old
+        if not (0 <= k < len(table) - 1 and table[k + 1][3] == table[k][3] + 1):
             return None
-        m = old_cls.methods[table[k][4]]
-        start, end = m.byte_range
-        body_start = end - len(m.body_text)
-        if not m.body_text or not self.source.startswith(self.old.source[start : body_start + 1], at):
+        m = old_cls.methods[table[k][3]]
+        # the method's declaration entry: the first at or after the member's start
+        start, _label, body_start, _end = old.facts.decls[bisect_left(old.decl_starts, table[k][0])]
+        if not m.body_text or not self.source.startswith(old.source[start : body_start + 1], at):
             return None
-        body_text, body_line, body_comments, end = self.read_body(self.step_to_brace(at, start, body_start))
-        decl = replace(m.decl, body_text=body_text, body_comments=body_comments)
-        self.decls.append((at, f"method:{qname}.{decl.name}", end - len(body_text), end))
-        return MethodFacts(decl, (at, end), body_line, len(self.outer))
+        body_text, body_comments, end = self.read_body(self.step_to_brace(at, start, body_start))
+        self.decls.append((at, f"method:{qname}.{m.name}", end - len(body_text), end))
+        return replace(m, body_text=body_text, body_comments=body_comments)
 
     def parse_method_rest(
         self,
@@ -1440,10 +1370,9 @@ class _Parser:
         if self.at("throws"):
             self.take()
             thrown = self.read_type_list()
-        body_text, body_line, body_comments = "", 0, ()
+        body_text, body_comments = "", ()
         if self.at("{"):
-            body_text, body_line, body_comments, end_off = self.read_body(self.starts[self.take()])
-            body_span = (end_off - len(body_text), end_off)
+            body_text, body_comments, end = self.read_body(self.starts[self.take()])
         elif self.at("default"):
             # an annotation-type element's default value (JLS 9.6.2): dropped
             start = self.take()
@@ -1452,16 +1381,11 @@ class _Parser:
                     raise ParseError(self.line(name_tok), "unterminated default value")
                 self.take()
             self.check_braces(start)
-            end_off = self.ends[self.take()]
-            body_span = (end_off, end_off)
-            self.flush(end_off)
+            end = self.ends[self.take()]
         else:
-            end_off = self.ends[self.expect(";", "after abstract method")]
-            body_span = (end_off, end_off)
-            self.flush(end_off)
-        start_off = self.starts[first]
-        self.decls.append((start_off, f"method:{qname}.{name}", *body_span))
-        decl = MethodDecl(
+            end = self.ends[self.expect(";", "after abstract method")]
+        self.decls.append((self.starts[first], f"method:{qname}.{name}", end - len(body_text), end))
+        return MethodFacts(
             name=name,
             return_type=return_type,
             parameters=tuple(params),
@@ -1472,7 +1396,6 @@ class _Parser:
             owner=qname,
             body_comments=body_comments,
         )
-        return MethodFacts(decl, (start_off, end_off), body_line, len(self.outer))
 
 
 # ---------------------------------------------------------------------------
@@ -1528,19 +1451,16 @@ _STMT_SIMPLE_KEYWORDS = {
 _ASSIGN_OPS = {"=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>=", ">>>="}
 
 
-def _body_statements(body_text: str, line: int) -> tuple[StatementFacts, ...]:
-    """The statements of a method body, from its '{...}' source text and the
-    line its '{' is on.
+def _body_statements(body_text: str) -> tuple[StatementFacts, ...]:
+    """The statements of a method body, from its '{...}' source text.
 
     The text between the braces is decoded into token columns; comments
-    only leave their spans, to be blanked.  No line is computed here:
-    _scan_statements counts newlines up to each statement head.  The
-    matching '}' ends the last token.  A comment or literal left open raises
-    ParseError, although a body from a file that passed the coarse pass holds
-    none.
+    only leave their spans, to be blanked.  The matching '}' ends the last
+    token.  A comment or literal left open raises ParseError, although a
+    body from a file that passed the coarse pass holds none.
     """
-    kinds, texts, starts, ends, comments = _decode(body_text, 1, len(body_text) - 1, line)
-    return tuple(_scan_statements(kinds, texts, starts, ends, _blank_comments(body_text, comments), line))
+    kinds, texts, starts, ends, comments = _decode(body_text, 1, len(body_text) - 1)
+    return tuple(_scan_statements(kinds, texts, starts, ends, _blank_comments(body_text, comments)))
 
 
 # The coarse pass that cuts a body into segments: brackets and ';', with
@@ -1590,9 +1510,7 @@ def _segment_bounds(body_text: str) -> list[int] | None:
     return bounds
 
 
-def _paired_statements(
-    old_text: str, old_line: int, new_text: str, new_line: int
-) -> tuple[tuple[StatementFacts, ...], tuple[StatementFacts, ...]]:
+def _paired_statements(old_text: str, new_text: str) -> tuple[tuple[StatementFacts, ...], tuple[StatementFacts, ...]]:
     """The statements _body_statements builds for two versions of a method
     body, with the text the two share scanned once.
 
@@ -1600,8 +1518,8 @@ def _paired_statements(
     is scanned whole and its statements are grouped by the segment their
     head lies in; a cut that a statement runs across joins its two segments.
     An old segment whose text is a new segment's takes that segment's
-    statements, their lines shifted to where it sits, and each run of other
-    old segments is decoded and scanned as one region.
+    statement objects as they are, and each run of other old segments is
+    decoded and scanned as one region.
 
     A cut is exact because the scanner keeps no state from one statement
     head to the next and, with brackets nested, every lookahead stops at a
@@ -1612,48 +1530,43 @@ def _paired_statements(
     """
     old_bounds, new_bounds = _segment_bounds(old_text), _segment_bounds(new_text)
     if old_bounds is None or new_bounds is None or len(old_bounds) == 2 or len(new_bounds) == 2:
-        return _body_statements(old_text, old_line), _body_statements(new_text, new_line)
-    kinds, texts, starts, ends, comments = _decode(new_text, 1, len(new_text) - 1, new_line)
+        return _body_statements(old_text), _body_statements(new_text)
+    kinds, texts, starts, ends, comments = _decode(new_text, 1, len(new_text) - 1)
     spans: list[tuple[int, int]] = []
-    new_stmts = _scan_statements(kinds, texts, starts, ends, _blank_comments(new_text, comments), new_line, spans)
-    # segment text -> (first statement, end statement, the segment's first line)
-    table: dict[str, tuple[int, int, int]] = {}
-    a, line, first, k = 1, new_line, 0, 0
+    new_stmts = _scan_statements(kinds, texts, starts, ends, _blank_comments(new_text, comments), spans)
+    table: dict[str, tuple[int, int]] = {}  # segment text -> (first statement, end statement)
+    a, first, k = 1, 0, 0
     for b in new_bounds[1:]:
         while k < len(spans) and starts[spans[k][0]] < b:
             k += 1
         if k and ends[spans[k - 1][1] - 1] > b:
             continue
-        table.setdefault(new_text[a:b], (first, k, line))
-        line += new_text.count("\n", a, b)
+        table.setdefault(new_text[a:b], (first, k))
         a, first = b, k
 
     old_stmts: list[StatementFacts] = []
 
-    def scan_region(a: int, b: int, line: int) -> bool:
+    def scan_region(a: int, b: int) -> bool:
         """Append the statements of old_text[a:b]; False when the last one
         would run on past b."""
         region = old_text[a:b]
-        kinds, texts, starts, ends, comments = _decode(region, 0, len(region), line)
+        kinds, texts, starts, ends, comments = _decode(region, 0, len(region))
         spans: list[tuple[int, int]] = []
-        old_stmts.extend(_scan_statements(kinds, texts, starts, ends, _blank_comments(region, comments), line, spans))
+        old_stmts.extend(_scan_statements(kinds, texts, starts, ends, _blank_comments(region, comments), spans))
         if not spans or spans[-1][1] < len(texts) or texts[spans[-1][0]] not in _STMT_SIMPLE_KEYWORDS:
             return True
         return sum(_DEPTH_STEP.get(t, 0) for t in texts[spans[-1][0] :]) == 0
 
-    built, built_line, line = 1, old_line, old_line  # old_text[1:built] is built
+    built = 1  # old_text[1:built] is built
     for a, b in zip(old_bounds, old_bounds[1:]):
         reused = table.get(old_text[a:b])
         if reused is not None:
-            if built < a and not scan_region(built, a, built_line):
-                return _body_statements(old_text, old_line), tuple(new_stmts)
-            lo, hi, shift = reused[0], reused[1], line - reused[2]
-            old_stmts += [StatementFacts(s.kind, s.text, s.line + shift) for s in new_stmts[lo:hi]]
-        line += old_text.count("\n", a, b)
-        if reused is not None:
-            built, built_line = b, line
+            if built < a and not scan_region(built, a):
+                return _body_statements(old_text), tuple(new_stmts)
+            old_stmts += new_stmts[reused[0] : reused[1]]
+            built = b
     if built < len(old_text) - 1:
-        scan_region(built, len(old_text) - 1, built_line)
+        scan_region(built, len(old_text) - 1)
     return tuple(old_stmts), tuple(new_stmts)
 
 
@@ -1666,7 +1579,7 @@ def paired_statements(
     unbuilt = "body_statements" not in old.__dict__ and "body_statements" not in new.__dict__
     if unbuilt and old.body_text and new.body_text:
         old.__dict__["body_statements"], new.__dict__["body_statements"] = _paired_statements(
-            old.body_text, old.body_line, new.body_text, new.body_line
+            old.body_text, new.body_text
         )
     return old.body_statements, new.body_statements
 
@@ -1677,31 +1590,19 @@ def _scan_statements(
     starts: list[int],
     ends: list[int],
     blanked: str,
-    first_line: int,
     spans: list[tuple[int, int]] | None = None,
 ) -> list[StatementFacts]:
     """Flatten a method body's token columns into statement records.
 
     Control headers (if/for/try/...) become their own records; their blocks
     are scanned recursively in the same flat pass. Anything unrecognized is
-    collected up to the next top-level ';' and classified coarsely.  A
-    statement's line is that of its first token, counted from first_line
-    (the line of blanked's first character) by a running newline count that
-    advances from one head to the next.  When spans is given, it receives
-    each statement's (head, end) token range, end exclusive.
+    collected up to the next top-level ';' and classified coarsely.  When
+    spans is given, it receives each statement's (head, end) token range,
+    end exclusive.
     """
     stmts: list[StatementFacts] = []
     i = 0
     n = len(texts)
-    counted = 0  # newlines before this offset are in line
-    line = first_line
-
-    def head_line(k: int) -> int:
-        nonlocal counted, line
-        start = starts[k]
-        line += blanked.count("\n", counted, start)
-        counted = start
-        return line
 
     def balanced_end(start: int) -> int:
         """Just past the ')' that closes the '(' at start."""
@@ -1781,7 +1682,7 @@ def _scan_statements(
                 i += 1
                 continue
             kind = _classify_generic(kinds, texts, i, end)
-        stmts.append(StatementFacts(kind, " ".join(blanked[starts[i] : ends[end - 1]].split()), head_line(i)))
+        stmts.append(StatementFacts(kind, " ".join(blanked[starts[i] : ends[end - 1]].split())))
         if spans is not None:
             spans.append((i, end))
         i = end
@@ -2011,15 +1912,31 @@ def _parse_java(source: str, path: str, old: tuple[str, SourceFacts] | None) -> 
     )
 
 
-def merge_inline_comments(comments: tuple[CommentFacts, ...], methods: list[MethodFacts]) -> list[CommentFacts]:
-    """A file's SourceFacts.comments with the inline comments of the given
-    methods of that file merged in, all in source order."""
+def merge_inline_comments(facts: SourceFacts, methods: list[MethodFacts]) -> list[CommentFacts]:
+    """facts.comments with the inline comments of the given methods of that
+    file merged in, all in source order.  A method's body sits where
+    facts.decls says: its k-th 'method:C.m' entry is the k-th method m of
+    class C."""
+    wanted = {id(m) for m in methods if m.body_comments}
+    if not wanted:
+        return list(facts.comments)
+    bodies: dict[str, list[int]] = {}
+    for _start, label, body, _end in facts.decls:
+        bodies.setdefault(label, []).append(body)
+    placed: list[tuple[int, MethodFacts]] = []
+    for qname, cls in facts.all_classes():
+        seen: dict[str, int] = {}
+        for m in cls.methods:
+            k = seen[m.name] = seen.get(m.name, -1) + 1
+            if id(m) in wanted:
+                placed.append((bodies[f"method:{qname}.{m.name}"][k], m))
+    starts = [start for _group, start, _end in facts.comment_spans]
     out: list[CommentFacts] = []
     done = 0
-    for m in sorted(methods, key=lambda m: (m.comments_before, m.byte_range)):
-        if m.body_comments:
-            out += comments[done : m.comments_before]
-            done = m.comments_before
-            out += m.inline_comments
-    out += comments[done:]
+    for body, m in sorted(placed, key=itemgetter(0)):
+        at = bisect_left(starts, body)
+        out += facts.comments[done:at]
+        done = at
+        out += m.inline_comments
+    out += facts.comments[done:]
     return out

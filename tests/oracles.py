@@ -190,10 +190,9 @@ def meteor_oracle(
 # --- statement moves: maximum bipartite matching by enumeration --------------
 
 
-def max_moves_oracle(removed: list[tuple[str, int]], added: list[tuple[str, int]]) -> int:
-    """Maximum number of (removed, added) pairs with equal text and different
-    line numbers, each statement used at most once. removed/added are
-    (text, line) tuples; every assignment is enumerated."""
+def max_moves_oracle(removed: list[str], added: list[str]) -> int:
+    """Maximum number of (removed, added) pairs with equal text, each
+    statement used at most once; every assignment is enumerated."""
     best = 0
 
     def rec(i: int, used: set[int], count: int) -> None:
@@ -205,7 +204,7 @@ def max_moves_oracle(removed: list[tuple[str, int]], added: list[tuple[str, int]
         for j in range(len(added)):
             if j in used:
                 continue
-            if removed[i][0] == added[j][0] and removed[i][1] != added[j][1]:
+            if removed[i] == added[j]:
                 used.add(j)
                 rec(i + 1, used, count + 1)
                 used.remove(j)
@@ -534,7 +533,10 @@ def resolve_attachments_oracle(
 # arguments, and a field initializer is stepped over, not joined into text.
 # Since the fact types lost a comment's line range, a field's line and a
 # class's byte range, which no stage read, it builds those shapes too; a
-# duplicate field's error still takes the line of its name token.  Two fixes
+# duplicate field's error still takes the line of its name token.  Since the
+# fact types lost a statement's line, its statements have none; a method
+# keeps its byte range, against which the package's SourceFacts.decls is
+# checked.  Two fixes
 # are mirrored from the package: parse_type_decl takes the modifiers and
 # annotations its caller read, so an annotated inner type's declaration
 # starts at its first modifier or annotation and its doc comment attaches to
@@ -562,17 +564,10 @@ class EagerMethodFacts:
     body_text: object = field(default_factory=object, compare=False, repr=False)
     # no comment is kept apart from SourceFacts.comments, which holds them all
     body_comments: tuple = field(default=(), compare=False, repr=False)
-    comments_before: int = field(default=0, compare=False, repr=False)
 
     @property
     def is_constructor(self) -> bool:
         return self.return_type is None
-
-    @property
-    def decl(self) -> EagerMethodFacts:
-        """The package splits a method into a position-free MethodDecl and its
-        positions; these facts are not split, so the whole stands for it."""
-        return self
 
     def signature(self) -> tuple[str, tuple[str, ...]]:
         return (self.name, tuple(t for t, _ in self.parameters))
@@ -1139,18 +1134,18 @@ def _scan_statements(tokens: list[_Token], blanked: str) -> list[StatementFacts]
             end = i + 1
             if end < n and tokens[end].text == "(":
                 end = balanced_end(end, "(", ")")
-            stmts.append(StatementFacts(kind, slice_text(i, end), t.line))
+            stmts.append(StatementFacts(kind, slice_text(i, end)))
             i = end
             continue
         if text == "for":
             end = i + 1
             if end < n and tokens[end].text == "(":
                 end = balanced_end(end, "(", ")")
-            stmts.append(StatementFacts("loop", slice_text(i, end), t.line))
+            stmts.append(StatementFacts("loop", slice_text(i, end)))
             i = end
             continue
         if text == "do":
-            stmts.append(StatementFacts("loop", "do", t.line))
+            stmts.append(StatementFacts("loop", "do"))
             i += 1
             continue
         if text == "else":
@@ -1158,24 +1153,24 @@ def _scan_statements(tokens: list[_Token], blanked: str) -> list[StatementFacts]
                 end = i + 2
                 if end < n and tokens[end].text == "(":
                     end = balanced_end(end, "(", ")")
-                stmts.append(StatementFacts("branch", slice_text(i, end), t.line))
+                stmts.append(StatementFacts("branch", slice_text(i, end)))
                 i = end
             else:
-                stmts.append(StatementFacts("branch", "else", t.line))
+                stmts.append(StatementFacts("branch", "else"))
                 i += 1
             continue
         if text in ("try", "finally"):
             end = i + 1
             if text == "try" and end < n and tokens[end].text == "(":
                 end = balanced_end(end, "(", ")")
-            stmts.append(StatementFacts("try", slice_text(i, end), t.line))
+            stmts.append(StatementFacts("try", slice_text(i, end)))
             i = end
             continue
         if text == "catch":
             end = i + 1
             if end < n and tokens[end].text == "(":
                 end = balanced_end(end, "(", ")")
-            stmts.append(StatementFacts("try", slice_text(i, end), t.line))
+            stmts.append(StatementFacts("try", slice_text(i, end)))
             i = end
             continue
         if text in ("case", "default") and _looks_like_switch_label(tokens, i):
@@ -1191,7 +1186,7 @@ def _scan_statements(tokens: list[_Token], blanked: str) -> list[StatementFacts]
                     end += 1
                     break
                 end += 1
-            stmts.append(StatementFacts("branch", slice_text(i, end), t.line))
+            stmts.append(StatementFacts("branch", slice_text(i, end)))
             i = end
             continue
         if text in _STMT_SIMPLE_KEYWORDS:
@@ -1207,7 +1202,7 @@ def _scan_statements(tokens: list[_Token], blanked: str) -> list[StatementFacts]
                     end += 1
                     break
                 end += 1
-            stmts.append(StatementFacts(_STMT_SIMPLE_KEYWORDS[text], slice_text(i, end), t.line))
+            stmts.append(StatementFacts(_STMT_SIMPLE_KEYWORDS[text], slice_text(i, end)))
             i = end
             continue
         # label: `name :` followed by a statement keyword
@@ -1243,7 +1238,7 @@ def _scan_statements(tokens: list[_Token], blanked: str) -> list[StatementFacts]
         if end == i:
             i += 1
             continue
-        stmts.append(StatementFacts(_classify_generic(tokens[i:end]), slice_text(i, end), t.line))
+        stmts.append(StatementFacts(_classify_generic(tokens[i:end]), slice_text(i, end)))
         i = end
     return stmts
 
@@ -1538,9 +1533,8 @@ _WORDISH = re.compile(r"\w+|[^\w\s]")
 def lcs_align_oracle(old, new):
     """Residual removed/added statements after an order-preserving alignment.
 
-    Statements matched in order by identical text survive unchanged even when
-    their line numbers shifted; everything else is raw removed/added input
-    for move and modify pairing.
+    Statements matched in order by identical text survive unchanged;
+    everything else is raw removed/added input for move and modify pairing.
     """
     a = [s.text for s in old]
     b = [s.text for s in new]

@@ -572,7 +572,9 @@ def test_generate_cli_failure_exits_1_with_partial_output(capsys, tmp_path, corp
         server.shutdown()
 
 
-@pytest.mark.parametrize("line", ['{"prompt": "p"}', "not json", '["p", "t", "r", "h"]'])
+@pytest.mark.parametrize(
+    "line", ['{"prompt": "p"}', "not json", '["p", "t", "r", "h"]', '{"prompt": null, "target": 7, "repo": "r", "hash": "h"}']
+)
 def test_generate_rejects_a_malformed_sft_line_before_any_request(capsys, tmp_path, monkeypatch, line):
     sft_path = tmp_path / "sft.jsonl"
     good = json.dumps({"prompt": "p", "target": "t", "repo": "r", "hash": "h"})

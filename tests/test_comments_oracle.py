@@ -60,7 +60,7 @@ def _oracle_facts(source: str | None, facts: SourceFacts) -> tuple[SourceFacts, 
     if not source:
         return facts, 0
     expected = sweep_attachments_oracle(_lex(source)[1], oracle_decl_index(source, facts))[0]
-    merged = merge_inline_comments(facts.comments, _methods(facts))
+    merged = merge_inline_comments(facts, _methods(facts))
     _got, _expected, dropped = without_body_comments_attached_below(source, facts, merged, expected)
     return SourceFacts(None, (), (), tuple(expected)), dropped
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import http.server
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -17,6 +18,7 @@ import pytest
 import condenser
 from condenser.config import PipelineConfig
 from condenser.corpus import (
+    CommitSample,
     CorpusFormatError,
     EndpointError,
     SftRecord,
@@ -145,6 +147,20 @@ def test_trackstream_survives_to_identifiers(corpus_path):
     assert "trackstream" in result.template.identifiers_section
 
 
+# b(); sits on the same line in both versions of each pair: its method moved
+# up a line as b(); moved down one, or the alignment leaves it there
+@pytest.mark.parametrize("old,new", [
+    ("class A {\n int f;\n void m() {\n a();\n b();\n t();\n }\n}\n", "class A {\n void m() {\n a();\n t();\n b();\n }\n}\n"),
+    ("class A {\n void m() {\n a();\n b();\n t();\n }\n}\n", "class A {\n void m() {\n t();\n b();\n }\n}\n"),
+    ("class A {\n void m() {\n x(); b();\n a();\n }\n}\n", "class A {\n void m() {\n a(); b();\n }\n}\n"),
+], ids=["method-moved-up", "neighbour-removed", "shared-line"])
+def test_a_statement_with_its_own_text_is_moved_not_modified(old, new):
+    result = condense_commit(CommitInput("r", "h", (FilePair("A.java", "A.java", old, new),)))
+    lines = result.template.summarized_changes.split("\n")
+    assert "In method m, move a invocation statement b();" in lines
+    assert not any("modify" in line for line in lines)
+
+
 def _nested_classes_commit(depth: int) -> CommitInput:
     def source(field: str) -> str:
         opened = "".join(f"class C{i} {{\n" for i in range(depth))
@@ -210,6 +226,16 @@ def test_corpus_stats_counts_message_hits(corpus_path):
     # splitting can only find at least as many words as verbatim hits
     for cat, (verbatim, split_hits) in by_cat.items():
         assert split_hits >= 0 and verbatim >= 0
+
+
+def test_corpus_stats_names_a_commit_whose_java_fails_to_parse(caplog):
+    pair = FilePair("A.java", "A.java", "class A { }", "class A { /* unterminated")
+    sample = CommitSample(repo="r", hash="h", file_pairs=(pair,), message="broken file")
+    for run in (run_pipeline, corpus_identifier_stats):
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="condenser"):
+            run([sample])
+        assert "r@h: could not parse A.java; summarized as file-level change" in caplog.messages, run.__name__
 
 
 # --- export_sft -------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from condenser.javafacts import (
     sort_modifiers,
 )
 from oracles import comment_chars_oracle
-from test_lexer_oracle import all_comments
+from test_lexer_oracle import all_comments, method_spans
 
 
 # --- basic parsing -------------------------------------------------------------
@@ -172,7 +172,8 @@ def test_annotation_type_element_defaults():
         ("type", "Class<?>", "", ()),
         ("plain", "String", "", ()),
     ]
-    assert src[slice(*methods[1].byte_range)] == 'String[] names() default {"a"};'
+    start, _m, _body, end = method_spans(parse_java(src))[1]
+    assert src[start:end] == 'String[] names() default {"a"};'
 
 
 def test_element_value_after_equals_is_a_parse_error():
@@ -297,18 +298,15 @@ class C {
         assert "  " not in s.text
 
 
-def test_statement_lines_are_1_based():
-    facts = parse_java("class C { void f() {\n  a();\n  b();\n} }")
-    lines = [s.line for s in facts.classes[0].methods[0].body_statements]
-    assert lines == [2, 3]
-
-
 def test_lines_count_the_newline_inside_a_wrapped_literal():
     # a backslash-newline inside a string is not Java, but it is accepted;
     # the newline it hides is still a line
     facts = parse_java('class A {\n  String s = "ab\\\ncd";\n  void m() {\n    x();\n  }\n}')
     method = facts.classes[0].methods[0]
-    assert [(s.text, s.line) for s in method.body_statements] == [("x();", 5)]
+    assert [s.text for s in method.body_statements] == ["x();"]
+    with pytest.raises(ParseError) as exc:
+        parse_java('class A {\n  String s = "ab\\\ncd";\n  void m() {\n    x();\n  }\n  int ;\n}')
+    assert exc.value.line == 7
 
 
 def test_anonymous_class_stays_one_statement():
@@ -339,9 +337,9 @@ def test_byte_ranges_nested():
     outer = facts.classes[0]
     inner = outer.inner_classes[0]
     assert [c.name for c in inner.inner_classes] == ["Innermost"]
-    [method] = outer.methods
-    assert src[slice(*method.byte_range)] == "void f() { g(); }"
-    assert (method.body_text, method.body_line) == ("{ g(); }", 6)
+    [(start, method, body, end)] = method_spans(facts)
+    assert method is outer.methods[0] and src[start:end] == "void f() { g(); }"
+    assert src[body:end] == method.body_text == "{ g(); }"
 
 
 def test_inner_class_containment_is_a_forest():
@@ -424,7 +422,7 @@ def test_body_comments_are_built_on_first_read_with_their_lines():
     method = facts.classes[0].inner_classes[0].methods[0]
     # spans are offsets into the body text
     assert [method.body_text[s:e] for _group, s, e in method.body_comments][::2] == ["// first", "// last"]
-    assert "inline_comments" not in vars(method.decl)
+    assert "inline_comments" not in vars(method)
     assert [(c.kind, c.text, c.attachment) for c in method.inline_comments] == [
         ("line", " first", "inline:C.D.f"),
         ("block", " second\n               spans two lines ", "inline:C.D.f"),

@@ -36,6 +36,7 @@ from hypothesis import strategies as st
 from condenser.javafacts import (
     _MULTI_PUNCT,
     CommentFacts,
+    MethodFacts,
     ParseError,
     SourceFacts,
     _lex,
@@ -114,11 +115,24 @@ def _assert_lexes_like_oracle(source: str) -> None:
         ], source
 
 
+def method_spans(facts: SourceFacts) -> list[tuple[int, MethodFacts, int, int]]:
+    """Each method entry of facts.decls, (start, label, body start, end),
+    with its label replaced by the method it places: the k-th 'method:C.m'
+    entry is the k-th method m of class C.  The body start is the end
+    without a body."""
+    by_label: dict[str, list[MethodFacts]] = {}
+    for qname, cls in facts.all_classes():
+        for m in cls.methods:
+            by_label.setdefault(f"method:{qname}.{m.name}", []).append(m)
+    taken = {label: iter(methods) for label, methods in by_label.items()}
+    return [(start, next(taken[label]), body, end) for start, label, body, end in facts.decls if label[0] == "m"]
+
+
 def all_comments(source: str) -> list[CommentFacts]:
     """Every comment of parseable Java source in source order: the parser's
     comments with every method's inline comments merged in."""
     facts = parse_java(source)
-    return merge_inline_comments(facts.comments, [m for _q, cls in facts.all_classes() for m in cls.methods])
+    return merge_inline_comments(facts, [m for _q, cls in facts.all_classes() for m in cls.methods])
 
 
 def without_body_comments_attached_below(
@@ -133,12 +147,7 @@ def without_body_comments_attached_below(
     comment, inline in got, is dropped from both lists; returns the filtered
     lists and how many were dropped.
     """
-    bodies = [
-        (m.byte_range[1] - len(m.body_text), m.byte_range[1])
-        for _q, cls in facts.all_classes()
-        for m in cls.methods
-        if m.body_text
-    ]
+    bodies = [(body, end) for _start, m, body, end in method_spans(facts) if m.body_text]
     raw_comments = _lex(source)[1]
     assert len(raw_comments) == len(got) == len(expected), source
     drop = {

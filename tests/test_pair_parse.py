@@ -4,9 +4,9 @@ new version parsed alone, which is the oracle.
 parse_java(new, path, (old, old_facts)) steps over the text the edit left
 whole and takes its facts from the old facts instead of parsing it again.
 Every fact must be what parse_java(new, path) gives, including the fields no
-equality compares (a method's owner, body comments and count of comments
-before its body, and the positions a class and a file record), with every
-body_statements and inline_comments read, and SourceFacts.comments; a
+equality compares (a method's owner and body comments, and the positions a
+class and a file record), with every body_statements and inline_comments
+read, and SourceFacts.comments; a
 ParseError must carry the same line and message.  This is checked on every
 fixture pair, on the benchmark's corpus-typical and rewrite-heavy pairs of
 seeds 1-3, and on generated edits of fixture and generated sources: a member
@@ -38,7 +38,7 @@ import workloads
 from condenser import javafacts
 from condenser.javafacts import MethodFacts, ParseError, parse_java
 from corpusdata import COMMITS
-from test_lexer_oracle import _PIECE, FIXTURE_SOURCES, _program_source
+from test_lexer_oracle import _PIECE, FIXTURE_SOURCES, _program_source, method_spans
 from typefixtures import ALL_TYPE_FIXTURES
 
 
@@ -47,13 +47,11 @@ def _plain(value):
     statements and inline comments read."""
     if isinstance(value, (tuple, list)):
         return tuple(_plain(v) for v in value)
-    if isinstance(value, MethodFacts):
-        return (
-            "method", _plain(value.decl), value.byte_range, value.body_line, value.comments_before,
-            _plain(value.body_statements), _plain(value.inline_comments),
-        )
     if dataclasses.is_dataclass(value):
-        return (type(value).__name__,) + tuple(_plain(getattr(value, f.name)) for f in dataclasses.fields(value))
+        plain = (type(value).__name__,) + tuple(_plain(getattr(value, f.name)) for f in dataclasses.fields(value))
+        if isinstance(value, MethodFacts):
+            plain += (_plain(value.body_statements), _plain(value.inline_comments))
+        return plain
     return value
 
 
@@ -161,8 +159,8 @@ def _member_spans(facts) -> list[tuple[str, str, int, int]]:
     an initializer or a ';')."""
     out = []
     for qname, cls in facts.all_classes():
-        for (start, end, _line, f, m, i), after in zip(cls.members, cls.members[1:]):
-            what = "field" if after[3] > f else "method" if after[4] > m else "class" if after[5] > i else "other"
+        for (start, end, f, m, i), after in zip(cls.members, cls.members[1:]):
+            what = "field" if after[2] > f else "method" if after[3] > m else "class" if after[4] > i else "other"
             out.append((qname, what, start, end))
     return out
 
@@ -171,17 +169,16 @@ def _member_spans(facts) -> list[tuple[str, str, int, int]]:
 def _edited_pair(draw, kind: str) -> tuple[str, str]:
     source = draw(st.one_of(st.sampled_from(_EDITABLE), _program_source().filter(_parsed_with_methods)))
     facts = parse_java(source)
-    methods = sorted((m for _q, c in facts.all_classes() for m in c.methods), key=lambda m: m.byte_range)
+    methods = method_spans(facts)
     k = draw(st.integers(0, len(methods) - 1))
-    start, end = methods[k].byte_range
+    start, _m, _body, end = methods[k]
 
     def insert(at: int, text: str) -> str:
         return source[:at] + text + source[at:]
 
-    def into_body(m: MethodFacts, text: str) -> str:
-        if not m.body_text:
-            return insert(m.byte_range[0], text)
-        return insert(m.byte_range[1] - len(m.body_text) + 1, text)
+    def into_body(span: tuple[int, MethodFacts, int, int], text: str) -> str:
+        start, m, body, _end = span
+        return insert(body + 1 if m.body_text else start, text)
 
     if kind == "insert":
         new = insert(draw(st.sampled_from([start, end])), draw(_MEMBER))
@@ -208,7 +205,7 @@ def _edited_pair(draw, kind: str) -> tuple[str, str]:
         new = insert(draw(st.integers(0, start)), draw(st.sampled_from(['"', "'", 'String s = "'])))
     elif kind == "duplicate":
         later = methods[draw(st.integers(k, len(methods) - 1))]
-        new = insert(start, source[slice(*later.byte_range)] + "\n    ")
+        new = insert(start, source[later[0] : later[3]] + "\n    ")
     elif kind == "brace":
         new = insert(draw(st.sampled_from([start, end])), draw(st.sampled_from(["{", "}", "{ }"])))
     elif kind == "field":
@@ -240,14 +237,14 @@ def _edited_pair(draw, kind: str) -> tuple[str, str]:
             name = re.match(r"[A-Za-z_$][\w$]*", source[a:b])
             new = insert(a + name.end(), "Edited") if name else insert(a, "EDITED, ")
     elif kind == "inner":
-        inner = [m for q, c in facts.all_classes() if "." in q for m in c.methods if m.body_text]
+        inner = [span for span in methods if "." in span[1].owner and span[1].body_text]
         new = into_body(draw(st.sampled_from(inner)), " edited(); ") if inner else insert(
             start, "class Inner { void v() { w(); } int u; }\n    "
         )
     elif kind == "comment_in_run":
         # a comment in both versions, before an edit to the last method
         edited = into_body(methods[-1], " edited(); ")
-        at = draw(st.sampled_from([a for _q, _w, a, _b in _member_spans(facts) if a < methods[-1].byte_range[0]] or [0]))
+        at = draw(st.sampled_from([a for _q, _w, a, _b in _member_spans(facts) if a < methods[-1][0]] or [0]))
         comment = draw(st.sampled_from(["/** Kept. */\n    ", "// kept\n    ", "/* kept */ "]))
         return source[:at] + comment + source[at:], edited[:at] + comment + edited[at:]
     elif kind == "identical":
@@ -273,10 +270,9 @@ def test_edited_sources_parse_like_alone(kind, data):
 def test_a_one_method_edit_decodes_only_the_edited_member(monkeypatch):
     source = max((s for s in _EDITABLE if sum(len(c.methods) for _q, c in parse_java(s).all_classes()) >= 3), key=len)
     facts = parse_java(source)
-    methods = sorted((m for _q, c in facts.all_classes() for m in c.methods if m.body_text), key=lambda m: m.byte_range)
-    edited = methods[len(methods) // 2]
-    at = edited.byte_range[1] - len(edited.body_text) + 1
-    new = source[:at] + " edited(); " + source[at:]
+    methods = [span for span in method_spans(facts) if span[1].body_text]
+    edited_start, _m, body, _end = methods[len(methods) // 2]
+    new = source[: body + 1] + " edited(); " + source[body + 1 :]
     decoded: list[tuple[int, int]] = []
     decode = javafacts._decode
 
@@ -290,7 +286,7 @@ def test_a_one_method_edit_decodes_only_the_edited_member(monkeypatch):
     got = javafacts._parse_java(new, "<memory>", (source, facts))
     monkeypatch.undo()
     assert _plain(got) == _plain(parse_java(new))
-    [(start, end)] = [m.byte_range for _q, c in got.all_classes() for m in c.methods if m.byte_range[0] == edited.byte_range[0]]
+    [(start, end)] = [(a, b) for a, _m, _body, b in method_spans(got) if a == edited_start]
     assert all(start <= a and b <= end for a, b in decoded), (decoded, (start, end))
 
 
@@ -312,5 +308,5 @@ def test_large_file_parses_only_the_methods_in_the_window(tmp_path, monkeypatch)
     # the window: what lies between the text the two versions start with and end with
     prefix = next(k for k, (a, b) in enumerate(zip(old, new)) if a != b)
     suffix = next(k for k, (a, b) in enumerate(zip(reversed(old), reversed(new))) if a != b or k == len(new) - prefix)
-    window = [m for m in methods if m.byte_range[1] > prefix and m.byte_range[0] < len(new) - suffix]
+    window = [a for a, _m, _body, b in method_spans(facts) if b > prefix and a < len(new) - suffix]
     assert len(methods) > 200 and len(parsed) <= len(window) < 5

@@ -46,21 +46,21 @@ from test_lexer_oracle import (
     FIXTURE_SOURCES,
     _program_source,
     has_multiline_literal,
+    method_spans,
     without_body_comments_attached_below,
 )
 
 _METHOD_FIELDS = (
     "name", "return_type", "parameters", "modifiers", "annotations",
-    "thrown_exceptions", "body_statements", "byte_range",
+    "thrown_exceptions", "body_statements",
 )
-_LINE_FIELDS = {"line"}
 
 
-def _plain(value, lines: bool):
+def _plain(value):
     """Facts as nested tuples of every compared field, with every
-    body_statements read; line numbers are None unless lines."""
+    body_statements read."""
     if isinstance(value, (tuple, list)):
-        return tuple(_plain(v, lines) for v in value)
+        return tuple(_plain(v) for v in value)
     if not dataclasses.is_dataclass(value):
         return value
     if hasattr(value, "body_statements"):
@@ -68,10 +68,7 @@ def _plain(value, lines: bool):
     else:
         # the position fields no equality compares are the package's own, and the oracle leaves them empty
         kind, names = type(value).__name__, [f.name for f in dataclasses.fields(value) if f.compare]
-    return kind, tuple(
-        (name, None if name in _LINE_FIELDS and not lines else _plain(getattr(value, name), lines))
-        for name in names
-    )
+    return kind, tuple((name, _plain(getattr(value, name))) for name in names)
 
 
 def _parsed(parse, source: str, path: str) -> SourceFacts | ParseError:
@@ -84,14 +81,18 @@ def _parsed(parse, source: str, path: str) -> SourceFacts | ParseError:
 def _assert_parses_like_oracle(source: str, path: str = "<memory>") -> bool:
     """True when the source parses.  The package's comments are compared
     with every method's inline comments merged in, and through the filter
-    of test_lexer_oracle."""
+    of test_lexer_oracle; its method positions, from SourceFacts.decls,
+    with the original's byte ranges."""
     lines = not has_multiline_literal(source)
     got, expected = _parsed(parse_java, source, path), _parsed(parse_java_oracle, source, path)
     if isinstance(got, SourceFacts) and isinstance(expected, SourceFacts):
         methods = [m for _q, cls in got.all_classes() for m in cls.methods]
         comments, oracle_comments, _dropped = without_body_comments_attached_below(
-            source, got, merge_inline_comments(got.comments, methods), list(expected.comments)
+            source, got, merge_inline_comments(got, methods), list(expected.comments)
         )
+        assert [(start, end) for start, _m, _body, end in method_spans(got)] == sorted(
+            m.byte_range for _q, cls in expected.all_classes() for m in cls.methods
+        ), source
         got = dataclasses.replace(got, comments=tuple(comments))
         expected = dataclasses.replace(expected, comments=tuple(oracle_comments))
     assert _plain_outcome(got, lines) == _plain_outcome(expected, lines), source
@@ -101,7 +102,7 @@ def _assert_parses_like_oracle(source: str, path: str = "<memory>") -> bool:
 def _plain_outcome(outcome: SourceFacts | ParseError, lines: bool):
     if isinstance(outcome, ParseError):
         return ("error", outcome.line if lines else None, outcome.message)
-    return _plain(outcome, lines)
+    return _plain(outcome)
 
 
 def test_fixture_sources_parse_like_oracle():
@@ -223,8 +224,8 @@ def test_scanner_rule_bodies_parse_like_oracle(body):
 
 
 # Statement heads after a multi-line block comment, after a label, and a
-# 'case' after a statement that spans three lines: a statement's line is that
-# of its first token, whatever lies between it and the previous head.
+# 'case' after a statement that spans three lines: a statement starts at its
+# first token, whatever lies between it and the previous head.
 _HEADS_SOURCE = """\
 class Heads {
   int run(int k) {
@@ -256,17 +257,17 @@ def test_statement_lines_at_heads_match_oracle():
     assert not has_multiline_literal(_HEADS_SOURCE)
     assert _assert_parses_like_oracle(_HEADS_SOURCE)
     statements = parse_java(_HEADS_SOURCE).classes[0].methods[0].body_statements
-    assert [(s.line, s.kind, s.text) for s in statements] == [
-        (5, "declaration", "int a = 1;"),
-        (10, "loop", "for (int i = 0; i < k; i++)"),
-        (11, "branch", "switch (i)"),
-        (12, "branch", "case 0:"),
-        (13, "assignment", "a = a + i + 1;"),
-        (16, "branch", "case 1:"),
-        (16, "return", "return a;"),
-        (17, "branch", "default:"),
-        (18, "other", "break outer;"),
-        (21, "return", "return a;"),
+    assert [(s.kind, s.text) for s in statements] == [
+        ("declaration", "int a = 1;"),
+        ("loop", "for (int i = 0; i < k; i++)"),
+        ("branch", "switch (i)"),
+        ("branch", "case 0:"),
+        ("assignment", "a = a + i + 1;"),
+        ("branch", "case 1:"),
+        ("return", "return a;"),
+        ("branch", "default:"),
+        ("other", "break outer;"),
+        ("return", "return a;"),
     ]
 
 
@@ -280,13 +281,13 @@ def built(monkeypatch) -> list[str]:
     calls: list[str] = []
     build, build_pair = javafacts._body_statements, javafacts._paired_statements
 
-    def spy(body_text, line):
+    def spy(body_text):
         calls.append(body_text)
-        return build(body_text, line)
+        return build(body_text)
 
-    def spy_pair(old_text, old_line, new_text, new_line):
+    def spy_pair(old_text, new_text):
         calls.extend((old_text, new_text))
-        return build_pair(old_text, old_line, new_text, new_line)
+        return build_pair(old_text, new_text)
 
     monkeypatch.setattr(javafacts, "_body_statements", spy)
     monkeypatch.setattr(javafacts, "_paired_statements", spy_pair)
@@ -371,13 +372,13 @@ def test_fixture_inline_change_statements_match_oracle():
                 old, new = parse_java(old_src), parse_java(new_src)
             except ParseError:
                 continue
-            sides = {
-                side: {m.byte_range: m for _q, c in parse_java_oracle(src).all_classes() for m in c.methods}
-                for side, src in (("old", old_src), ("new", new_src))
-            }
+            oracle = {}  # id of a method of old or new -> the original's method at its start
+            for facts, src in ((old, old_src), (new, new_src)):
+                by_start = {m.byte_range[0]: m for _q, c in parse_java_oracle(src).all_classes() for m in c.methods}
+                oracle.update((id(m), by_start[start]) for start, m, _body, _end in method_spans(facts))
             for ic in diff_facts(old, new).files[0].inline_changes:
-                assert ic.old.body_statements == sides["old"][ic.old.byte_range].body_statements
-                assert ic.new.body_statements == sides["new"][ic.new.byte_range].body_statements
+                assert ic.old.body_statements == oracle[id(ic.old)].body_statements
+                assert ic.new.body_statements == oracle[id(ic.new)].body_statements
                 checked += 1
     assert checked >= 10
 
@@ -386,8 +387,8 @@ def test_fixture_inline_change_statements_match_oracle():
 #
 # A matched method's two bodies are built together, the text they share
 # scanned once (javafacts._paired_statements).  The whole-body scan of each
-# side (javafacts._body_statements) is the reference: statements, lines
-# included, and any ParseError must be the same, old side first.
+# side (javafacts._body_statements) is the reference: statements and any
+# ParseError must be the same, old side first.
 
 
 def _outcome(build):
@@ -397,11 +398,9 @@ def _outcome(build):
         return ("error", exc.line, exc.message)
 
 
-def _assert_pair_like_whole_scans(old_body: str, new_body: str, old_line: int = 3, new_line: int = 7) -> None:
-    expected = _outcome(
-        lambda: (javafacts._body_statements(old_body, old_line), javafacts._body_statements(new_body, new_line))
-    )
-    got = _outcome(lambda: javafacts._paired_statements(old_body, old_line, new_body, new_line))
+def _assert_pair_like_whole_scans(old_body: str, new_body: str) -> None:
+    expected = _outcome(lambda: (javafacts._body_statements(old_body), javafacts._body_statements(new_body)))
+    got = _outcome(lambda: javafacts._paired_statements(old_body, new_body))
     assert got == expected, (old_body, new_body)
 
 
@@ -412,7 +411,7 @@ def _assert_diff_pairs_like_whole_scans(old_src: str, new_src: str) -> int:
     fd = diff_facts(parse_java(old_src), parse_java(new_src)).files[0]
     for _cname, old, new in fd.body_changed:
         for method in (old, new):
-            whole = javafacts._body_statements(method.body_text, method.body_line) if method.body_text else ()
+            whole = javafacts._body_statements(method.body_text) if method.body_text else ()
             assert method.body_statements == whole
     return len(fd.body_changed)
 
@@ -517,9 +516,9 @@ def test_one_statement_edit_in_a_long_body_lexes_only_its_segment(monkeypatch):
     decoded: list[str] = []
     decode = javafacts._decode
 
-    def spy(text, pos, endpos, line):
+    def spy(text, pos, endpos):
         decoded.append(text[pos:endpos])
-        return decode(text, pos, endpos, line)
+        return decode(text, pos, endpos)
 
     monkeypatch.setattr(javafacts, "_decode", spy)
     (change,) = diff_facts(old, new).files[0].inline_changes
@@ -530,4 +529,4 @@ def test_one_statement_edit_in_a_long_body_lexes_only_its_segment(monkeypatch):
     ]
     monkeypatch.undo()
     for method in (change.old, change.new):
-        assert method.body_statements == javafacts._body_statements(method.body_text, method.body_line)
+        assert method.body_statements == javafacts._body_statements(method.body_text)
