@@ -28,9 +28,14 @@ The two versions of a matched method whose body changed are built together
 (paired_statements), per segment: a coarse regex pass cuts each body at
 every top-level ';', one outside any bracket opened in the body and outside
 comments and literals, and makes no cut after a bracket that closes out of
-turn.  The new body is scanned whole; an old segment whose text is a new
-segment's takes that segment's statement objects, and only the runs of
-other old segments are lexed and scanned.
+turn.  Both bodies are built segment by segment through one memo from a
+segment's text to its statements, so each text the two hold is built once.
+A flat segment, one that ends at a top-level ';' and holds no brace, no
+comment and no control keyword or label at its head, is one statement: its
+text is the segment's with whitespace collapsed, and its kind comes from
+the token texts of one findall (a twin of the token regex whose only group
+is the token's text), not from the decoder and the scanner.  Any other
+segment is decoded and scanned alone.
 
 The coarse pass keeps each comment as a span.  A comment inside a method
 body belongs to that body: the method keeps the spans that fall inside it,
@@ -78,6 +83,7 @@ All returned facts are immutable in value and safe to share across threads
 from __future__ import annotations
 
 import re
+import string
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -308,28 +314,34 @@ _OPEN_LITERAL = (
     r"|'[^'\\\n]*(?:\\[\s\S][^'\\\n]*)*(?:\n|\\?\Z)"
 )
 
-# One match per token or comment, leading whitespace included.  Only ' \t\r\f\v'
-# and '\n' are whitespace; any other character that starts nothing else is a
-# one-character token.  Literals with an escaped newline ('wrapped') and
-# unterminated ones ('open_literal') are rare and get their own groups after
-# the one-line string and char patterns.  The empty tail alternative lets
-# trailing whitespace match once.
-_TOKEN_RE = re.compile(
-    r"[ \t\r\f\v\n]*(?:"
-    r"(?P<ident>[A-Za-z_$][A-Za-z0-9_$]*)"
-    rf"|(?P<line_comment>{_LINE_COMMENT})"
-    rf"|(?P<block_comment>{_BLOCK_COMMENT})"
-    rf"|(?P<open_comment>{_OPEN_COMMENT})"
-    r"|(?P<punct>" + "|".join(map(re.escape, _MULTI_PUNCT)) + r"|[!#%&()*+,\-./:;<=>?@\[\\\]^`{|}~])"
-    r"|(?P<number>\d(?:[\w.]|[eEpP][+-])*)"
-    r'|(?P<string>"[^"\\\n]*(?:\\.[^"\\\n]*)*")'
-    r"|(?P<char>'[^'\\\n]*(?:\\.[^'\\\n]*)*')"
-    rf"|(?P<wrapped>{_CLOSED_LITERAL})"
-    rf"|(?P<open_literal>{_OPEN_LITERAL})"
-    r"|(?P<other>[^ \t\r\f\v\n])"
-    r"|\Z)"
+# The alternatives of one token or comment, tried in this order.  Only
+# ' \t\r\f\v' and '\n' are whitespace; any other character that starts
+# nothing else is a one-character token.  Literals with an escaped newline
+# ('wrapped') and unterminated ones ('open_literal') are rare and come after
+# the one-line string and char patterns.
+_SPACE = r"[ \t\r\f\v\n]*"
+_TOKEN_PARTS = (
+    ("ident", r"[A-Za-z_$][A-Za-z0-9_$]*"),
+    ("line_comment", _LINE_COMMENT),
+    ("block_comment", _BLOCK_COMMENT),
+    ("open_comment", _OPEN_COMMENT),
+    ("punct", "|".join(map(re.escape, _MULTI_PUNCT)) + r"|[!#%&()*+,\-./:;<=>?@\[\\\]^`{|}~]"),
+    ("number", r"\d(?:[\w.]|[eEpP][+-])*"),
+    ("string", r'"[^"\\\n]*(?:\\.[^"\\\n]*)*"'),
+    ("char", r"'[^'\\\n]*(?:\\.[^'\\\n]*)*'"),
+    ("wrapped", _CLOSED_LITERAL),
+    ("open_literal", _OPEN_LITERAL),
+    ("other", r"[^ \t\r\f\v\n]"),
 )
+# One match per token or comment, leading whitespace included, named by its
+# group.  The empty tail alternative lets trailing whitespace match once.
+_TOKEN_RE = re.compile(_SPACE + "(?:" + "|".join(f"(?P<{g}>{f})" for g, f in _TOKEN_PARTS) + r"|\Z)")
+# The same tokens with their text as the only group, for findall over text
+# that holds no comment and no open literal and ends with a token.
+_TOKEN_TEXT_RE = re.compile(_SPACE + "(" + "|".join(f"(?:{f})" for _g, f in _TOKEN_PARTS) + ")")
 _CODE_KINDS = frozenset(("ident", "punct", "number", "string", "char"))
+# A token is an ident exactly when its text starts with one of these.
+_IDENT_START = frozenset(string.ascii_letters + "_$")
 
 
 def _line_starts(source: str) -> list[int]:
@@ -1315,13 +1327,15 @@ class _Parser:
         table, old = old_cls.members, self.old
         if not (0 <= k < len(table) - 1 and table[k + 1][3] == table[k][3] + 1):
             return None
-        m = old_cls.methods[table[k][3]]
-        # the method's declaration entry: the first at or after the member's start
-        start, _label, body_start, _end = old.facts.decls[bisect_left(old.decl_starts, table[k][0])]
+        m, start = old_cls.methods[table[k][3]], table[k][0]
+        # the method's declaration entry: the first at or after the member's
+        # start; it starts past the type parameters of a generic method
+        # without modifiers
+        decl_start, _label, body_start, _end = old.facts.decls[bisect_left(old.decl_starts, start)]
         if not m.body_text or not self.source.startswith(old.source[start : body_start + 1], at):
             return None
         body_text, body_comments, end = self.read_body(self.step_to_brace(at, start, body_start))
-        self.decls.append((at, f"method:{qname}.{m.name}", end - len(body_text), end))
+        self.decls.append((at + decl_start - start, f"method:{qname}.{m.name}", end - len(body_text), end))
         return replace(m, body_text=body_text, body_comments=body_comments)
 
     def parse_method_rest(
@@ -1438,6 +1452,8 @@ _HEADER_KINDS = {
     "synchronized": "other",
 }
 _BARE_HEADERS = frozenset(("do", "else", "finally"))
+# The keywords after which `name :` is a label, not the head of a statement.
+_LABELED = frozenset(("for", "while", "do", "if", "switch", "try"))
 
 _STMT_SIMPLE_KEYWORDS = {
     "throw": "throw",
@@ -1512,62 +1528,71 @@ def _segment_bounds(body_text: str) -> list[int] | None:
 
 def _paired_statements(old_text: str, new_text: str) -> tuple[tuple[StatementFacts, ...], tuple[StatementFacts, ...]]:
     """The statements _body_statements builds for two versions of a method
-    body, with the text the two share scanned once.
+    body, with each segment text the two hold built once.
 
-    Both bodies are cut into segments at their top-level ';'s.  The new body
-    is scanned whole and its statements are grouped by the segment their
-    head lies in; a cut that a statement runs across joins its two segments.
-    An old segment whose text is a new segment's takes that segment's
-    statement objects as they are, and each run of other old segments is
-    decoded and scanned as one region.
+    Each body is cut into segments at its top-level ';'s and built segment
+    by segment (_segment_statements) through one memo, shared by both, from
+    a segment's text to its statements.  A body with a comment or literal
+    left open is scanned whole.
 
     A cut is exact because the scanner keeps no state from one statement
     head to the next and, with brackets nested, every lookahead stops at a
     top-level ';'.  Only a keyword statement without its ';' runs on past
-    the '}' of its block and across a cut; a region whose last statement
-    does so leaves the old body to a whole scan.  Without a cut on either
-    side both bodies are scanned whole.
+    the '}' of its block and across a cut; a body with a segment whose last
+    statement does so is scanned whole.
     """
-    old_bounds, new_bounds = _segment_bounds(old_text), _segment_bounds(new_text)
-    if old_bounds is None or new_bounds is None or len(old_bounds) == 2 or len(new_bounds) == 2:
-        return _body_statements(old_text), _body_statements(new_text)
-    kinds, texts, starts, ends, comments = _decode(new_text, 1, len(new_text) - 1)
+    memo: dict[str, tuple[StatementFacts, ...] | None] = {}
+    return _segmented_statements(old_text, memo), _segmented_statements(new_text, memo)
+
+
+def _segmented_statements(
+    body_text: str, memo: dict[str, tuple[StatementFacts, ...] | None]
+) -> tuple[StatementFacts, ...]:
+    """_body_statements(body_text), built per segment through memo."""
+    bounds = _segment_bounds(body_text)
+    if bounds is None:
+        return _body_statements(body_text)
+    stmts: list[StatementFacts] = []
+    last = bounds[-2]
+    for a, b in zip(bounds, bounds[1:]):
+        segment = body_text[a:b]
+        if segment not in memo:
+            memo[segment] = _segment_statements(segment, a == last)
+        built = memo[segment]
+        if built is None:
+            return _body_statements(body_text)
+        stmts += built
+    return tuple(stmts)
+
+
+# The heads that make a segment more or less than one statement.
+_NOT_FLAT_HEADS = frozenset(_HEADER_KINDS) | {"case", "default", ";"}
+
+
+def _segment_statements(segment: str, final: bool) -> tuple[StatementFacts, ...] | None:
+    """The statements of a segment of a body, the body's last one when
+    final; None when it is not and its last statement runs on past it.
+
+    A flat segment, one that ends at a top-level ';' and holds no brace and
+    no comment and no control keyword or label at its head, is one
+    statement: its text is the segment's with whitespace collapsed, and its
+    kind comes from the token texts of one findall.  A final segment of
+    whitespace alone holds none.  Any other segment is decoded and scanned.
+    """
+    if not final and "{" not in segment and "}" not in segment and "//" not in segment and "/*" not in segment:
+        texts = _TOKEN_TEXT_RE.findall(segment)
+        head = texts[0]
+        if head not in _NOT_FLAT_HEADS and not (head[0] in _IDENT_START and texts[1] == ":" and texts[2] in _LABELED):
+            kind = _STMT_SIMPLE_KEYWORDS.get(head) or _classify_generic(texts, 0, len(texts))
+            return (StatementFacts(kind, " ".join(segment.split())),)
+    elif final and _TOKEN_TEXT_RE.match(segment) is None:  # no token: whitespace alone
+        return ()
+    kinds, texts, starts, ends, comments = _decode(segment, 0, len(segment))
     spans: list[tuple[int, int]] = []
-    new_stmts = _scan_statements(kinds, texts, starts, ends, _blank_comments(new_text, comments), spans)
-    table: dict[str, tuple[int, int]] = {}  # segment text -> (first statement, end statement)
-    a, first, k = 1, 0, 0
-    for b in new_bounds[1:]:
-        while k < len(spans) and starts[spans[k][0]] < b:
-            k += 1
-        if k and ends[spans[k - 1][1] - 1] > b:
-            continue
-        table.setdefault(new_text[a:b], (first, k))
-        a, first = b, k
-
-    old_stmts: list[StatementFacts] = []
-
-    def scan_region(a: int, b: int) -> bool:
-        """Append the statements of old_text[a:b]; False when the last one
-        would run on past b."""
-        region = old_text[a:b]
-        kinds, texts, starts, ends, comments = _decode(region, 0, len(region))
-        spans: list[tuple[int, int]] = []
-        old_stmts.extend(_scan_statements(kinds, texts, starts, ends, _blank_comments(region, comments), spans))
-        if not spans or spans[-1][1] < len(texts) or texts[spans[-1][0]] not in _STMT_SIMPLE_KEYWORDS:
-            return True
-        return sum(_DEPTH_STEP.get(t, 0) for t in texts[spans[-1][0] :]) == 0
-
-    built = 1  # old_text[1:built] is built
-    for a, b in zip(old_bounds, old_bounds[1:]):
-        reused = table.get(old_text[a:b])
-        if reused is not None:
-            if built < a and not scan_region(built, a):
-                return _body_statements(old_text), tuple(new_stmts)
-            old_stmts += new_stmts[reused[0] : reused[1]]
-            built = b
-    if built < len(old_text) - 1:
-        scan_region(built, len(old_text) - 1)
-    return tuple(old_stmts), tuple(new_stmts)
+    stmts = tuple(_scan_statements(kinds, texts, starts, ends, _blank_comments(segment, comments), spans))
+    if final or not spans or spans[-1][1] < len(texts) or texts[spans[-1][0]] not in _STMT_SIMPLE_KEYWORDS:
+        return stmts
+    return stmts if sum(_DEPTH_STEP.get(t, 0) for t in texts[spans[-1][0] :]) == 0 else None
 
 
 def paired_statements(
@@ -1653,7 +1678,7 @@ def _scan_statements(
             and i + 1 < n
             and texts[i + 1] == ":"
             and i + 2 < n
-            and texts[i + 2] in ("for", "while", "do", "if", "switch", "try")
+            and texts[i + 2] in _LABELED
         ):
             i += 2
             continue
@@ -1681,7 +1706,7 @@ def _scan_statements(
             if end == i:
                 i += 1
                 continue
-            kind = _classify_generic(kinds, texts, i, end)
+            kind = _classify_generic(texts, i, end)
         stmts.append(StatementFacts(kind, " ".join(blanked[starts[i] : ends[end - 1]].split())))
         if spans is not None:
             spans.append((i, end))
@@ -1715,8 +1740,9 @@ def _prev_is_expr(texts: list[str], i: int) -> bool:
     return prev in (")", "]", "=", ",", "{")
 
 
-def _classify_generic(kinds: list[str], texts: list[str], lo: int, hi: int) -> str:
-    """Classify the generic statement made of tokens lo..hi (exclusive)."""
+def _classify_generic(texts: list[str], lo: int, hi: int) -> str:
+    """Classify the generic statement made of the token texts lo..hi
+    (exclusive)."""
     depth = 0
     has_assign = False
     has_call = False
@@ -1724,7 +1750,7 @@ def _classify_generic(kinds: list[str], texts: list[str], lo: int, hi: int) -> s
         t = texts[idx]
         if t in ("(", "[", "{"):
             depth += 1
-            if t == "(" and idx > lo and kinds[idx - 1] == "ident":
+            if t == "(" and idx > lo and texts[idx - 1][0] in _IDENT_START:
                 if depth == 1:
                     has_call = True
         elif t in (")", "]", "}"):
@@ -1734,10 +1760,10 @@ def _classify_generic(kinds: list[str], texts: list[str], lo: int, hi: int) -> s
             break
         elif depth == 0 and t in ("++", "--"):
             has_assign = True
-    if not has_assign and _looks_like_declaration(kinds, texts, lo, hi):
+    if not has_assign and _looks_like_declaration(texts, lo, hi):
         return "declaration"
     if has_assign:
-        if _looks_like_declaration(kinds, texts, lo, hi):
+        if _looks_like_declaration(texts, lo, hi):
             return "declaration"
         return "assignment"
     if has_call:
@@ -1747,19 +1773,19 @@ def _classify_generic(kinds: list[str], texts: list[str], lo: int, hi: int) -> s
     return "other"
 
 
-def _looks_like_declaration(kinds: list[str], texts: list[str], i: int, n: int) -> bool:
+def _looks_like_declaration(texts: list[str], i: int, n: int) -> bool:
     """Type-then-name shape at the head of tokens i..n (exclusive), e.g.
     `Map<K,V> m = ...`."""
     if i < n and texts[i] == "final":
         i += 1
-    if i >= n or kinds[i] != "ident":
+    if i >= n or texts[i][0] not in _IDENT_START:
         return False
     if texts[i] in ("this", "super", "new"):
         return False
     i += 1
     while i < n:
         t = texts[i]
-        if t == "." and i + 1 < n and kinds[i + 1] == "ident":
+        if t == "." and i + 1 < n and texts[i + 1][0] in _IDENT_START:
             i += 2
             continue
         if t == "<":
@@ -1778,7 +1804,7 @@ def _looks_like_declaration(kinds: list[str], texts: list[str], i: int, n: int) 
             i += 2
             continue
         break
-    return i < n and kinds[i] == "ident" and (i + 1 >= n or texts[i + 1] in ("=", ";", ",", "[", ":"))
+    return i < n and texts[i][0] in _IDENT_START and (i + 1 >= n or texts[i + 1] in ("=", ";", ",", "[", ":"))
 
 
 # ---------------------------------------------------------------------------

@@ -30,15 +30,18 @@ from dataclasses import astuple
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from condenser.javafacts import (
+    _IDENT_START,
     _MULTI_PUNCT,
+    _TOKEN_TEXT_RE,
     CommentFacts,
     MethodFacts,
     ParseError,
     SourceFacts,
+    _decode,
     _lex,
     merge_inline_comments,
     parse_java,
@@ -245,6 +248,20 @@ _PIECE = st.one_of(_IDENT, _NUMBER, _OPERATOR, _STRING, _CHAR, _COMMENT, _WHITES
 @given(st.lists(_PIECE, max_size=30).map("".join))
 def test_token_soups_match_oracle(source):
     _assert_lexes_like_oracle(source)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(_IDENT, _NUMBER, _OPERATOR, _STRING, _CHAR, _WHITESPACE, _ODD), max_size=30).map("".join))
+def test_token_texts_of_comment_free_soups_match_the_decoder(source):
+    # the statement builder's flat path tokenizes with _TOKEN_TEXT_RE.findall
+    # and tells an ident by its first character
+    try:
+        kinds, texts, _starts, _ends, comments = _decode(source, 0, len(source))
+    except ParseError:
+        assume(False)  # an open comment or literal
+    assume(not comments)
+    assert _TOKEN_TEXT_RE.findall(source) == texts
+    assert [kind == "ident" for kind in kinds] == [text[0] in _IDENT_START for text in texts]
 
 
 # --- generated programs: attachment -------------------------------------------------

@@ -290,6 +290,29 @@ def test_a_one_method_edit_decodes_only_the_edited_member(monkeypatch):
     assert all(start <= a and b <= end for a, b in decoded), (decoded, (start, end))
 
 
+@pytest.mark.parametrize(
+    "header", ["<T> void m(T t)", "<T> /* c */ T m(T t)", "public <T> void m(T t)", "<T extends A<T>> void m(T t)"]
+)
+def test_a_body_edit_to_a_generic_method_parses_no_method(header, monkeypatch):
+    # without modifiers, the method's declaration starts at its return type,
+    # after the member's first token '<'
+    old = f"class A {{\n  int f;\n  {header} {{\n    a(t);\n  }}\n  int n() {{ return 1; }}\n}}\n"
+    new = old.replace("a(t);", "b(t);")
+    old_facts = parse_java(old)
+    parsed: list[int] = []
+    parse_method_rest = javafacts._Parser.parse_method_rest
+
+    def counting(self, *args):
+        parsed.append(self.starts[args[0]])
+        return parse_method_rest(self, *args)
+
+    monkeypatch.setattr(javafacts._Parser, "parse_method_rest", counting)
+    got = javafacts._parse_java(new, "<memory>", (old, old_facts))
+    assert parsed == []
+    monkeypatch.undo()
+    assert _plain(got) == _plain(parse_java(new))
+
+
 def test_large_file_parses_only_the_methods_in_the_window(tmp_path, monkeypatch):
     built = workloads.build("corpus-typical", 1, "full", tmp_path)
     with open(built["argv"][built["argv"].index("--corpus") + 1], encoding="utf-8") as fh:

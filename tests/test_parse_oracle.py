@@ -385,10 +385,10 @@ def test_fixture_inline_change_statements_match_oracle():
 
 # --- statements built in pairs -------------------------------------------------
 #
-# A matched method's two bodies are built together, the text they share
-# scanned once (javafacts._paired_statements).  The whole-body scan of each
-# side (javafacts._body_statements) is the reference: statements and any
-# ParseError must be the same, old side first.
+# A matched method's two bodies are built together, segment by segment, each
+# segment text they hold built once (javafacts._paired_statements).  The
+# whole-body scan of each side (javafacts._body_statements) is the reference:
+# statements and any ParseError must be the same, old side first.
 
 
 def _outcome(build):
@@ -417,10 +417,10 @@ def _assert_diff_pairs_like_whole_scans(old_src: str, new_src: str) -> int:
 
 
 # Each construct sits between statements that are edited, kept and edited
-# again, so that its segment is either taken from the other side or scanned
-# in a region next to taken ones.  The variants of one construct are paired
-# with each other: the second gives a keyword statement its ';' or turns a
-# label into a word, so that only one side's statement runs across a cut.
+# again, so that its segments are either taken from the other side or built
+# anew.  The variants of one construct are paired with each other: the
+# second gives a keyword statement its ';' or turns a label into a word, so
+# that only one side's statement runs across a cut.
 _PAIR_CONSTRUCTS = [
     ("a ) ; ( b ; c ;",),  # a ')' out of turn: no cut after it
     ("a [ ; b ; c ;",),  # an unclosed '['
@@ -437,6 +437,17 @@ _PAIR_CONSTRUCTS = [
     ("if (a) { return x } ; y ;", "if (a) { return x ; } ; y ;"),  # a keyword statement without its ';'
     ("if (a) { return new A() { } } ; y ;", "if (a) { return new A() { } ; } ; y ;"),
     ("{ throw e } ; y ;", "{ throw e ; } ; y ;"),
+    # heads of segments that may or may not be one statement alone
+    ("out: while (c) i++;",),  # a label before a control keyword
+    ("lbl: x++;",),  # a label before anything else is part of the statement
+    ("; ;",),
+    ("yield v;",),
+    ('assert a : "m";',),
+    ("f = y -> y + 1;",),
+    ("Map<K, V> m = f();",),
+    ("café = 1;",),  # 'é' is a token of its own
+    ('s = "{ // }";',),  # a brace and a comment opener inside a literal
+    ("if (a) return;",),
 ]
 
 
@@ -450,6 +461,14 @@ def test_fixed_pairs_build_like_whole_scans(variants):
     for old in bodies:
         for new in bodies:
             _assert_pair_like_whole_scans(old, new)
+
+
+@pytest.mark.parametrize("tail", ["", "\n  ", "\x1c", "\u00a0\n", "if (a) { b(); }", "return x", "a ) ; b ;"])
+def test_last_segments_build_like_whole_scans(tail):
+    # the segment after the last cut runs to the '}'; only ' \t\r\f\v\n'
+    # is whitespace to the lexer, so a '\x1c' or a no-break space is a token
+    for old, new in (("a();", "b();"), ("a();", "a();")):
+        _assert_pair_like_whole_scans(f"{{ {old} k(); {tail}}}", f"{{ {new} k(); {tail}}}")
 
 
 @st.composite
@@ -508,25 +527,30 @@ def test_benchmark_pairs_build_like_whole_scans(workload, seed, tmp_path):
     assert checked >= (4 if workload == "rewrite-heavy" else 20)
 
 
-def test_one_statement_edit_in_a_long_body_lexes_only_its_segment(monkeypatch):
-    body = [f"    v{k} = combine(v{k - 1}, {k});" for k in range(1, 301)]
-    old_src = "class Long {\n  void run() {\n" + "\n".join(body) + "\n  }\n}\n"
-    new_src = old_src.replace(body[150], body[150].replace(");", ") + 1;"))
-    old, new = parse_java(old_src), parse_java(new_src)
-    decoded: list[str] = []
-    decode = javafacts._decode
+def test_a_long_body_decodes_only_its_non_flat_segments(monkeypatch):
+    flat = [f"    v{k} = combine(v{k - 1}, {k});" for k in range(1, 301)]
+    block = "    { reset(); }\n    tick();"  # one segment: the ';' in the braces is no cut
+    loop = "    for (int i = 0; i < 3; i++) { v1 += i; }"  # the last segment, which runs to the '}'
+    nested = flat[:100] + [block] + flat[100:200] + [block] + flat[200:] + [loop]
+    for lines, non_flat in ((flat, []), (nested, ["\n" + block, "\n" + loop + "\n  "])):
+        old_src = "class Long {\n  void run() {\n" + "\n".join(lines) + "\n  }\n}\n"
+        new_src = old_src.replace(flat[150], flat[150].replace(");", ") + 1;"))
+        old, new = parse_java(old_src), parse_java(new_src)
+        decoded: list[str] = []
+        decode = javafacts._decode
 
-    def spy(text, pos, endpos):
-        decoded.append(text[pos:endpos])
-        return decode(text, pos, endpos)
+        def spy(text, pos, endpos):
+            decoded.append(text[pos:endpos])
+            return decode(text, pos, endpos)
 
-    monkeypatch.setattr(javafacts, "_decode", spy)
-    (change,) = diff_facts(old, new).files[0].inline_changes
-    # the new body is lexed whole; of the old one only the edited segment
-    assert decoded == [new.classes[0].methods[0].body_text[1:-1], "\n" + body[150]]
-    assert [(o.text, n.text) for o, n in change.stmt_modified] == [
-        ("v151 = combine(v150, 151);", "v151 = combine(v150, 151) + 1;")
-    ]
-    monkeypatch.undo()
-    for method in (change.old, change.new):
-        assert method.body_statements == javafacts._body_statements(method.body_text)
+        monkeypatch.setattr(javafacts, "_decode", spy)
+        (change,) = diff_facts(old, new).files[0].inline_changes
+        # a flat segment is tokenized without _decode; each other segment
+        # text the two bodies hold is decoded once
+        assert decoded == non_flat
+        assert [(o.text, n.text) for o, n in change.stmt_modified] == [
+            ("v151 = combine(v150, 151);", "v151 = combine(v150, 151) + 1;")
+        ]
+        monkeypatch.undo()
+        for method in (change.old, change.new):
+            assert method.body_statements == javafacts._body_statements(method.body_text)
