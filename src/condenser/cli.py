@@ -1,9 +1,12 @@
 """Command-line front end.
 
 Commands: condense, corpus run, corpus stats, export-sft, generate, eval.
-Exit codes: 0 success, 1 per-sample failures with partial output, 2 usage
-or configuration errors. Data goes to stdout (or --out); diagnostics go to
-stderr only.
+Exit codes: 0 success; 1 per-sample failures with partial output: a skipped
+corpus record, a failed `generate` request, a file `condense` cannot parse
+(the corpus commands log such a file and exit 0); 2 usage or configuration
+errors, with nothing written, among them a header over the budget and a
+blank `eval` reference line, named by its line number. README.md states the
+rule in full. Data goes to stdout (or --out); diagnostics go to stderr only.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from pathlib import Path
 from condenser import corpus as corpus_mod
 from condenser.config import ConfigError, PipelineConfig, load_config, parse_settings
 from condenser.corpus import (
+    CommitSample,
     CorpusFormatError,
     EndpointError,
     condense_commit,
@@ -56,9 +60,9 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
     parser.add_argument("--verbose", action="store_true", help="chatty diagnostics on stderr")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_command(group, name: str, run, summary: str, config: str | None = None) -> argparse.ArgumentParser:
+    def add_command(group, name: str, run, summary: str, config: str | None = None, **defaults) -> argparse.ArgumentParser:
         p = group.add_parser(name, help=summary)
-        p.set_defaults(run=run)
+        p.set_defaults(run=run, **defaults)
         if config is not None and command in (None, config):
             p.add_argument("--config", help="key=value config file; flags override file values")
             for f in fields(PipelineConfig):
@@ -78,16 +82,18 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
     p_corpus = sub.add_parser("corpus", help="corpus-scale operations")
     corpus_sub = p_corpus.add_subparsers(dest="corpus_command", required=True)
 
-    p_run = add_command(corpus_sub, "run", _cmd_corpus_run, "condense every corpus record", "corpus")
+    p_run = add_command(corpus_sub, "run", _cmd_corpus, "condense every corpus record", "corpus", write=_write_corpus_run)
     p_run.add_argument("--corpus", required=True, help="JSONL corpus file")
     p_run.add_argument("--format", choices=("text", "json"), default="json")
     p_run.add_argument("--out", help="output file (default stdout)")
 
-    p_stats = add_command(corpus_sub, "stats", _cmd_corpus_stats, "identifier occurrence statistics", "corpus")
+    p_stats = add_command(corpus_sub, "stats", _cmd_corpus, "identifier occurrence statistics", "corpus",
+                          write=_write_corpus_stats)
     p_stats.add_argument("--corpus", required=True)
     p_stats.add_argument("--out", help="output file (default stdout)")
 
-    p_export = add_command(sub, "export-sft", _cmd_export_sft, "export prompt/target records for fine-tuning", "export-sft")
+    p_export = add_command(sub, "export-sft", _cmd_corpus, "export prompt/target records for fine-tuning", "export-sft",
+                           write=_write_export_sft)
     p_export.add_argument("--corpus", required=True)
     p_export.add_argument("--out", required=True)
 
@@ -211,53 +217,37 @@ def _cmd_condense(args: argparse.Namespace) -> int:
     return 1 if result.parse_failures else 0
 
 
-def _cmd_corpus_run(args: argparse.Namespace) -> int:
+def _cmd_corpus(args: argparse.Namespace) -> int:
+    """corpus run, corpus stats and export-sft: load the corpus, then hand
+    its samples to the command's writer."""
     cfg = _resolve_config(args)
     skipped: list[tuple[int, str]] = []
-    samples = load_corpus(args.corpus, skipped)
-    pairs = run_pipeline(samples, cfg)
-    chunks: list[str] = []
-    for sample, template in pairs:
-        if args.format == "json":
-            chunks.append(
-                json.dumps(
-                    {
-                        "repo": sample.repo,
-                        "hash": sample.hash,
-                        "full_text": template.full_text,
-                        "token_count": template.token_count,
-                    },
-                    ensure_ascii=False,
-                    sort_keys=True,
-                )
-                + "\n"
-            )
-        else:
-            chunks.append(template.full_text + "\n\n")
-    _emit("".join(chunks), args.out)
+    args.write(load_corpus(args.corpus, skipped), cfg, args)
     return 1 if skipped else 0
 
 
-def _cmd_corpus_stats(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args)
-    skipped: list[tuple[int, str]] = []
-    samples = load_corpus(args.corpus, skipped)
+def _write_corpus_run(samples: list[CommitSample], cfg: PipelineConfig, args: argparse.Namespace) -> None:
+    chunks: list[str] = []
+    for sample, template in run_pipeline(samples, cfg):
+        if args.format == "json":
+            record = {"repo": sample.repo, "hash": sample.hash, "full_text": template.full_text,
+                      "token_count": template.token_count}
+            chunks.append(json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n")
+        else:
+            chunks.append(template.full_text + "\n\n")
+    _emit("".join(chunks), args.out)
+
+
+def _write_corpus_stats(samples: list[CommitSample], cfg: PipelineConfig, args: argparse.Namespace) -> None:
     rows = corpus_mod.corpus_identifier_stats(samples, cfg)
     lines = ["category\toccurrences\toccurrences_after_splitting"]
     for category, verbatim, split_hits in rows:
         lines.append(f"{category}\t{verbatim}\t{split_hits}")
     _emit("\n".join(lines) + "\n", args.out)
-    return 1 if skipped else 0
 
 
-def _cmd_export_sft(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args)
-    skipped: list[tuple[int, str]] = []
-    samples = load_corpus(args.corpus, skipped)
-    pairs = run_pipeline(samples, cfg)
-    count = export_sft(pairs, args.out, cfg)
-    sys.stdout.write(f"{count}\n")
-    return 1 if skipped else 0
+def _write_export_sft(samples: list[CommitSample], cfg: PipelineConfig, args: argparse.Namespace) -> None:
+    sys.stdout.write(f"{export_sft(run_pipeline(samples, cfg), args.out, cfg)}\n")
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import logging
 import time
+from collections.abc import Iterable, Iterator
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -49,6 +50,7 @@ __all__ = [
     "GenerationResponse",
     "SftRecord",
     "condense_commit",
+    "condense_corpus",
     "corpus_identifier_stats",
     "export_sft",
     "generate_remote",
@@ -178,7 +180,6 @@ def condense_commit(commit: CommitInput, config: PipelineConfig | None = None) -
     per_file: list[tuple[str | None, str | None, SourceFacts, SourceFacts]] = []
     skipped: list[tuple[str, str]] = []
     parse_failures: list[str] = []
-    new_facts_all: list[SourceFacts] = []
 
     for pair in commit.file_pairs:
         if not pair.is_java:
@@ -196,10 +197,9 @@ def condense_commit(commit: CommitInput, config: PipelineConfig | None = None) -
             skipped.append((pair.path, pair.status))
             continue
         per_file.append((pair.path_old, pair.path_new, old_facts, new_facts))
-        new_facts_all.append(new_facts)
 
     diff = diff_commit_facts(per_file, config=config, skipped=skipped)
-    change_type, rule = classify_change_explained(diff, new_facts_all, config)
+    change_type, rule = classify_change_explained(diff, [new_facts for *_, new_facts in per_file], config)
 
     comments: list[ElicitedComment] = []
     annotations: list[AnnotationChange] = []
@@ -232,22 +232,28 @@ def condense_commit(commit: CommitInput, config: PipelineConfig | None = None) -
     )
 
 
+def condense_corpus(
+    samples: Iterable[CommitSample], config: PipelineConfig | None = None
+) -> Iterator[tuple[CommitSample, CondenseResult]]:
+    """Each sample with its condensation, in input order. A file that fails
+    to parse is logged once and summarized as a file-level change, so a
+    sample whose every file fails still yields a header-plus-file-list
+    template."""
+    config = config or PipelineConfig()
+    for sample in samples:
+        result = condense_commit(sample.commit_input(), config)
+        for path in result.parse_failures:
+            log.warning("%s@%s: could not parse %s; summarized as file-level change", sample.repo, sample.hash, path)
+        yield sample, result
+        del result  # not kept while the next sample is condensed
+
+
 def run_pipeline(
     samples: list[CommitSample], config: PipelineConfig | None = None
 ) -> list[tuple[CommitSample, CondensedTemplate]]:
-    """Condense every sample, in input order. Samples whose every file fails
-    to parse still yield a header-plus-file-list template, and the failure is
-    logged, not dropped."""
-    config = config or PipelineConfig()
-    return [(sample, _condensed(sample, config).template) for sample in samples]
-
-
-def _condensed(sample: CommitSample, config: PipelineConfig) -> CondenseResult:
-    """condense_commit over one sample, logging each file that failed to parse."""
-    result = condense_commit(sample.commit_input(), config)
-    for path in result.parse_failures:
-        log.warning("%s@%s: could not parse %s; summarized as file-level change", sample.repo, sample.hash, path)
-    return result
+    """Each sample with its template, in input order (see condense_corpus).
+    map, unlike a loop variable, holds no result while the next is made."""
+    return list(map(lambda pair: (pair[0], pair[1].template), condense_corpus(samples, config)))
 
 
 def corpus_identifier_stats(
@@ -255,8 +261,7 @@ def corpus_identifier_stats(
 ) -> list[tuple[str, int, int]]:
     """Per-category identifier occurrence counts over a corpus (verbatim in
     the reference message, and split-word occurrences)."""
-    config = config or PipelineConfig()
-    return identifier_corpus_stats([(list(_condensed(s, config).identifiers), s.message) for s in samples])
+    return identifier_corpus_stats([(list(r.identifiers), s.message) for s, r in condense_corpus(samples, config)])
 
 
 def make_sft_record(sample: CommitSample, template: CondensedTemplate, config: PipelineConfig) -> SftRecord:

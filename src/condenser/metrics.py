@@ -339,14 +339,15 @@ def meteor(
 
 def score_corpus(pairs: list[tuple[TokenSeq, TokenSeq]]) -> MetricReport:
     """Arithmetic mean of per-pair scores. An empty candidate contributes
-    zero to every metric rather than failing the whole corpus."""
+    zero to every metric rather than failing the whole corpus. An empty
+    reference fails it, naming the pair's number from 1: its line in `eval`."""
     if not pairs:
         raise EmptyCorpus("no candidate/reference pairs to score")
     total_b = total_m = total_r = 0.0
     capped: list[tuple[TokenSeq, TokenSeq]] = []
-    for candidate, reference in pairs:
+    for lineno, (candidate, reference) in enumerate(pairs, start=1):
         if not reference.tokens:
-            raise EmptyReference("reference must be non-empty")
+            raise EmptyReference(f"line {lineno}: reference must be non-empty")
         if not candidate.tokens:
             continue  # zero contribution
         total_b += bleu_norm(candidate, reference)

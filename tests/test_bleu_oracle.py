@@ -12,7 +12,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import workloads
 from condenser.metrics import TokenSeq, bleu_norm, score_corpus, tokenize_message
 from oracles import bleu_counter_oracle
 
@@ -39,8 +38,8 @@ def test_bleu_equals_the_counter_original_bit_for_bit(pair):
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
-def test_benchmark_pairs_score_like_the_counter_original(seed, tmp_path, monkeypatch):
-    built = workloads.build("eval-messages", seed, "full", tmp_path)
+def test_benchmark_pairs_score_like_the_counter_original(seed, benchmark_input, monkeypatch):
+    built = benchmark_input("eval-messages", seed)
     pairs = [(tokenize_message(c), tokenize_message(r)) for c, r in built["pairs"]]
     for candidate, reference in pairs:
         assert bleu_norm(candidate, reference) == bleu_counter_oracle(candidate, reference)

@@ -7,7 +7,9 @@ import importlib
 import json
 import pkgutil
 import re
+import runpy
 import shlex
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -642,6 +644,24 @@ def test_eval_misaligned_files_exit_2(capsys, tmp_path):
     code, _, err = run_cli(capsys, "eval", "--candidates", str(cand), "--references", str(ref))
     assert code == 2
     assert "error" in err
+
+
+def test_eval_names_the_line_of_a_blank_reference(capsys, tmp_path):
+    cand = tmp_path / "cand.txt"
+    ref = tmp_path / "ref.txt"
+    cand.write_text("add a new test\nfix bug\nbump\n", encoding="utf-8")
+    ref.write_text("add a new test\n  \n\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "eval", "--candidates", str(cand), "--references", str(ref))
+    assert (code, out, err) == (2, "", "error: line 2: reference must be non-empty\n")
+
+
+def test_python_dash_m_condenser_runs_the_command_line(monkeypatch, capsys):
+    monkeypatch.setattr("sys.argv", ["condenser", "no-such-command"])
+    monkeypatch.delitem(sys.modules, "condenser.__main__", raising=False)  # as a fresh interpreter has it
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("condenser", run_name="__main__")
+    assert exc.value.code == 2
+    assert "invalid choice: 'no-such-command'" in capsys.readouterr().err
 
 
 def test_eval_splits_lines_at_newlines_only(capsys, tmp_path):

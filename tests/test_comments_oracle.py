@@ -25,7 +25,6 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings
 
-import workloads
 from condenser.changeset import FileDiff, diff_facts
 from condenser.comments import elicit_comments
 from condenser.javafacts import (
@@ -117,13 +116,11 @@ def test_fixture_commits_elicit_like_oracle():
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
-def test_benchmark_corpora_elicit_like_oracle(seed, tmp_path):
+def test_benchmark_corpora_elicit_like_oracle(seed, benchmark_input):
     pairs = []
-    for build in (workloads.build_corpus_typical, workloads.build_rewrite_heavy):
-        out = tmp_path / build.__name__
-        out.mkdir()
-        build(seed, "full", out)
-        records = [json.loads(line) for line in (out / "corpus.jsonl").read_text(encoding="utf-8").splitlines()]
+    for workload in ("corpus-typical", "rewrite-heavy"):
+        corpus = benchmark_input(workload, seed)["dir"] / "corpus.jsonl"
+        records = [json.loads(line) for line in corpus.read_text(encoding="utf-8").splitlines()]
         pairs += _java_pairs(records)
     left_out: Counter = Counter()
     compared = [pair for pair in pairs if _compare(*pair, left_out)]

@@ -8,7 +8,6 @@ from collections import Counter
 
 import pytest
 
-import workloads
 from condenser.changeset import StructuralDiff, diff_facts
 from condenser.config import PipelineConfig
 from condenser.corpus import condense_commit, load_corpus
@@ -174,13 +173,11 @@ def test_order_is_stable_by_first_occurrence_within_category():
     assert methods == ["zebra", "apple"]  # declaration order, not alphabetical
 
 
-def test_extraction_matches_collect_then_sort_oracle(corpus_path, tmp_path):
+def test_extraction_matches_collect_then_sort_oracle(corpus_path, benchmark_input):
     samples = load_corpus(corpus_path)
     for seed in (1, 2, 3):
         for workload in ("corpus-typical", "rewrite-heavy"):
-            out = tmp_path / f"{workload}-{seed}"
-            workloads.build(workload, seed, "full", out)
-            samples += load_corpus(out / "corpus.jsonl")
+            samples += load_corpus(benchmark_input(workload, seed)["dir"] / "corpus.jsonl")
     assert len(samples) == 152
     seen: Counter = Counter()
     for sample in samples:

@@ -17,7 +17,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import workloads
 from condenser import metrics
 from condenser.metrics import _greedy_chunks, _meteor_search, tokenize_message
 from oracles import greedy_chunks_oracle, meteor_alignment_oracle, meteor_search_oracle
@@ -73,11 +72,11 @@ def test_greedy_chunks_match_the_original(pair):
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
-def test_greedy_chunks_match_the_original_on_benchmark_pairs(seed, tmp_path):
+def test_greedy_chunks_match_the_original_on_benchmark_pairs(seed, benchmark_input):
     """Every non-forced eval-messages pair.  The golden digests do not pin
     the greedy: an uncapped search reaches the same optimum from any valid
     bound."""
-    built = workloads.build("eval-messages", seed, "full", tmp_path)
+    built = benchmark_input("eval-messages", seed)
     checked = 0
     for c, r in built["pairs"]:
         candidate, reference = tokenize_message(c).tokens, tokenize_message(r).tokens

@@ -34,7 +34,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import workloads
 from condenser import javafacts
 from condenser.javafacts import MethodFacts, ParseError, parse_java
 from corpusdata import COMMITS
@@ -115,12 +114,10 @@ def test_text_whose_braces_pair_with_text_outside_its_member_is_not_stepped_over
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
-def test_benchmark_pairs_parse_like_alone(seed, tmp_path):
+def test_benchmark_pairs_parse_like_alone(seed, benchmark_input):
     pairs = []
     for workload in ("corpus-typical", "rewrite-heavy"):
-        built = workloads.build(workload, seed, "full", tmp_path / workload)
-        corpus = built["argv"][built["argv"].index("--corpus") + 1]
-        with open(corpus, encoding="utf-8") as fh:
+        with open(benchmark_input(workload, seed)["dir"] / "corpus.jsonl", encoding="utf-8") as fh:
             pairs += _java_pairs(json.loads(line) for line in fh)
     assert sum(_assert_pair_parses_like_alone(old, new, path, direct=True) for old, new, path in pairs) > 45
 
@@ -313,9 +310,8 @@ def test_a_body_edit_to_a_generic_method_parses_no_method(header, monkeypatch):
     assert _plain(got) == _plain(parse_java(new))
 
 
-def test_large_file_parses_only_the_methods_in_the_window(tmp_path, monkeypatch):
-    built = workloads.build("corpus-typical", 1, "full", tmp_path)
-    with open(built["argv"][built["argv"].index("--corpus") + 1], encoding="utf-8") as fh:
+def test_large_file_parses_only_the_methods_in_the_window(benchmark_input, monkeypatch):
+    with open(benchmark_input("corpus-typical", 1)["dir"] / "corpus.jsonl", encoding="utf-8") as fh:
         [(old, new, path)] = [p for p in _java_pairs(json.loads(line) for line in fh) if len(p[1]) > 200_000]
     parsed: list[int] = []
     parse_method_rest = javafacts._Parser.parse_method_rest

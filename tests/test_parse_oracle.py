@@ -512,10 +512,9 @@ def test_bodies_with_a_span_deleted_build_like_whole_scans(body, data):
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 @pytest.mark.parametrize("workload", ["corpus-typical", "rewrite-heavy"])
-def test_benchmark_pairs_build_like_whole_scans(workload, seed, tmp_path):
-    workloads.build(workload, seed, "full", tmp_path)
+def test_benchmark_pairs_build_like_whole_scans(workload, seed, benchmark_input):
     checked = 0
-    for line in (tmp_path / "corpus.jsonl").read_text(encoding="utf-8").splitlines():
+    for line in (benchmark_input(workload, seed)["dir"] / "corpus.jsonl").read_text(encoding="utf-8").splitlines():
         for pair in json.loads(line)["files"]:
             old_src, new_src = pair["content_old"], pair["content_new"]
             if not (old_src and new_src and pair["path_new"].endswith(".java")):

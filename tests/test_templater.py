@@ -20,7 +20,6 @@ from condenser.templater import (
     render,
     template_to_dict,
 )
-import workloads
 from grammar import check_template
 from oracles import count_tokens_oracle, render_oracle
 
@@ -514,13 +513,11 @@ def _render_or_error(render_fn, commit, r, budget):
         return f"BudgetError: {exc}"
 
 
-def test_render_matches_two_pass_oracle(corpus_path, tmp_path):
+def test_render_matches_two_pass_oracle(corpus_path, benchmark_input):
     samples = load_corpus(corpus_path)
     for seed in (1, 2, 3):
         for workload in ("corpus-typical", "rewrite-heavy"):
-            out = tmp_path / f"{workload}-{seed}"
-            workloads.build(workload, seed, "full", out)
-            samples += load_corpus(out / "corpus.jsonl")
+            samples += load_corpus(benchmark_input(workload, seed)["dir"] / "corpus.jsonl")
     cases = truncated = 0
     for sample in samples:
         commit = sample.commit_input()
