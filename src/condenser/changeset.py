@@ -4,7 +4,9 @@ The diff is entity-level: imports, classes, fields, annotations, methods,
 and per-method inline changes (parameters, modifiers, statements, thrown
 exceptions, annotations). A commit-wide diff is then classified into one of
 twelve change types Ty0..Ty11 by an ordered rule list; thresholds live in
-PipelineConfig so experiments can move them without touching code.
+PipelineConfig so experiments can move them without touching code.  The
+rules read statement text with patterns built from javafacts' IDENTIFIER
+and ASSIGN_OPS.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ from dataclasses import dataclass
 from condenser.config import PipelineConfig
 from condenser.diffing import FilePair
 from condenser.javafacts import (
+    ASSIGN_OPS,
+    IDENTIFIER,
     ClassFacts,
     FieldFacts,
     MethodFacts,
@@ -667,29 +671,28 @@ class _TouchedMethod:
     origin: str  # added | removed | inline
 
 
+# A field, named alone or through `this`, in the accessor and update tests.
+_FIELD_REF = rf"(?P<this>this\s*\.\s*)?(?P<field>{IDENTIFIER})"
+_GETTER = re.compile(rf"return\s*{_FIELD_REF}\s*;?")
+_SETTER = re.compile(rf"{_FIELD_REF}\s*=\s*(?P<value>{IDENTIFIER})\s*;?")
+_ASSIGN_OP = "|".join(map(re.escape, sorted(ASSIGN_OPS, key=lambda op: (-len(op), op))))
+_FIELD_UPDATE = re.compile(rf"{_FIELD_REF}\s*(?:(?:{_ASSIGN_OP})(?!=)|\+\+|--)")
+
+
 def _is_getter(m: MethodFacts, field_names: frozenset[str]) -> bool:
     if m.is_constructor or m.parameters or len(m.body_statements) != 1:
         return False
     stmt = m.body_statements[0]
-    if stmt.kind != "return":
-        return False
-    target = stmt.text[len("return"):].strip().rstrip(";").strip()
-    if target.startswith("this."):
-        target = target[len("this."):]
-    return bool(re.fullmatch(r"\w+", target)) and (not field_names or target in field_names)
+    match = _GETTER.fullmatch(stmt.text) if stmt.kind == "return" else None
+    return bool(match) and (not field_names or match["field"] in field_names)
 
 
 def _is_setter(m: MethodFacts, field_names: frozenset[str]) -> bool:
     if m.is_constructor or len(m.body_statements) != 1 or len(m.parameters) != 1:
         return False
     stmt = m.body_statements[0]
-    if stmt.kind != "assignment":
-        return False
-    match = re.fullmatch(r"(?:this\s*\.\s*)?(\w+)\s*=\s*(\w+)\s*;?", stmt.text)
-    if not match:
-        return False
-    lhs, rhs = match.group(1), match.group(2)
-    return rhs == m.parameters[0][1] and (not field_names or lhs in field_names)
+    match = _SETTER.fullmatch(stmt.text) if stmt.kind == "assignment" else None
+    return bool(match) and match["value"] == m.parameters[0][1] and (not field_names or match["field"] in field_names)
 
 
 def _is_accessor(t: _TouchedMethod) -> bool:
@@ -698,13 +701,8 @@ def _is_accessor(t: _TouchedMethod) -> bool:
 
 def _assigns_field(m: MethodFacts, field_names: frozenset[str]) -> bool:
     for stmt in m.body_statements:
-        if stmt.kind != "assignment":
-            continue
-        assign = re.match(r"(?:this\s*\.\s*)?(\w+)\s*(?:=|\+=|-=|\*=|/=|%=|\|=|&=|\^=)(?!=)", stmt.text)
-        if assign and (assign.group(1) in field_names or stmt.text.lstrip().startswith("this.")):
-            return True
-        bump = re.match(r"(?:this\s*\.\s*)?(\w+)\s*(?:\+\+|--)", stmt.text)
-        if bump and (bump.group(1) in field_names or stmt.text.lstrip().startswith("this.")):
+        match = _FIELD_UPDATE.match(stmt.text) if stmt.kind == "assignment" else None
+        if match and (match["this"] or match["field"] in field_names):
             return True
     return False
 
@@ -716,7 +714,7 @@ def _is_factory(m: MethodFacts, class_name: str) -> bool:
     return "static" in m.modifiers and (m.return_type or "").split("<")[0] == simple
 
 
-_DOTTED_CALL = re.compile(r"^[A-Za-z_$][\w$]*(?:\s*\.\s*[\w$]+)+\s*\(")
+_DOTTED_CALL = re.compile(rf"{IDENTIFIER}(?:\s*\.\s*{IDENTIFIER})+\s*\(")
 
 
 def _is_external_invocation(text: str) -> bool:

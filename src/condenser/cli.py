@@ -194,6 +194,8 @@ def _commit_from_args(args: argparse.Namespace) -> CommitInput:
     if args.diff:
         diff_text = sys.stdin.read() if args.diff == "-" else Path(args.diff).read_text(encoding="utf-8")
         diff = parse_unified_diff(diff_text)
+        if all(section.is_binary for section in diff.file_sections):
+            raise ConfigError("no differing text files in the diff")
         return reconstruct_pairs(diff, old_contents, new_contents, repo_name=args.repo, commit_hash=args.hash)
     if not args.old_dir and not args.new_dir:
         raise ConfigError("condense needs --diff and/or --old-dir/--new-dir")

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from itertools import chain
 
 from condenser.changeset import StructuralDiff
+from condenser.javafacts import IDENTIFIER
 
 __all__ = [
     "CATEGORY_ORDER",
@@ -48,6 +49,7 @@ class IdentifierFilter:
 
 
 _SPLIT_RE = re.compile(r"[A-Z]+(?![a-z])|[A-Z][a-z]*|[a-z]+|[0-9]+")
+_IDENTIFIER_RE = re.compile(IDENTIFIER)
 
 
 def split_camel(raw: str) -> list[str]:
@@ -66,11 +68,8 @@ def simple_type_names(type_text: str) -> list[str]:
     out: list[str] = []
     for part in re.split(r"[<>,\[\]\s]+", type_text):
         part = part.strip(".?")
-        if not part or part in ("extends", "super"):
-            continue
-        simple = part.split(".")[-1].rstrip(".")
-        simple = simple.replace("...", "")
-        if simple and re.fullmatch(r"[A-Za-z_$][\w$]*", simple):
+        simple = _simple(part)
+        if part not in ("extends", "super") and _IDENTIFIER_RE.fullmatch(simple):
             out.append(simple)
     return out
 

@@ -76,6 +76,11 @@ one offset.  An old comment's facts are kept when its attachment comes out
 the same.  Any ParseError makes parse_java parse the new version alone, so
 errors are that parse's.
 
+The Java vocabulary is named once, here: the identifier, literal and
+comment fragments, the operators, the type-argument brackets and the
+modifier words.  The lexer's regexes, the parser, the statement classifier
+and the patterns of changeset and identifiers are built from those names.
+
 All returned facts are immutable in value and safe to share across threads
 (building a method's statements twice gives the same tuple).
 """
@@ -115,25 +120,22 @@ class ParseError(Exception):
         self.message = message
 
 
-MODIFIER_WORDS = {
+# The modifier words, in the order Java sources conventionally spell them.
+_CANONICAL_MODIFIER_ORDER = (
     "public", "protected", "private", "abstract", "static", "final",
     "synchronized", "native", "strictfp", "transient", "volatile", "default",
-}
+)
+MODIFIER_WORDS = frozenset(_CANONICAL_MODIFIER_ORDER)
+_MODIFIER_RANK = {m: i for i, m in enumerate(_CANONICAL_MODIFIER_ORDER)}
 
 PRIMITIVE_TYPES = {
     "boolean", "byte", "char", "short", "int", "long", "float", "double", "void",
 }
 
-_CANONICAL_MODIFIER_ORDER = (
-    "public", "protected", "private", "abstract", "static", "final",
-    "synchronized", "native", "strictfp", "transient", "volatile", "default",
-)
-
 
 def sort_modifiers(modifiers) -> list[str]:
     """Order a modifier set the way Java sources conventionally spell it."""
-    rank = {m: i for i, m in enumerate(_CANONICAL_MODIFIER_ORDER)}
-    return sorted(modifiers, key=lambda m: (rank.get(m, len(rank)), m))
+    return sorted(modifiers, key=lambda m: (_MODIFIER_RANK.get(m, len(_MODIFIER_RANK)), m))
 
 
 # ---------------------------------------------------------------------------
@@ -293,21 +295,39 @@ class _RawComment:
     end: int
 
 
-# Tried in this order at each position, so a longer operator wins over its
-# prefixes ('>>>=' before '>>>' before '>>').
+# The rest of the Java vocabulary (JLS chapter 3, 4.5 and 15.26), after the
+# modifier and primitive type words above.
+
+# An identifier; a token is one exactly when its text starts with one of
+# _IDENT_START.
+IDENTIFIER = r"[A-Za-z_$][A-Za-z0-9_$]*"
+_IDENT_START = frozenset(string.ascii_letters + "_$")
+
+# Every operator of more than one character, tried in this order at each
+# position, so a longer operator wins over its prefixes ('>>>=' before '>>>'
+# before '>>').  ASSIGN_OPS names the ones that assign, and '='.
 _MULTI_PUNCT = (
     ">>>=", "<<=", ">>=", ">>>", "...", "->", "::",
     "==", "!=", "<=", ">=", "&&", "||", "++", "--",
     "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<", ">>",
 )
+ASSIGN_OPS = frozenset(("=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>=", ">>>="))
 
-# Comment and literal patterns, shared by the token regex and the coarse scan
-# so both agree on where each comment and literal starts and ends.  A literal
-# may not span a line unless the newline is escaped; an open one runs to the
-# first unescaped newline or to the end.
+# How far each token that opens or closes type arguments moves their depth:
+# '>>' and '>>>' lex as one token and close two and three.
+_TYPE_BRACKET_DEPTH = {"<": 1, ">": -1, ">>": -2, ">>>": -3}
+
+# Comment and literal patterns, shared by the token regex and the coarse
+# scans so they agree on where each comment and literal starts and ends.  A
+# literal may not span a line unless the newline is escaped: the one-line
+# string and char do not, and a closed literal (a 'wrapped' token when the
+# one-line patterns fail) may.  An open one runs to the first unescaped
+# newline or to the end.
 _LINE_COMMENT = r"//[^\n]*"
 _BLOCK_COMMENT = r"/\*[^*]*\*+(?:[^/*][^*]*\*+)*/"
 _OPEN_COMMENT = r"/\*[\s\S]*"
+_STRING = r'"[^"\\\n]*(?:\\.[^"\\\n]*)*"'
+_CHAR = r"'[^'\\\n]*(?:\\.[^'\\\n]*)*'"
 _CLOSED_LITERAL = r'"[^"\\\n]*(?:\\[\s\S][^"\\\n]*)*"' r"|'[^'\\\n]*(?:\\[\s\S][^'\\\n]*)*'"
 _OPEN_LITERAL = (
     r'"[^"\\\n]*(?:\\[\s\S][^"\\\n]*)*(?:\n|\\?\Z)'
@@ -321,14 +341,14 @@ _OPEN_LITERAL = (
 # the one-line string and char patterns.
 _SPACE = r"[ \t\r\f\v\n]*"
 _TOKEN_PARTS = (
-    ("ident", r"[A-Za-z_$][A-Za-z0-9_$]*"),
+    ("ident", IDENTIFIER),
     ("line_comment", _LINE_COMMENT),
     ("block_comment", _BLOCK_COMMENT),
     ("open_comment", _OPEN_COMMENT),
     ("punct", "|".join(map(re.escape, _MULTI_PUNCT)) + r"|[!#%&()*+,\-./:;<=>?@\[\\\]^`{|}~]"),
     ("number", r"\d(?:[\w.]|[eEpP][+-])*"),
-    ("string", r'"[^"\\\n]*(?:\\.[^"\\\n]*)*"'),
-    ("char", r"'[^'\\\n]*(?:\\.[^'\\\n]*)*'"),
+    ("string", _STRING),
+    ("char", _CHAR),
     ("wrapped", _CLOSED_LITERAL),
     ("open_literal", _OPEN_LITERAL),
     ("other", r"[^ \t\r\f\v\n]"),
@@ -340,8 +360,6 @@ _TOKEN_RE = re.compile(_SPACE + "(?:" + "|".join(f"(?P<{g}>{f})" for g, f in _TO
 # that holds no comment and no open literal and ends with a token.
 _TOKEN_TEXT_RE = re.compile(_SPACE + "(" + "|".join(f"(?:{f})" for _g, f in _TOKEN_PARTS) + ")")
 _CODE_KINDS = frozenset(("ident", "punct", "number", "string", "char"))
-# A token is an ident exactly when its text starts with one of these.
-_IDENT_START = frozenset(string.ascii_letters + "_$")
 
 
 def _line_starts(source: str) -> list[int]:
@@ -755,23 +773,15 @@ class _Parser:
         return start, self.pos
 
     def skip_generics(self) -> None:
-        """Consume a balanced <...> region; '<' nesting only (no shift ops
-        appear in declaration positions for the supported subset)."""
+        """Consume a balanced <...> region; in a declaration position a '>>'
+        or '>>>' closes two or three."""
         opener = self.expect("<", "to open type parameters")
         depth = 1
         while depth > 0:
             k = self.peek()
             if k is None:
                 raise ParseError(self.line(opener), "unbalanced '<'")
-            text = self.texts[k]
-            if text == "<":
-                depth += 1
-            elif text == ">":
-                depth -= 1
-            elif text == ">>":
-                depth -= 2
-            elif text == ">>>":
-                depth -= 3
+            depth += _TYPE_BRACKET_DEPTH.get(self.texts[k], 0)
             self.take()
         self.check_braces(opener)
 
@@ -1418,7 +1428,6 @@ class _Parser:
 
 _NO_SPACE_BEFORE = {";", ",", ")", "]", "[", ".", "...", "++", "--", "::"}
 _NO_SPACE_AFTER = {"(", "[", ".", "@", "::"}
-_TYPE_GLUE = {"<", ">", ">>", ">>>"}
 
 
 def _join_tokens(texts: list[str]) -> str:
@@ -1426,17 +1435,12 @@ def _join_tokens(texts: list[str]) -> str:
     out: list[str] = []
     prev: str | None = None
     for t in texts:
-        if prev is not None:
-            if t in _NO_SPACE_BEFORE or prev in _NO_SPACE_AFTER:
-                pass
-            elif (t in _TYPE_GLUE or prev in _TYPE_GLUE) and t != "extends" and prev != "extends":
-                pass
-            elif prev in ("extends", "super") or t in ("extends", "super"):
-                out.append(" ")
-            elif t == "<" or prev in ("<",):
-                pass
-            else:
-                out.append(" ")
+        if prev is not None and not (
+            t in _NO_SPACE_BEFORE
+            or prev in _NO_SPACE_AFTER
+            or (t in _TYPE_BRACKET_DEPTH or prev in _TYPE_BRACKET_DEPTH) and "extends" not in (t, prev)
+        ):
+            out.append(" ")
         out.append(t)
         prev = t
     return "".join(out)
@@ -1463,8 +1467,6 @@ _STMT_SIMPLE_KEYWORDS = {
     "assert": "other",
     "yield": "other",
 }
-
-_ASSIGN_OPS = {"=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>=", ">>>="}
 
 
 def _body_statements(body_text: str) -> tuple[StatementFacts, ...]:
@@ -1700,7 +1702,7 @@ def _scan_statements(
                 elif tt == ";" and depth == 0:
                     end += 1
                     break
-                if tt in _ASSIGN_OPS and depth == 0:
+                if tt in ASSIGN_OPS and depth == 0:
                     saw_eq = True
                 end += 1
             if end == i:
@@ -1755,7 +1757,7 @@ def _classify_generic(texts: list[str], lo: int, hi: int) -> str:
                     has_call = True
         elif t in (")", "]", "}"):
             depth -= 1
-        elif depth == 0 and t in _ASSIGN_OPS:
+        elif depth == 0 and t in ASSIGN_OPS:
             has_assign = True
             break
         elif depth == 0 and t in ("++", "--"):
@@ -1792,12 +1794,7 @@ def _looks_like_declaration(texts: list[str], i: int, n: int) -> bool:
             depth = 1
             i += 1
             while i < n and depth > 0:
-                if texts[i] == "<":
-                    depth += 1
-                elif texts[i] == ">":
-                    depth -= 1
-                elif texts[i] == ">>":
-                    depth -= 2
+                depth += _TYPE_BRACKET_DEPTH.get(texts[i], 0)
                 i += 1
             continue
         if t == "[" and i + 1 < n and texts[i + 1] == "]":

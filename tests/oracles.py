@@ -1323,6 +1323,8 @@ def _looks_like_declaration(tokens: list[_Token]) -> bool:
                     depth -= 1
                 elif tokens[i].text == ">>":
                     depth -= 2
+                elif tokens[i].text == ">>>":
+                    depth -= 3
                 i += 1
             continue
         if t == "[" and i + 1 < n and tokens[i + 1].text == "]":

@@ -300,6 +300,33 @@ def test_increment_counts_as_field_assignment():
     assert classify_change_explained(diff, [new])[0].value == "Ty2"
 
 
+@pytest.mark.parametrize(
+    "fields,method,rule",
+    [
+        ("int v;", "int getV() { return v; }", "accessor_only"),
+        ("int v;", "void setV(int x) { v = x; }", "accessor_only"),
+        ("int v;", "void b() { v += 1; }", "state_update_only"),
+        # a '$' is an identifier character (JLS 3.8)
+        ("int $v;", "int get$v() { return $v; }", "accessor_only"),
+        ("int $v;", "void set(int x) { $v = x; }", "accessor_only"),
+        ("int $v;", "void b() { $v += 1; }", "state_update_only"),
+        # every compound assignment updates the field (JLS 15.26)
+        ("int v;", "void b() { v <<= 1; }", "state_update_only"),
+        ("int v;", "void b() { v >>= 1; }", "state_update_only"),
+        ("int v;", "void b() { v >>>= 1; }", "state_update_only"),
+        # `this .v` names the field as `this.v` does
+        ("int v;", "int getV() { return this .v; }", "accessor_only"),
+        ("int v;", "void setV(int v) { this .v = v; }", "accessor_only"),
+        ("int v;", "void b() { this .w = 1; }", "state_update_only"),
+        # a getter returns an identifier, in a class without fields too
+        ("", "int one() { return 1; }", "state_access_only"),
+    ],
+)
+def test_an_added_method_reads_or_writes_the_field_by_its_rule(fields, method, rule):
+    _, new, diff = diff_sources(f"class C {{ {fields} }}", f"class C {{ {fields} {method} }}")
+    assert classify_change_explained(diff, [new])[1] == rule
+
+
 def test_change_type_value_label_bijection():
     assert len(CHANGE_TYPE_LABELS) == 12
     for value, label in CHANGE_TYPE_LABELS.items():

@@ -479,6 +479,25 @@ def test_diff_with_both_paths_dev_null_exits_2(capsys, tmp_path):
     assert err.startswith("error: line 2: ")
 
 
+@pytest.mark.parametrize(
+    "diff_text",
+    ["", "index 1234567..89abcde 100644\n", "Binary files a/logo.png and b/logo.png differ\n"],
+    ids=["empty", "no-header", "binary-only"],
+)
+def test_a_diff_that_names_no_text_file_exits_2(capsys, tmp_path, tree_pair, diff_text):
+    diff_file = tmp_path / "change.diff"
+    diff_file.write_text(diff_text, encoding="utf-8")
+    old_dir, new_dir = tree_pair
+    code, out, err = run_cli(
+        capsys, "condense", "--diff", str(diff_file), "--old-dir", str(old_dir), "--new-dir", str(new_dir),
+        "--repo", "r", "--hash", "h",
+    )
+    assert (code, out) == (2, "")
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        "error: no differing text files in the diff"
+    ]
+
+
 def test_corpus_run_to_file_deterministic(tmp_path, capsys, corpus_path):
     out1 = tmp_path / "run1.jsonl"
     out2 = tmp_path / "run2.jsonl"

@@ -1,4 +1,4 @@
-"""The command line's contract over mutated fixture corpora.
+"""The command line's contract over mutated fixture corpora and diffs.
 
 Each example draws 1-3 records of tests/corpusdata.py, mutates them (a
 character edit to either side of a Java file, a dropped or retyped JSON
@@ -15,12 +15,19 @@ process. Whatever the input:
   the export count, the statistics table, one JSON report;
 - each file that fails to parse gets exactly one `repo@hash: could not
   parse ...` line on stderr.
+
+`condense --diff` runs on one fixture commit written as a `git diff` (`a/`
+and `b/` paths) over its snapshot trees, the diff cut at a line or a byte,
+short of one hunk line, or empty. No exception escapes `main`, and the run
+exits 0 or 1 with a template on stdout, or 2 with one `error:` line and
+nothing on stdout.
 """
 
 from __future__ import annotations
 
 import contextlib
 import copy
+import difflib
 import io
 import json
 import re
@@ -36,7 +43,8 @@ from condenser.javafacts import ParseError, parse_java
 from corpusdata import COMMITS
 
 OVERSIZED_REPO = "big/" + "a." * 600  # 1,200 budget tokens in the header alone
-EDIT_TEXT = st.text(alphabet="{}()[];/*\"'<>@=.,a1 \n", max_size=3)
+EDIT_ALPHABET = "{}()[];/*\"'<>@=.,a1 \n"
+EDIT_TEXT = st.text(alphabet=EDIT_ALPHABET, max_size=3)
 NOT_TEXT = (7, None, ["x"], {"k": "v"})
 _FAILURE_LINE = re.compile(r"^WARNING: (\S+@\S+): could not parse (.+); summarized as file-level change$", re.M)
 _STATS_ROW = re.compile(r"^\w+\t\d+\t\d+$")
@@ -209,3 +217,68 @@ def test_corpus_commands_keep_the_contract_on_mutated_corpora(case):
             assert code == 0, err
             assert json.loads(out)["n"] == len(references)
             assert out.count("\n") == 1
+
+
+def _git_diff(record: dict) -> str:
+    """A record's files as `git diff` output: a section per differing file,
+    with `a/` and `b/` paths and /dev/null for an absent side."""
+    chunks = []
+    for entry in record["files"]:
+        path_old, path_new = entry["path_old"], entry["path_new"]
+        lines = list(difflib.unified_diff(
+            (entry["content_old"] or "").splitlines(keepends=True),
+            (entry["content_new"] or "").splitlines(keepends=True),
+            f"a/{path_old}" if path_old else "/dev/null",
+            f"b/{path_new}" if path_new else "/dev/null",
+        ))
+        if lines:
+            chunks.append(f"diff --git a/{path_old or path_new} b/{path_new or path_old}\n")
+            chunks += (line if line.endswith("\n") else line + "\n\\ No newline at end of file\n" for line in lines)
+    return "".join(chunks)
+
+
+@st.composite
+def _diff_case(draw):
+    """(fixture record, diff bytes): the record's diff cut at a line or a
+    byte, short of one hunk line, or empty."""
+    record = draw(st.sampled_from(COMMITS))
+    lines = _git_diff(record).splitlines(keepends=True)
+    how = draw(st.sampled_from(("line", "byte", "drop", "empty")))
+    if how == "line":
+        lines = lines[: draw(st.integers(0, len(lines)))]
+    elif how == "drop":
+        body = [i for i, line in enumerate(lines) if line[0] in " -+" and not line.startswith(("--- ", "+++ "))]
+        del lines[draw(st.sampled_from(body))]
+    elif how == "empty":
+        lines = []
+    diff = "".join(lines).encode("utf-8")
+    if how == "byte":
+        diff = diff[: draw(st.integers(0, len(diff)))]
+    return record, diff
+
+
+@settings(max_examples=50, deadline=None)
+@given(_diff_case())
+def test_condense_diff_keeps_the_contract_on_cut_diffs(case):
+    record, diff = case
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "old").mkdir()
+        (root / "new").mkdir()
+        for entry in record["files"]:
+            for side, path, content in (("old", entry["path_old"], entry["content_old"]),
+                                        ("new", entry["path_new"], entry["content_new"])):
+                if path:
+                    (root / side / path).parent.mkdir(parents=True, exist_ok=True)
+                    (root / side / path).write_text(content, encoding="utf-8")
+        (root / "change.diff").write_bytes(diff)
+        code, out, err = _run(
+            "condense", "--diff", str(root / "change.diff"), "--old-dir", str(root / "old"),
+            "--new-dir", str(root / "new"), "--repo", record["repo"], "--hash", record["hash"], "--format", "json",
+        )
+    if code == 2:
+        assert out == ""
+        assert sum(line.startswith("error: ") for line in err.splitlines()) == 1, err
+    else:
+        assert code in (0, 1), err
+        assert json.loads(out)["full_text"]

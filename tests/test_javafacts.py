@@ -323,6 +323,20 @@ def test_anonymous_class_stays_one_statement():
     assert stmts[1].kind == "invocation"
 
 
+@pytest.mark.parametrize(
+    "statement",
+    [
+        "Map<String, List<Integer>> m = null;",
+        # '>>>' closes three type-argument lists (JLS 4.5)
+        "Map<String, List<Set<Integer>>> m = null;",
+        "Map<String, List<Set<Integer>>> m;",
+    ],
+)
+def test_a_generic_local_is_a_declaration(statement):
+    facts = parse_java(f"class C {{ void f() {{ {statement} }} }}")
+    assert [s.kind for s in facts.classes[0].methods[0].body_statements] == ["declaration"]
+
+
 def test_byte_ranges_nested():
     src = (
         "class Outer {\n"

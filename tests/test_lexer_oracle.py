@@ -26,6 +26,7 @@ which drops each such comment and counts it; the fixtures hold one.
 from __future__ import annotations
 
 import ast
+import re
 from dataclasses import astuple
 from pathlib import Path
 
@@ -34,6 +35,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from condenser.javafacts import (
+    IDENTIFIER,
     _IDENT_START,
     _MULTI_PUNCT,
     _TOKEN_TEXT_RE,
@@ -254,14 +256,17 @@ def test_token_soups_match_oracle(source):
 @given(st.lists(st.one_of(_IDENT, _NUMBER, _OPERATOR, _STRING, _CHAR, _WHITESPACE, _ODD), max_size=30).map("".join))
 def test_token_texts_of_comment_free_soups_match_the_decoder(source):
     # the statement builder's flat path tokenizes with _TOKEN_TEXT_RE.findall
-    # and tells an ident by its first character
+    # and tells an ident by its first character; the classifier's patterns
+    # match an identifier with IDENTIFIER
     try:
         kinds, texts, _starts, _ends, comments = _decode(source, 0, len(source))
     except ParseError:
         assume(False)  # an open comment or literal
     assume(not comments)
     assert _TOKEN_TEXT_RE.findall(source) == texts
-    assert [kind == "ident" for kind in kinds] == [text[0] in _IDENT_START for text in texts]
+    idents = [kind == "ident" for kind in kinds]
+    assert idents == [text[0] in _IDENT_START for text in texts]
+    assert idents == [re.fullmatch(IDENTIFIER, text) is not None for text in texts]
 
 
 # --- generated programs: attachment -------------------------------------------------
