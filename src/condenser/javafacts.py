@@ -88,7 +88,6 @@ All returned facts are immutable in value and safe to share across threads
 from __future__ import annotations
 
 import re
-import string
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -299,9 +298,9 @@ class _RawComment:
 # modifier and primitive type words above.
 
 # An identifier; a token is one exactly when its text starts with one of
-# _IDENT_START.
+# _IDENT_START, the ASCII characters that alone are an IDENTIFIER.
 IDENTIFIER = r"[A-Za-z_$][A-Za-z0-9_$]*"
-_IDENT_START = frozenset(string.ascii_letters + "_$")
+_IDENT_START = frozenset(c for c in map(chr, range(128)) if re.fullmatch(IDENTIFIER, c))
 
 # Every operator of more than one character, tried in this order at each
 # position, so a longer operator wins over its prefixes ('>>>=' before '>>>'
@@ -319,20 +318,18 @@ _TYPE_BRACKET_DEPTH = {"<": 1, ">": -1, ">>": -2, ">>>": -3}
 
 # Comment and literal patterns, shared by the token regex and the coarse
 # scans so they agree on where each comment and literal starts and ends.  A
-# literal may not span a line unless the newline is escaped: the one-line
-# string and char do not, and a closed literal (a 'wrapped' token when the
-# one-line patterns fail) may.  An open one runs to the first unescaped
-# newline or to the end.
+# literal is _literal's body: it may not span a line unless the newline is
+# escaped.  The one-line string and char do not, and a closed literal (a
+# 'wrapped' token when the one-line patterns fail) may.  An open one runs to
+# the first unescaped newline or to the end.
 _LINE_COMMENT = r"//[^\n]*"
 _BLOCK_COMMENT = r"/\*[^*]*\*+(?:[^/*][^*]*\*+)*/"
 _OPEN_COMMENT = r"/\*[\s\S]*"
-_STRING = r'"[^"\\\n]*(?:\\.[^"\\\n]*)*"'
-_CHAR = r"'[^'\\\n]*(?:\\.[^'\\\n]*)*'"
-_CLOSED_LITERAL = r'"[^"\\\n]*(?:\\[\s\S][^"\\\n]*)*"' r"|'[^'\\\n]*(?:\\[\s\S][^'\\\n]*)*'"
-_OPEN_LITERAL = (
-    r'"[^"\\\n]*(?:\\[\s\S][^"\\\n]*)*(?:\n|\\?\Z)'
-    r"|'[^'\\\n]*(?:\\[\s\S][^'\\\n]*)*(?:\n|\\?\Z)"
-)
+_literal = r"{q}[^{q}\\\n]*(?:\\{escaped}[^{q}\\\n]*)*{end}".format
+_STRING = _literal(q='"', escaped=".", end='"')
+_CHAR = _literal(q="'", escaped=".", end="'")
+_CLOSED_LITERAL = "|".join(_literal(q=q, escaped=r"[\s\S]", end=q) for q in "\"'")
+_OPEN_LITERAL = "|".join(_literal(q=q, escaped=r"[\s\S]", end=r"(?:\n|\\?\Z)") for q in "\"'")
 
 # The alternatives of one token or comment, tried in this order.  Only
 # ' \t\r\f\v' and '\n' are whitespace; any other character that starts

@@ -7,7 +7,7 @@ characters with up to 3 drawn from test_contract.EDIT_ALPHABET) and
 condenses it. The commit is lost when a Java file fails to parse and is
 summarized as a file-level change. The run is seeded, so it repeats:
 
-    PYTHONPATH=src python tests/fuzz_report.py --seed 0 --trials 1000
+    PYTHONPATH=src python tests/fuzz_report.py --seed 0
 
 pytest does not collect this file.
 """
@@ -35,6 +35,7 @@ def _java_sides(entries: list[dict]) -> list[tuple[dict, str]]:
 
 
 JAVA_COMMITS = [record for record in COMMITS if _java_sides(record["files"])]
+TRIALS = 1000
 
 
 def _edited(record: dict, rng: random.Random) -> CommitInput:
@@ -53,12 +54,11 @@ def _edited(record: dict, rng: random.Random) -> CommitInput:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--trials", type=int, default=1000)
     args = parser.parse_args()
     logging.disable(logging.CRITICAL)  # condense_commit warns once per failed file
     rng = random.Random(args.seed)
-    lost = sum(bool(condense_commit(_edited(rng.choice(JAVA_COMMITS), rng)).parse_failures) for _ in range(args.trials))
-    print(f"seed {args.seed}: {lost} of {args.trials} edited commits lost a Java file ({100 * lost / args.trials:.1f}%)")
+    lost = sum(bool(condense_commit(_edited(rng.choice(JAVA_COMMITS), rng)).parse_failures) for _ in range(TRIALS))
+    print(f"seed {args.seed}: {lost} of {TRIALS} edited commits lost a Java file ({100 * lost / TRIALS:.1f}%)")
 
 
 if __name__ == "__main__":
