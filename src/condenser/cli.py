@@ -38,6 +38,7 @@ from condenser.diffing import (
     DiffFormatError,
     FilePair,
     MissingSnapshot,
+    SnapshotMismatch,
     parse_unified_diff,
     reconstruct_pairs,
 )
@@ -332,7 +333,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     try:
         return args.run(args)
-    except (ConfigError, CorpusFormatError, DiffFormatError, MissingSnapshot,
+    except (ConfigError, CorpusFormatError, DiffFormatError, MissingSnapshot, SnapshotMismatch,
             EmptyCorpus, EmptyInput, EmptyReference, BudgetError,
             OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -21,6 +21,7 @@ __all__ = [
     "FilePair",
     "Hunk",
     "MissingSnapshot",
+    "SnapshotMismatch",
     "UnifiedDiff",
     "parse_unified_diff",
     "reconstruct_pairs",
@@ -38,6 +39,10 @@ class MissingSnapshot(Exception):
     def __init__(self, path: str):
         super().__init__(f"missing snapshot content for {path}")
         self.path = path
+
+
+class SnapshotMismatch(Exception):
+    """A hunk whose lines are not a snapshot's at the hunk's line numbers."""
 
 
 @dataclass(frozen=True)
@@ -245,7 +250,9 @@ def reconstruct_pairs(
     """Join a parsed diff with snapshot maps into a CommitInput.
 
     Every path a section mentions must resolve in the corresponding map;
-    MissingSnapshot is raised otherwise.  `diff -N` names the absent side of
+    MissingSnapshot is raised otherwise, and SnapshotMismatch unless each
+    hunk's ' ' and '-' (' ' and '+') lines are the old (new) snapshot's lines
+    from old_start (new_start).  `diff -N` names the absent side of
     an added or deleted file by its real path, not /dev/null: a side without
     a snapshot whose every hunk reads '-0,0' ('+0,0') is absent.  Binary
     sections are dropped (the parser already logged them).
@@ -268,6 +275,15 @@ def reconstruct_pairs(
             if path_new not in new_contents:
                 raise MissingSnapshot(path_new)
             content_new = new_contents[path_new]
+        for path, content, side in ((path_old, content_old, "-"), (path_new, content_new, "+")):
+            if content is not None:
+                lines = split_lines(content)
+                for hunk in hunks:
+                    first = (hunk.old_start if side == "-" else hunk.new_start) - 1
+                    want = [line[1:] for line in hunk.lines if line[0] in (" ", side)]
+                    if lines[first : first + len(want)] != want:
+                        header = f"@@ -{hunk.old_start},{hunk.old_len} +{hunk.new_start},{hunk.new_len} @@"
+                        raise SnapshotMismatch(f"{path}: hunk {header} does not match the snapshot")
         pairs.append(FilePair(path_old=path_old, path_new=path_new, content_old=content_old, content_new=content_new))
     return CommitInput(repo_name=repo_name, commit_hash=commit_hash, file_pairs=tuple(pairs))
 

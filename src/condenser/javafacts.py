@@ -51,30 +51,31 @@ old text and its facts (parse_java's old argument): the text the edit left
 whole is stepped over, not lexed, scanned or parsed again (Wagner & Graham,
 "Efficient and Flexible Incremental Parsing", TOPLAS 1998, restricted to
 whole declarations).  Every parse records where things sit for that: the
-end of the package and imports, each class's first token and body '{', and
-a (start, end, counts of facts before it) entry for each member of a class
-body, besides the spans of the comments outside method bodies and the
-declarations by offset.  In a parse against an old version the coarse pass
-runs only as far as the parser asks, and steps over what the parser steps
-over.  An unchanged package and
-import preamble, and a class header unchanged through its '{', are taken
-whole.  At each member of a class body the parser takes the longest run of
-members of the old class of the same name that the source holds there,
-found with a few string compares: fields, methods, initializers, an enum's
-constants and inner classes, with the comments and space between them.  A
-method whose text up to its body is unchanged keeps its declaration and
-takes the new body.  From a token start in the same class body the same
-text lexes and parses to the same facts, and a run's braces pair off within
-it (a class in which a '{' or '}' does not pair off within its member has
-no member entries, so none of its text is stepped over), so the result is
-that of parsing the new version alone.  No method fact holds a position
-(its body comment spans are offsets into its body text; where it sits is
-in SourceFacts.decls alone), so a method the edit left whole is the old
-object wherever it now sits.  A class records its header and member
-offsets, so a class in a run that moved is rebuilt with them shifted by
-one offset.  An old comment's facts are kept when its attachment comes out
-the same.  Any ParseError makes parse_java parse the new version alone, so
-errors are that parse's.
+end of the package and imports, and a (start, end, counts of facts before
+it) entry for each member of a class body, its offsets counted from the
+class's first token, besides the spans of the comments outside method
+bodies and the declarations by offset.  In a parse against an old version
+the coarse pass runs only as far as the parser asks, and steps over what
+the parser steps over.  Three kinds of text are stepped over: an
+unchanged package and import preamble, runs of whole class-body members,
+and the text up to the body of a method whose body alone changed; a class
+header is parsed like any declaration.  At each member of a class body the
+parser takes the longest run of members of the old class of the same name
+that the source holds there, found with a few string compares: fields,
+methods, initializers, an enum's constants and inner classes, with the
+comments and space between them.  A method whose text up to its body is
+unchanged keeps its declaration and takes the new body.  From a token
+start in the same class body the same text lexes and parses to the same
+facts, and a run's braces pair off within it (a class in which a '{' or '}'
+does not pair off within its member has no member entries, so none of its
+text is stepped over), so the result is that of parsing the new version
+alone.  No fact holds an offset into the file (a method's body comment
+spans are offsets into its body text, a class's member entries count from
+its first token; where a declaration sits is in SourceFacts.decls alone),
+so a method or inner class the edit left whole is the old object wherever
+it now sits.  An old comment's facts are kept when its attachment comes
+out the same.  Any ParseError makes parse_java parse the new version alone,
+so errors are that parse's.
 
 The Java vocabulary is named once, here: the identifier, literal and
 comment fragments, the operators, the type-argument brackets and the
@@ -224,14 +225,12 @@ class ClassFacts:
     fields: tuple[FieldFacts, ...]
     methods: tuple[MethodFacts, ...]
     inner_classes: tuple[ClassFacts, ...]
-    # where it sits, for a parse of the file's next version: the offsets of
-    # its first token and of its body's '{'
-    header: tuple[int, int] = field(default=(0, 0), compare=False, repr=False)
-    # a (start, end, fields, methods, inner classes) entry for each member
-    # of the body (an enum's constants are one, and come first) and then for
-    # its '}': the offsets of its first token and just past its last, and the
-    # counts of facts before it; none when a '{' or '}' in the class does not
-    # pair off within its member
+    # for a parse of the file's next version, a (start, end, fields,
+    # methods, inner classes) entry for each member of the body (an enum's
+    # constants are one, and come first) and then for its '}': the offsets
+    # of its first token and just past its last, counted from the class's
+    # first token, and the counts of facts before it; none when a '{' or '}'
+    # in the class does not pair off within its member
     members: tuple[tuple[int, int, int, int, int], ...] = field(default=(), compare=False, repr=False)
 
 
@@ -560,37 +559,33 @@ _KEY = 24  # how much of a member's text the old version's members are looked up
 class _OldVersion:
     """The previous version of a file, its text and facts, with what a parse
     of the next version looks up in them: the starts of its declarations and
-    comments, and the members of each class body by their first _KEY
-    characters."""
+    comments, and the members of each class body, at their offsets in the
+    text and by their first _KEY characters.  A class is named by its
+    qualified name, which no two classes of a file that parses share."""
 
     def __init__(self, source: str, facts: SourceFacts):
         self.source = source
         self.facts = facts
         self.decl_starts = [d[0] for d in facts.decls]
         self.comment_starts = [start for _group, start, _end in facts.comment_spans]
-        self.keys: dict[int, dict[str, list[int]]] = {}  # id of a class -> its members by key
+        self.class_starts = {label[6:]: start for start, label, _b0, _b1 in facts.decls if label[0] == "c"}
+        self.keys: dict[str, dict[str, list[int]]] = {}  # qname -> members by key
 
-    def members_at(self, cls: ClassFacts, key: str) -> list[int]:
-        """The members of cls whose text starts with key."""
-        keys = self.keys.get(id(cls))
+    def table(self, qname: str, cls: ClassFacts) -> tuple[tuple[int, ...], ...]:
+        """cls.members, cls being the class qname, as offsets into source."""
+        s = self.class_starts[qname]
+        return tuple([(a + s, e + s, f, m, i) for a, e, f, m, i in cls.members])
+
+    def members_at(self, qname: str, table: tuple[tuple[int, ...], ...], key: str) -> list[int]:
+        """The members of table, the class qname's, whose text starts with
+        key."""
+        keys = self.keys.get(qname)
         if keys is None:
-            keys = self.keys[id(cls)] = {}
+            keys = self.keys[qname] = {}
             text = self.source
-            for k, (at, *_rest) in enumerate(cls.members[:-1]):
+            for k, (at, *_rest) in enumerate(table[:-1]):
                 keys.setdefault(text[at : at + _KEY], []).append(k)
         return keys.get(key, [])
-
-
-def _moved_class(c: ClassFacts, d: int) -> ClassFacts:
-    """c moved on by d characters."""
-    if not d:
-        return c
-    return replace(
-        c,
-        inner_classes=tuple(_moved_class(inner, d) for inner in c.inner_classes),
-        header=(c.header[0] + d, c.header[1] + d),
-        members=tuple((at + d, end + d, *counts) for at, end, *counts in c.members),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -639,7 +634,6 @@ class _Parser:
         # their attachment) of the comments of each text stepped over
         self.moved: list[tuple[int, int, int, int]] = []
         self.decls: list[tuple[int, str, int, int]] = []  # SourceFacts.decls, so far
-        self.class_order: list[tuple[str, int]] = []  # (qname, start) of each class, as its body closes
         self.preamble_end = 0
         self.old = old
 
@@ -680,10 +674,6 @@ class _Parser:
         if k >= len(self.texts) and self.peek(offset) is None:
             return False
         return self.texts[k] == text
-
-    def at_word(self, word: str) -> bool:
-        """at(word), lexing nothing when the source does not go on with word."""
-        return self.source.startswith(word, self.next_start()) and self.at(word)
 
     def take(self) -> int:
         self.pos += 1
@@ -817,34 +807,36 @@ class _Parser:
         self.layout.opened.append(brace)  # as a scan through the '{' would
         return brace
 
-    def holds(self, old_cls: ClassFacts, k: int, j: int, at: int) -> bool:
-        """Whether the source holds members k..j-1 of old_cls, the class of
-        the same name in the old version, from offset at.
+    def holds(self, table: tuple[tuple[int, ...], ...], k: int, j: int, at: int) -> bool:
+        """Whether the source holds members k..j-1 of table, the members of
+        the class of the same name in the old version (_OldVersion.table),
+        from offset at.
 
         The members' text runs from the first token of the first to the end
         of the last, which ends a token in both versions (after a token that
         could go on, the next character must be the same too).  From a token
         start in the same class body, the same text lexes and parses to the
-        same facts, and its braces pair off within it (old_cls.members is
-        empty otherwise).
+        same facts, and its braces pair off within it (the table is empty
+        otherwise).
         """
-        text, table = self.old.source, old_cls.members
+        text = self.old.source
         end = table[j - 1][1]
         if text[end - 1] not in ";}),":
             end += 1
         return self.source.startswith(text[table[k][0] : end], at)
 
-    def run_at(self, old_cls: ClassFacts, at: int, candidates) -> int:
-        """The first of the candidate members of old_cls that the source holds
-        at offset at, or -1; an enum's member 0, its constants, is no
-        candidate."""
-        n = len(old_cls.members) - 1  # old_cls.members[n] is the '}'
+    def run_at(self, old_cls: ClassFacts, table: tuple[tuple[int, ...], ...], at: int, candidates) -> int:
+        """The first of the candidate members of old_cls, table being its
+        members, that the source holds at offset at, or -1; an enum's member
+        0, its constants, is no candidate."""
+        n = len(table) - 1  # table[n] is the '}'
         first = 1 if old_cls.kind == "enum" else 0
-        return next((k for k in candidates if first <= k < n and self.holds(old_cls, k, k + 1, at)), -1)
+        return next((k for k in candidates if first <= k < n and self.holds(table, k, k + 1, at)), -1)
 
     def step_run(
         self,
         old_cls: ClassFacts,
+        table: tuple[tuple[int, ...], ...],
         k: int,
         at: int,
         fields: list[FieldFacts],
@@ -852,18 +844,18 @@ class _Parser:
         inners: list[ClassFacts],
         members: list[tuple[int, ...]],
     ) -> int:
-        """Step over the longest run of members of old_cls from member k on
-        that the source holds from offset at (see holds), and on to the next
-        member when the text between is the same too; take their facts.
-        Returns the index in old_cls.members of the member after the
-        run."""
-        old, table = self.old, old_cls.members
+        """Step over the longest run of members of old_cls, table being its
+        members, from member k on that the source holds from offset at (see
+        holds), and on to the next member when the text between is the same
+        too; take their facts.  Returns the index in table of the member
+        after the run."""
+        old = self.old
         j = n = len(table) - 1
-        if not self.holds(old_cls, k, n, at):
+        if not self.holds(table, k, n, at):
             lo = k + 1  # holds(k, lo) and not holds(k, j)
             while j - lo > 1:
                 mid = (lo + j) // 2
-                if self.holds(old_cls, k, mid, at):
+                if self.holds(table, k, mid, at):
                     lo = mid
                 else:
                     j = mid
@@ -883,29 +875,11 @@ class _Parser:
         members += [(a + d, e + d, f - f0 + nf, m - m0 + nm, i - i0 + ni) for a, e, f, m, i in table[k:j]]
         fields += old_cls.fields[f0:f1]
         methods += old_cls.methods[m0:m1]
-        inners += [_moved_class(c, d) for c in old_cls.inner_classes[i0:i1]]
+        inners += old_cls.inner_classes[i0:i1]
         if d:
             decls = [(s + d, label, b0 + d, b1 + d) for s, label, b0, b1 in decls]
         self.decls += decls
-        self.class_order += [(label[6:], s) for s, label, _b0, _b1 in decls if label[0] == "c"]
         return j
-
-    def step_header(self, scope: tuple[ClassFacts, ...], prefix: str, at: int) -> ClassFacts | None:
-        """The class declared from offset at, when its header through the
-        '{' is the text of the header of a class of scope, those of the same
-        prefix in the old version: the header is stepped over and its facts
-        taken, and the body parsed.  None when no header matches."""
-        text = self.old.source
-        for old_cls in scope:
-            start, brace = old_cls.header
-            if old_cls.members and self.source.startswith(text[start : brace + 1], at):
-                before = self.unmatched
-                return self.parse_class_rest(
-                    prefix, old_cls.name, old_cls.kind, old_cls.modifiers, old_cls.annotations,
-                    old_cls.extends_types, old_cls.implements_types, at, at, old_cls, before,
-                    self.step_to_brace(at, start, brace),
-                )
-        return None
 
     # -- text helpers --------------------------------------------------------
 
@@ -927,7 +901,7 @@ class _Parser:
             self.take()
             package = self.read_dotted_name("after 'package'")
             self.preamble_end = self.ends[self.expect(";", "after package name")]
-        while self.at_word("import"):
+        while self.at("import"):
             self.take()
             is_static = False
             if self.at("static"):
@@ -944,9 +918,6 @@ class _Parser:
         classes: list[ClassFacts] = []
         scope = old.facts.classes if old is not None else ()
         while True:
-            if scope and (cls := self.step_header(scope, "", self.next_start())) is not None:
-                classes.append(cls)
-                continue
             if self.peek() is None:
                 return package, imports, classes
             if self.at(";"):
@@ -1051,15 +1022,12 @@ class _Parser:
         name_at: int,
         old_cls: ClassFacts | None,
         before: int,
-        open_at: int = -1,
     ) -> ClassFacts:
         """The class whose header the caller has read, from its body's '{'
-        on, or just past it when it is at offset open_at; start and name_at
-        are the offsets of its first token and name, old_cls the old
-        version's class of the same name, if any."""
+        on; start and name_at are the offsets of its first token and name,
+        old_cls the old version's class of the same name, if any."""
         qname = f"{prefix}.{name}" if prefix else name
-        if open_at < 0:
-            open_at = self.starts[self.expect("{", "to open type body")]
+        open_at = self.starts[self.expect("{", "to open type body")]
         if self.nesting == _MAX_TYPE_NESTING:
             raise ParseError(_line_of(self.source, name_at), f"type {name} nested deeper than {_MAX_TYPE_NESTING} levels")
         slot = len(self.decls)
@@ -1069,7 +1037,6 @@ class _Parser:
         self.nesting -= 1
         body = (open_at, self.ends[self.pos - 1])
         self.decls[slot] = (start, f"class:{qname}", *body)
-        self.class_order.append((qname, start))
         self.check_uniqueness(qname, name_at, fields, names, methods)
         cls = ClassFacts(
             name=name,
@@ -1081,12 +1048,13 @@ class _Parser:
             fields=tuple(fields),
             methods=tuple(methods),
             inner_classes=tuple(inners),
-            header=(start, body[0]),
-            members=tuple(members) if self.unmatched == before else (),
+            members=tuple([(a - start, e - start, f, m, i) for a, e, f, m, i in members])
+            if self.unmatched == before
+            else (),
         )
         if (
             old_cls is not None
-            and (cls.header, cls.members) == (old_cls.header, old_cls.members)
+            and cls.members == old_cls.members
             and cls == old_cls
             and all(map(is_, cls.methods, old_cls.methods))
             and all(map(is_, cls.inner_classes, old_cls.inner_classes))
@@ -1150,67 +1118,62 @@ class _Parser:
         self, simple_name: str, qname: str, kind: str, old_cls: ClassFacts | None
     ) -> tuple[list[FieldFacts], dict[int, int], list[MethodFacts], list[ClassFacts], list[tuple[int, ...]]]:
         """The body's fields, the offsets of the names of those read (by
-        index), its methods, inner classes and ClassFacts.members entries.
-        Given old_cls, runs of its members are stepped over (step_run)."""
+        index), its methods, inner classes and ClassFacts.members entries,
+        as offsets into the source.  Given old_cls, runs of its members are
+        stepped over (step_run)."""
         fields: list[FieldFacts] = []
         names: dict[int, int] = {}
         methods: list[MethodFacts] = []
         inners: list[ClassFacts] = []
         members: list[tuple[int, ...]] = []
         scope = old_cls.inner_classes if old_cls is not None else ()
+        table = self.old.table(qname, old_cls) if old_cls is not None else ()
         hint = 0  # the old member the next one likely is
         if kind == "enum":
             at = self.next_start()
-            table = old_cls.members if old_cls is not None else ()
-            if table and table[0][1] > table[0][0] and self.holds(old_cls, 0, 1, at):
-                hint = self.step_run(old_cls, 0, at, fields, methods, inners, members)
+            if table and table[0][1] > table[0][0] and self.holds(table, 0, 1, at):
+                hint = self.step_run(old_cls, table, 0, at, fields, methods, inners, members)
             else:
                 first = self.pos
                 self.parse_enum_constants(simple_name, fields, names)
                 members.append((at, self.ends[self.pos - 1] if self.pos > first else at, 0, 0, 0))
         while True:
-            inner = None
-            if old_cls is not None:
+            if table:
                 at = self.next_start()
                 counts = (len(fields), len(methods), len(inners))
                 if self.source.startswith("}", at):
                     self.take_close(at)
                     members.append((at, at + 1, *counts))
                     return fields, names, methods, inners, members
-                k = self.run_at(old_cls, at, (hint, hint + 1))
+                k = self.run_at(old_cls, table, at, (hint, hint + 1))
                 if k < 0:
-                    if (method := self.step_method_header(old_cls, hint, qname, at)) is not None:
+                    if (method := self.step_method_header(old_cls, table, hint, qname, at)) is not None:
                         methods.append(method)
                         members.append((at, self.ends[self.pos - 1], *counts))
                         hint += 1
                         continue
-                    k = self.run_at(old_cls, at, self.old.members_at(old_cls, self.source[at : at + _KEY]))
+                    k = self.run_at(old_cls, table, at, self.old.members_at(qname, table, self.source[at : at + _KEY]))
                 if k >= 0:
-                    hint = self.step_run(old_cls, k, at, fields, methods, inners, members)
+                    hint = self.step_run(old_cls, table, k, at, fields, methods, inners, members)
                     continue
-                if scope:
-                    inner = self.step_header(scope, qname, at)
-            if inner is not None:
-                inners.append(inner)
+            t = self.peek()
+            if t is None:
+                raise ParseError(self.here(), f"unclosed body of {qname}")
+            at, text = self.starts[t], self.texts[t]
+            counts = (len(fields), len(methods), len(inners))
+            if text == "}":
+                self.take()
+                members.append((at, at + 1, *counts))
+                return fields, names, methods, inners, members
+            if text == ";":
+                self.take()
+            elif text == "{":  # instance initializer block
+                self.skip_balanced("{", "}")
+            elif text == "static" and self.at("{", 1):  # static initializer
+                self.take()
+                self.skip_balanced("{", "}")
             else:
-                t = self.peek()
-                if t is None:
-                    raise ParseError(self.here(), f"unclosed body of {qname}")
-                at, text = self.starts[t], self.texts[t]
-                counts = (len(fields), len(methods), len(inners))
-                if text == "}":
-                    self.take()
-                    members.append((at, at + 1, *counts))
-                    return fields, names, methods, inners, members
-                if text == ";":
-                    self.take()
-                elif text == "{":  # instance initializer block
-                    self.skip_balanced("{", "}")
-                elif text == "static" and self.at("{", 1):  # static initializer
-                    self.take()
-                    self.skip_balanced("{", "}")
-                else:
-                    self.parse_member(simple_name, qname, fields, names, methods, inners, scope)
+                self.parse_member(simple_name, qname, fields, names, methods, inners, scope)
             members.append((at, self.ends[self.pos - 1], *counts))
 
     def parse_enum_constants(self, simple_name: str, fields: list[FieldFacts], names: dict[int, int]) -> None:
@@ -1325,13 +1288,15 @@ class _Parser:
         self.next_comment = hi
         return self.source[start:end], spans, end
 
-    def step_method_header(self, old_cls: ClassFacts, k: int, qname: str, at: int) -> MethodFacts | None:
+    def step_method_header(
+        self, old_cls: ClassFacts, table: tuple[tuple[int, ...], ...], k: int, qname: str, at: int
+    ) -> MethodFacts | None:
         """The method declared from offset at, when member k of old_cls, the
-        class of the same name in the old version, is a method with a body
-        whose text up to the body the source holds there: that text is
-        stepped over and the old method taken with the new body.  None when
-        it is not such a method."""
-        table, old = old_cls.members, self.old
+        class of the same name in the old version (table being its members),
+        is a method with a body whose text up to the body the source holds
+        there: that text is stepped over and the old method taken with the
+        new body.  None when it is not such a method."""
+        old = self.old
         if not (0 <= k < len(table) - 1 and table[k + 1][3] == table[k][3] + 1):
             return None
         m, start = old_cls.methods[table[k][3]], table[k][0]
@@ -1912,7 +1877,9 @@ def _parse_java(source: str, path: str, old: tuple[str, SourceFacts] | None) -> 
         layout.finish()
     parser.flush(len(source))
     seen_qnames: set[str] = set()
-    for qname, start in parser.class_order:
+    # in the order the class bodies close, as a parse alone meets them
+    for start, label, _body, _end in sorted((d for d in parser.decls if d[1][0] == "c"), key=itemgetter(3)):
+        qname = label[6:]
         if qname in seen_qnames:
             raise ParseError(_line_of(source, start), f"duplicate type declaration {qname} in {path}")
         seen_qnames.add(qname)

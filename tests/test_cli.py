@@ -180,6 +180,64 @@ def _write_trees(tmp_path: Path, old_files: dict[str, str], new_files: dict[str,
     return old_dir, new_dir
 
 
+_CALL_TREES = {
+    "stale": ("class A {\n  void m() {\n    p();\n  }\n}\n", "class A {\n  void m() {\n    q();\n  }\n}\n"),
+    "no-newline": ("class A {\n  void m() {\n    p(); } }", "class A {\n  void m() {\n    q(); } }"),
+}
+
+
+def _condense_diff(capsys, tmp_path, trees: str, diff_text: str) -> tuple[int, str, str]:
+    old_dir, new_dir = _write_trees(tmp_path, {"A.java": _CALL_TREES[trees][0]}, {"A.java": _CALL_TREES[trees][1]})
+    diff_file = tmp_path / "change.diff"
+    diff_file.write_text(f"--- a/A.java\n+++ b/A.java\n{diff_text}", encoding="utf-8")
+    return run_cli(
+        capsys, "condense", "--diff", str(diff_file), "--old-dir", str(old_dir), "--new-dir", str(new_dir),
+        "--repo", "r", "--hash", "h",
+    )
+
+
+@pytest.mark.parametrize("diff_text", [
+    "@@ -3 +3 @@\n-    x();\n+    y();\n",  # the trees hold p() -> q()
+    "@@ -2,2 +2,2 @@\n   void m() {\n-    p();\n+    r();\n",
+    "@@ -2,2 +2,2 @@\n   void n() {\n-    p();\n+    q();\n",
+], ids=["both-sides", "new-side", "context"])
+def test_a_diff_whose_hunk_does_not_match_the_trees_exits_2(capsys, tmp_path, diff_text):
+    code, out, err = _condense_diff(capsys, tmp_path, "stale", diff_text)
+    assert (code, out) == (2, "")
+    header = diff_text.split("\n")[0].replace(" -3 +3 ", " -3,1 +3,1 ")
+    assert err.splitlines() == [f"error: A.java: hunk {header} does not match the snapshot"]
+
+
+def test_a_diff_whose_last_line_has_no_newline_matches_the_trees(capsys, tmp_path):
+    diff_text = (
+        "@@ -3 +3 @@\n-    p(); } }\n\\ No newline at end of file\n+    q(); } }\n\\ No newline at end of file\n"
+    )
+    code, out, err = _condense_diff(capsys, tmp_path, "no-newline", diff_text)
+    assert (code, err) == (0, "")
+    assert "modify a invocation statement p(); to q();" in out, out
+
+
+def test_condense_renders_a_class_and_method_header_change(capsys, tmp_path):
+    old_dir, new_dir = _write_trees(
+        tmp_path,
+        {"A.java": "package p;\nclass A extends Base implements Runnable { @Deprecated int m() throws java.io.IOException"
+                   " { return 1; } public void run() { } }\n"},
+        {"A.java": "package p;\nclass A { long m() { return 1; } public void run() { } }\n"},
+    )
+    code, out, err = run_cli(
+        capsys, "condense", "--old-dir", str(old_dir), "--new-dir", str(new_dir), "--repo", "r", "--hash", "h"
+    )
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[lines.index("change in A.java") + 1 : lines.index("End change part")] == [
+        "Make A no longer extend Base",
+        "Make A no longer implement Runnable",
+        "In method m, change return type from int to long",
+        "Method m no longer throws java.io.IOException",
+        "Remove annotation @Deprecated from method m",
+    ], out
+
+
 def test_condense_reads_a_moved_file_as_a_rename(capsys, tmp_path):
     body = "package web;\n\nclass SessionStore {\n    int timeout() {\n        return %d;\n    }\n}\n"
     old_dir, new_dir = _write_trees(
@@ -211,6 +269,28 @@ def test_condense_missing_inputs_is_usage_error(capsys):
     assert code == 2
     assert "error" in err.lower()
     assert out == ""
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--budget", "10"], "budget must be >= 64, got 10"),
+    (["--attempts", "0"], "attempts must be >= 1"),
+    (["--modify-similarity", "2"], "modify_similarity must be in [0, 1]"),
+    (["--config", "{tmp}/bogus.conf"], "{tmp}/bogus.conf:1: unknown config key 'bogus'"),
+    (["--config", "{tmp}/unsplit.conf"], "{tmp}/unsplit.conf:1: expected key=value, got 'budget 100'"),
+    (["--old-dir", "{tmp}/nowhere"], "not a directory: {tmp}/nowhere"),
+    # the header fits in 64 tokens, but not with the end marker after it
+    (["--repo", " ".join("a" * 54), "--budget", "64"], "cannot fit template into 64 tokens"),
+], ids=["budget", "attempts", "modify-similarity", "unknown-key", "no-equals", "no-old-dir", "cannot-fit"])
+def test_a_condense_input_it_cannot_use_exits_2(capsys, tmp_path, tree_pair, argv, message):
+    (tmp_path / "bogus.conf").write_text("bogus = 1\n", encoding="utf-8")
+    (tmp_path / "unsplit.conf").write_text("budget 100\n", encoding="utf-8")
+    old_dir, new_dir = tree_pair
+    code, out, err = run_cli(
+        capsys, "condense", "--old-dir", str(old_dir), "--new-dir", str(new_dir), "--repo", "r", "--hash", "h",
+        *(arg.format(tmp=tmp_path) for arg in argv),
+    )
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [f"error: {message.format(tmp=tmp_path)}"]
 
 
 def test_unknown_flag_exits_2(capsys):

@@ -21,7 +21,7 @@ pieces of Java spliced in anywhere, and no edit at all.
 On the pairs that parse, the pair parse itself must succeed, not fall back
 to a parse of the new version alone; on the benchmark's 256 KB file it must
 parse no more methods than the edit's window holds, and for a one-method
-edit it must lex nothing outside the edited member.
+edit it must lex nothing outside the edited member and the class headers.
 """
 
 from __future__ import annotations
@@ -150,15 +150,23 @@ _KINDS = (
 )
 
 
+def _class_starts(facts) -> dict[str, int]:
+    """The offset of each class's first token, by qualified name; a class's
+    member offsets count from it."""
+    return {label[6:]: start for start, label, _b0, _b1 in facts.decls if label.startswith("class:")}
+
+
 def _member_spans(facts) -> list[tuple[str, str, int, int]]:
     """(class qname, what, start, end) of each member of each class body,
     what being 'field', 'method', 'class' or 'other' (an enum's constants,
     an initializer or a ';')."""
     out = []
+    class_starts = _class_starts(facts)
     for qname, cls in facts.all_classes():
+        s = class_starts[qname]
         for (start, end, f, m, i), after in zip(cls.members, cls.members[1:]):
             what = "field" if after[2] > f else "method" if after[3] > m else "class" if after[4] > i else "other"
-            out.append((qname, what, start, end))
+            out.append((qname, what, start + s, end + s))
     return out
 
 
@@ -224,13 +232,17 @@ def _edited_pair(draw, kind: str) -> tuple[str, str]:
         to = to - (b - a) if to > a else to
         new = moved[:to] + source[a:b] + "\n    " + moved[to:]
     elif kind == "enum_constant":
+        class_starts = _class_starts(facts)
         sections = [
-            c.members[0][:2] for _q, c in facts.all_classes() if c.kind == "enum" and c.members and c.members[0][1] > c.members[0][0]
+            (q, *c.members[0][:2])
+            for q, c in facts.all_classes()
+            if c.kind == "enum" and c.members and c.members[0][1] > c.members[0][0]
         ]
         if not sections:
             new = insert(start, "enum AddedKind { P, Q; }\n    ")
         else:
-            a, b = draw(st.sampled_from(sections))
+            q, a, b = draw(st.sampled_from(sections))
+            a, b = a + class_starts[q], b + class_starts[q]
             name = re.match(r"[A-Za-z_$][\w$]*", source[a:b])
             new = insert(a + name.end(), "Edited") if name else insert(a, "EDITED, ")
     elif kind == "inner":
@@ -283,8 +295,11 @@ def test_a_one_method_edit_decodes_only_the_edited_member(monkeypatch):
     got = javafacts._parse_java(new, "<memory>", (source, facts))
     monkeypatch.undo()
     assert _plain(got) == _plain(parse_java(new))
-    [(start, end)] = [(a, b) for a, _m, _body, b in method_spans(got) if a == edited_start]
-    assert all(start <= a and b <= end for a, b in decoded), (decoded, (start, end))
+    # class headers, each from its first token through its body's '{', are
+    # lexed again; of the members, at most the edited one is
+    [edited] = [(a, b) for a, _m, _body, b in method_spans(got) if a == edited_start]
+    allowed = [edited] + [(start, body + 1) for start, label, body, _end in got.decls if label.startswith("class:")]
+    assert all(any(s <= a and b <= e for s, e in allowed) for a, b in decoded), (decoded, allowed)
 
 
 @pytest.mark.parametrize(
