@@ -29,7 +29,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "condenser"
-_NO_CODE = (ast.Global, ast.Nonlocal, ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+_SKIPPED = (ast.Global, ast.Nonlocal, ast.ClassDef, *_FUNCTIONS)  # no code, or a def or class line
 
 
 def _is_constant(node: ast.stmt) -> bool:
@@ -44,10 +45,10 @@ def statements(source: str) -> dict[int, tuple[int, int]]:
 
     def visit(node: ast.AST, in_function: bool) -> None:
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.stmt) and in_function and not isinstance(child, _NO_CODE) and not _is_constant(child):
+            if isinstance(child, ast.stmt) and in_function and not isinstance(child, _SKIPPED) and not _is_constant(child):
                 nested = [n.lineno for n in ast.iter_child_nodes(child) if isinstance(n, (ast.stmt, ast.excepthandler))]
                 out[child.lineno] = (child.lineno, max(child.lineno, min(nested) - 1) if nested else child.end_lineno)
-            visit(child, in_function or isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)))
+            visit(child, in_function or isinstance(child, _FUNCTIONS))
 
     visit(ast.parse(source), False)
     return out
